@@ -79,10 +79,10 @@ bench-checkpoint:
 bench-sharded:
 	$(PYTHON) benchmarks/bench_sharded.py --min-speedup 2.0
 
-# acceptance benchmark: the numpy array kernel must be >= 1.8x the
-# object-kernel batched path on the 1M-item stream, byte-identically
+# acceptance benchmark: bulk ingest (insert_all) must be >= 3x the
+# per-item oracle on the 1M-item stream, byte-identically
 bench-kernel:
-	$(PYTHON) benchmarks/bench_kernel.py --min-speedup 1.8
+	$(PYTHON) benchmarks/bench_kernel.py --min-speedup 3.0
 
 # acceptance benchmark: loopback PUSH/QUERY service throughput and
 # latency vs the in-process fold; the remote aggregate must stay
@@ -106,7 +106,7 @@ benchcheck:
 	$(PYTHON) benchmarks/bench_service.py --quick --repeats 2 \
 		--output BENCH_service_fresh.json
 	$(PYTHON) benchmarks/bench_kernel.py --quick --repeats 2 \
-		--min-speedup 1.5 --output BENCH_kernel_fresh.json
+		--min-speedup 3.0 --output BENCH_kernel_fresh.json
 	$(PYTHON) -m tools.benchcheck BENCH_ingest_fresh.json \
 		--baseline BENCH_ingest.json --min speedup=1.4
 	$(PYTHON) -m tools.benchcheck BENCH_checkpoint_fresh.json \
@@ -116,7 +116,7 @@ benchcheck:
 	$(PYTHON) -m tools.benchcheck BENCH_service_fresh.json \
 		--baseline BENCH_service.json --max overhead_fraction=0.5
 	$(PYTHON) -m tools.benchcheck BENCH_kernel_fresh.json \
-		--baseline BENCH_kernel.json --min speedup=1.5
+		--baseline BENCH_kernel.json --min speedup=3.0
 	$(PYTHON) benchmarks/bench_sketchlint.py \
 		--output BENCH_sketchlint_fresh.json
 	$(PYTHON) -m tools.benchcheck BENCH_sketchlint_fresh.json \

@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Ingestion throughput: per-item ``insert`` loop vs batched ``insert_batch``.
 
-The batched fast path (``DaVinciSketch.insert_batch``) pre-aggregates each
-chunk into ``{key: count}``, memoizes hash positions across the chunk and
-hoists structure lookups out of the inner loops — while producing a sketch
-state byte-identical to the equivalent sequential loop.  This script
+The bulk path (``DaVinciSketch.insert_batch``) canonicalizes and
+pre-aggregates each chunk into per-key totals as arrays and applies them
+to the three parts as arrays — while producing a sketch state
+byte-identical to the equivalent sequential loop.  This script
 measures how much wall-clock that buys on the paper's canonical workload
 (a Zipf(1.1) packet trace) and cross-checks the equivalence claim on the
 fly via ``to_state``.

@@ -1,15 +1,14 @@
 #!/usr/bin/env python3
-"""Ingest kernels: object ``insert_batch`` vs the numpy array kernel.
+"""Bulk ingestion vs the per-item oracle: identity and items/second.
 
-``DaVinciSketch(config, kernel="array")`` routes ``insert_batch`` through
-``repro.core.kernel.ArrayKernelEngine``, which loads the three sketch
-parts into contiguous numpy arrays and replays each chunk with vectorized
-group-aggregation, rank-round frequent-part updates and first-occurrence
-element-filter rounds — while producing a sketch state byte-identical to
-the object kernel for the same input order.  This script measures what
-that vectorization buys on the paper's canonical workload (a Zipf(1.1)
-packet trace) and cross-checks the byte-identity claim on the fly via
-``to_state``.
+``DaVinciSketch.insert_all`` runs each chunk through the one bulk path
+(``repro.core.kernel.ArrayKernelEngine``): keys canonicalized and
+aggregated as arrays, frequent-part rank rounds, element-filter
+first-occurrence rounds, exact infrequent-part encodes.  Its contract is
+the per-item oracle: ``insert(key, total)`` over each chunk's per-key
+totals in first-seen order.  This script times both on the paper's
+canonical workload (a Zipf(1.1) packet trace) and checks the contract on
+the fly via ``to_state``.
 
 Run (from the repository root):
 
@@ -18,9 +17,8 @@ Run (from the repository root):
 
 Timings are interleaved best-of-``--repeats`` (default 3) so host noise
 lands on neither side of the comparison.  Writes ``BENCH_kernel.json``
-(see ``--output``) with the measured rates, the speedup and the identity
-verdict.  Target: >= 1.8x items/sec over the object-kernel batched
-baseline at the full 1M-item scale.
+(see ``--output``) with both rates, the speedup and the identity verdict;
+a diverging state exits non-zero whatever the speedup.
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ from typing import Dict, List
 
 from _harness import Side, interleaved_best
 from repro.core import DaVinciConfig, DaVinciSketch
-from repro.core.kernel import HAVE_NUMPY
 from repro.core.serialization import to_state
 from repro.workloads import zipf_trace
 
@@ -42,23 +39,25 @@ from repro.workloads import zipf_trace
 DEFAULT_MEMORY_KB = 64.0
 
 
-def build_sketch(
-    memory_kb: float, seed: int, kernel: str
-) -> DaVinciSketch:
-    config = DaVinciConfig.from_memory_kb(memory_kb, seed=seed)
-    return DaVinciSketch(config, kernel=kernel)
+def per_item_oracle(sketch: DaVinciSketch, trace: List[int], chunk: int) -> None:
+    """``insert(key, total)`` over each chunk's first-seen totals."""
+    for start in range(0, len(trace), chunk):
+        totals: Dict[int, int] = {}
+        for key in trace[start : start + chunk]:
+            totals[key] = totals.get(key, 0) + 1
+        for key, total in totals.items():
+            sketch.insert(key, total)
 
 
-def time_kernel(
-    memory_kb: float,
-    seed: int,
-    kernel: str,
-    trace: List[int],
-    chunk_size: int,
+def time_side(
+    config: DaVinciConfig, trace: List[int], chunk_size: int, bulk: bool
 ) -> "tuple[float, DaVinciSketch]":
-    sketch = build_sketch(memory_kb, seed, kernel)
+    sketch = DaVinciSketch(config)
     start = time.perf_counter()
-    sketch.insert_all(trace, chunk_size=chunk_size)
+    if bulk:
+        sketch.insert_all(trace, chunk_size=chunk_size)
+    else:
+        per_item_oracle(sketch, trace, chunk_size)
     return time.perf_counter() - start, sketch
 
 
@@ -74,45 +73,32 @@ def run(args: argparse.Namespace) -> Dict[str, object]:
         skew=args.skew,
         seed=args.seed,
     )
+    config = DaVinciConfig.from_memory_kb(args.memory_kb, seed=args.seed + 2)
 
     # warm-up pass so both measurements see hot bytecode/caches
-    for kernel in ("object", "array"):
-        warm = build_sketch(args.memory_kb, args.seed + 1, kernel)
-        warm.insert_all(trace[: min(len(trace), 50_000)])
+    warm = trace[: min(len(trace), 50_000)]
+    for bulk in (False, True):
+        time_side(config, warm, args.chunk_size, bulk)
 
-    obj, arr = interleaved_best(
+    oracle, bulk = interleaved_best(
         [
             Side(
-                "object",
-                lambda: time_kernel(
-                    args.memory_kb,
-                    args.seed + 2,
-                    "object",
-                    trace,
-                    args.chunk_size,
-                ),
+                "per-item oracle",
+                lambda: time_side(config, trace, args.chunk_size, False),
             ),
             Side(
-                "array",
-                lambda: time_kernel(
-                    args.memory_kb,
-                    args.seed + 2,
-                    "array",
-                    trace,
-                    args.chunk_size,
-                ),
+                "bulk", lambda: time_side(config, trace, args.chunk_size, True)
             ),
         ],
         repeats=args.repeats,
     )
-    object_sketch: DaVinciSketch = obj.artifact
-    array_sketch: DaVinciSketch = arr.artifact
+    oracle_sketch: DaVinciSketch = oracle.artifact
+    bulk_sketch: DaVinciSketch = bulk.artifact
 
-    state_identical = to_state(object_sketch) == to_state(array_sketch)
-
-    object_rate = len(trace) / obj.seconds
-    array_rate = len(trace) / arr.seconds
-    speedup = array_rate / object_rate
+    state_identical = to_state(oracle_sketch) == to_state(bulk_sketch)
+    oracle_rate = len(trace) / oracle.seconds
+    bulk_rate = len(trace) / bulk.seconds
+    speedup = bulk_rate / oracle_rate
 
     result: Dict[str, object] = {
         "workload": {
@@ -123,33 +109,30 @@ def run(args: argparse.Namespace) -> Dict[str, object]:
             "memory_kb": args.memory_kb,
             "chunk_size": args.chunk_size,
         },
-        "numpy_available": HAVE_NUMPY,
-        "object_kernel": {
-            "seconds": obj.seconds,
-            "items_per_second": object_rate,
-            "ama": object_sketch.average_memory_access(),
+        "per_item_oracle": {
+            "seconds": oracle.seconds,
+            "items_per_second": oracle_rate,
         },
-        "array_kernel": {
-            "seconds": arr.seconds,
-            "items_per_second": array_rate,
-            "ama": array_sketch.average_memory_access(),
+        "bulk": {
+            "seconds": bulk.seconds,
+            "items_per_second": bulk_rate,
+            "ama": bulk_sketch.average_memory_access(),
         },
         "speedup": speedup,
-        "state_identical_to_object_kernel": state_identical,
+        "state_identical_to_per_item_oracle": state_identical,
     }
 
     print(
-        f"object kernel: {obj.seconds:8.3f} s  "
-        f"({object_rate:12,.0f} items/s, AMA "
-        f"{object_sketch.average_memory_access():.2f})"
+        f"per-item oracle: {oracle.seconds:8.3f} s  "
+        f"({oracle_rate:12,.0f} items/s)"
     )
     print(
-        f"array kernel : {arr.seconds:8.3f} s  "
-        f"({array_rate:12,.0f} items/s, AMA "
-        f"{array_sketch.average_memory_access():.2f})"
+        f"bulk ingest    : {bulk.seconds:8.3f} s  "
+        f"({bulk_rate:12,.0f} items/s, AMA "
+        f"{bulk_sketch.average_memory_access():.2f})"
     )
-    print(f"speedup      : {speedup:.2f}x")
-    print(f"state identical to object kernel: {state_identical}")
+    print(f"speedup        : {speedup:.2f}x")
+    print(f"state identical to per-item oracle: {state_identical}")
     return result
 
 
@@ -173,7 +156,7 @@ def main(argv: List[str]) -> int:
         "--chunk-size",
         type=int,
         default=1 << 16,
-        help="insert_batch chunk size",
+        help="insert_all chunk size",
     )
     parser.add_argument(
         "--repeats",
@@ -195,7 +178,7 @@ def main(argv: List[str]) -> int:
         "--min-speedup",
         type=float,
         default=0.0,
-        help="exit non-zero if the array kernel is below this speedup",
+        help="exit non-zero if bulk ingest is below this speedup",
     )
     args = parser.parse_args(argv)
     if args.quick:
@@ -203,18 +186,14 @@ def main(argv: List[str]) -> int:
         args.flows = min(args.flows, 20_000)
         args.repeats = min(args.repeats, 2)
 
-    if not HAVE_NUMPY:
-        print("ERROR: numpy is unavailable; the array kernel cannot run")
-        return 1
-
     result = run(args)
     with open(args.output, "w", encoding="utf-8") as handle:
         json.dump(result, handle, indent=2, sort_keys=True)
         handle.write("\n")
     print(f"wrote {args.output}")
 
-    if not result["state_identical_to_object_kernel"]:
-        print("ERROR: array-kernel sketch state diverged from object kernel")
+    if not result["state_identical_to_per_item_oracle"]:
+        print("ERROR: bulk-ingest sketch state diverged from the oracle")
         return 1
     if float(result["speedup"]) < args.min_speedup:  # type: ignore[arg-type]
         print(

@@ -245,16 +245,6 @@ class UnverifiedStateWarning(UserWarning):
     """
 
 
-class KernelFallbackWarning(RuntimeWarning):
-    """An array-kernel request degraded to the object kernel.
-
-    Emitted (never raised) when a sketch is built with ``kernel="array"``
-    but numpy is unavailable.  The two kernels are state-identical, so
-    the fallback only changes bulk-ingestion throughput — a warning, not
-    an error, by design: the same code must run on minimal deployments.
-    """
-
-
 class SketchModeError(ReproError, RuntimeError):
     """A write was attempted against a sketch whose query mode forbids it.
 

@@ -32,13 +32,17 @@ A sketch is in one of three *query modes*:
 from __future__ import annotations
 
 from itertools import islice
+from operator import index
 from time import perf_counter
 from typing import (
+    Any,
     Callable,
     Dict,
     Iterable,
+    Iterator,
     List,
     Optional,
+    Sequence,
     Tuple,
     TypeVar,
     Union,
@@ -57,7 +61,7 @@ from repro.core.degrade import DegradationPolicy, DegradedResult, execute
 from repro.core.element_filter import ElementFilter
 from repro.core.frequent_part import FrequentPart
 from repro.core.infrequent_part import DecodeResult, InfrequentPart
-from repro.core.kernel import KERNEL_ARRAY, KERNEL_OBJECT, resolve_kernel
+from repro.core.kernel import KERNEL_ARRAY, KERNEL_OBJECT, ArrayKernelEngine
 from repro.observability import instruments as _obs_instruments
 from repro.observability import metrics as _obs
 from repro.observability.instruments import DaVinciMetrics
@@ -83,10 +87,64 @@ VALID_MODES = (MODE_STANDARD, MODE_ADDITIVE, MODE_SIGNED)
 #: the per-packet eviction schedule — accuracy experiments that reproduce
 #: the paper's streaming figures drive :meth:`DaVinciSketch.insert`
 #: per item instead (see ``repro.experiments.harness.fill``).  65536
-#: maximizes throughput for bulk loads (the measured 2.5x+ over the
-#: per-item loop); lower it toward 1 to converge on the per-item loop
-#: exactly.
+#: maximizes throughput for bulk loads; lower it toward 1 to converge on
+#: the per-item loop exactly.
 DEFAULT_BATCH_CHUNK = 1 << 16
+
+
+def _integer_count(count: object) -> int:
+    """``count`` as a Python int; a non-integer raises before any write."""
+    try:
+        return index(count)  # type: ignore[arg-type]
+    except TypeError:
+        raise ConfigurationError(
+            f"count {count!r} is not an integer"
+        ) from None
+
+
+class UnitPairs:
+    """``(key, 1)`` for every key of ``keys``, without the tuples.
+
+    :meth:`DaVinciSketch.insert_all` hands one to
+    :meth:`DaVinciSketch.insert_batch`, which reads the keys directly
+    (the keys-first entry); anything else may iterate it as pairs.
+    """
+
+    __slots__ = ("keys",)
+
+    def __init__(self, keys: Iterable[object]) -> None:
+        self.keys = keys
+
+    def __iter__(self) -> Iterator[Tuple[object, int]]:
+        return ((key, 1) for key in self.keys)
+
+
+def _chunks(
+    pairs: Iterable[Tuple[object, int]], size: int
+) -> Iterator[Tuple[Sequence[object], Optional[Sequence[Any]]]]:
+    """``(keys, counts)`` columns of each ``size``-pair chunk.
+
+    ``counts is None`` for a :class:`UnitPairs` stream (every count 1).
+    """
+    if isinstance(pairs, UnitPairs):
+        keys = pairs.keys
+        if isinstance(keys, list):
+            for start in range(0, len(keys), size):
+                yield keys[start : start + size], None
+            return
+        iterator = iter(keys)
+        while True:
+            chunk = list(islice(iterator, size))
+            if not chunk:
+                return
+            yield chunk, None
+    iterator_pairs = iter(pairs)
+    while True:
+        pair_chunk = list(islice(iterator_pairs, size))
+        if not pair_chunk:
+            return
+        key_column, count_column = zip(*pair_chunk)
+        yield key_column, count_column
 
 
 class DaVinciSketch(Sketch):
@@ -98,21 +156,17 @@ class DaVinciSketch(Sketch):
     #: injectable registry override (None → the process-global default)
     _obs_registry: Optional[MetricsRegistry] = None
 
+    #: the bulk ingestion path, for provenance records (there is one)
+    kernel = KERNEL_ARRAY
+
     def __init__(
         self,
         config: DaVinciConfig,
         metrics_registry: Optional[MetricsRegistry] = None,
-        kernel: Optional[str] = None,
     ) -> None:
         super().__init__()
         self.config = config
         self._obs_registry = metrics_registry
-        #: resolved execution kernel for bulk ingestion ("object" or
-        #: "array"); ``None`` consults REPRO_KERNEL and defaults to the
-        #: object kernel, degrading gracefully when numpy is absent.
-        #: Both kernels are byte-identical, so the choice is never part
-        #: of serialized state.
-        self.kernel: str = resolve_kernel(kernel)
         self.fp = FrequentPart(
             buckets=config.fp_buckets,
             entries_per_bucket=config.fp_entries,
@@ -202,26 +256,38 @@ class DaVinciSketch(Sketch):
     def insert(self, key: object, count: int = 1) -> None:
         """Record ``count`` occurrences of ``key`` (Algorithms 1 + 2).
 
-        Only standard-mode sketches accept insertions: the element filter
-        of a union/difference result no longer holds exactly the first
-        ``T`` units of each promoted element, so writing into one would
+        The paper's per-item reference: every bulk path must leave the
+        state this leaves for each chunk's per-key totals.  Only
+        standard-mode sketches accept insertions: the element filter of a
+        union/difference result no longer holds exactly the first ``T``
+        units of each promoted element, so writing into one would
         silently corrupt every later query.  The guard is unconditional
-        (one string compare), not gated behind the debug sanitizer.
+        (one string compare), not gated behind the debug sanitizer.  A
+        count must be an integer (anything with ``__index__``); it is
+        stored as a Python int.
         """
-        if self.mode != MODE_STANDARD:
-            raise SketchModeError(
-                "DaVinciSketch.insert: only standard-mode sketches accept "
-                "insertions (merged/signed sketches are read-only)"
-            )
+        self._require_standard("insert")
         key = self.canonical_key(key)
         if _inv.ENABLED:
             _inv.check_counter_int(count, "DaVinciSketch.insert count")
+        if type(count) is not int:
+            count = _integer_count(count)
         self.insertions += 1
         self.total_count += count
         self._decode_cache = None
         if _obs.ENABLED:
             self._record_inserts(1, count)
+        self._insert_canonical(key, count)
 
+    def _require_standard(self, operation: str) -> None:
+        if self.mode != MODE_STANDARD:
+            raise SketchModeError(
+                f"DaVinciSketch.{operation}: only standard-mode sketches "
+                "accept insertions (merged/signed sketches are read-only)"
+            )
+
+    def _insert_canonical(self, key: int, count: int) -> None:
+        """Algorithms 1 + 2 for one canonical key (no accounting)."""
         outcome = self.fp.insert(key, count)
         self.memory_accesses += outcome.accesses
         if outcome.demoted is None:
@@ -232,20 +298,22 @@ class DaVinciSketch(Sketch):
     def insert_all(
         self, keys: Iterable[object], chunk_size: int = DEFAULT_BATCH_CHUNK
     ) -> None:
-        """Insert a stream of single occurrences via the batched fast path.
+        """Insert a stream of single occurrences through the bulk path.
 
-        Equivalent to inserting each chunk's per-key totals in first-seen
-        order (see :meth:`insert_batch` for the exact contract); pass
-        ``chunk_size=1`` to force the per-item path.
+        Keys-first: each chunk of keys is canonicalized as one array,
+        with no ``(key, 1)`` pairs built.  Equivalent to inserting each
+        chunk's per-key totals in first-seen order (see
+        :meth:`insert_batch` for the exact contract); pass
+        ``chunk_size=1`` to match the per-item loop.
         """
-        self.insert_batch(((key, 1) for key in keys), chunk_size=chunk_size)
+        self.insert_batch(UnitPairs(keys), chunk_size=chunk_size)
 
     def insert_batch(
         self,
         pairs: Iterable[Tuple[object, int]],
         chunk_size: int = DEFAULT_BATCH_CHUNK,
     ) -> None:
-        """Record many ``(key, count)`` pairs through the batched fast path.
+        """Record many ``(key, count)`` pairs through the bulk path.
 
         The stream is consumed in chunks of up to ``chunk_size`` pairs.
         Each chunk is pre-aggregated into per-key totals (first-seen key
@@ -255,92 +323,66 @@ class DaVinciSketch(Sketch):
         included.  A batch therefore treats its pairs as simultaneous
         arrivals: a key occurring twice in one chunk enters the frequent
         part once with its summed count, exactly as a ``count=k`` insert
-        does today.
+        does.
 
-        What the fast path amortizes over the sequential loop:
-
-        * ``canonical_key`` fingerprints are memoized per chunk (string /
-          bytes / out-of-domain keys hash once, not once per occurrence);
-        * frequent-part updates are grouped per bucket with the bucket
-          bookkeeping bound to locals (:meth:`FrequentPart.insert_batch`);
-        * demoted elements flow through level-hoisted, position-memoized
-          element-filter offers (:meth:`ElementFilter.offer_batch`) and
-          batched infrequent-part encodes with shared hash/sign caches;
-        * the decode cache is invalidated once per chunk, not per item.
+        Every chunk runs through
+        :class:`~repro.core.kernel.ArrayKernelEngine`: one array pass
+        canonicalizes and aggregates the keys, and the three parts apply
+        the totals as arrays.  A chunk the arrays cannot express exactly
+        (counts numpy cannot hold as positive int64, totals at or above
+        2^52, a bucket pile-up) falls back to that per-item loop itself.  An
+        unsupported key or a count that is not an integer raises before
+        its chunk changes anything.
         """
-        if self.mode != MODE_STANDARD:
-            raise SketchModeError(
-                "DaVinciSketch.insert_batch: only standard-mode sketches "
-                "accept insertions (merged/signed sketches are read-only)"
-            )
+        self._require_standard("insert_batch")
         if chunk_size < 1:
             raise ConfigurationError("chunk_size must be >= 1")
-        iterator = iter(pairs)
-        if self.kernel == KERNEL_ARRAY:
-            from repro.core.kernel import ArrayKernelEngine
+        engine = ArrayKernelEngine(self)
+        try:
+            for keys, counts in _chunks(pairs, chunk_size):
+                engine.ingest(keys, counts)
+        finally:
+            engine.flush()
 
-            engine = ArrayKernelEngine(self)
-            try:
-                while True:
-                    chunk = list(islice(iterator, chunk_size))
-                    if not chunk:
-                        break
-                    engine.ingest_chunk(chunk)
-            finally:
-                engine.flush()
-            return
-        while True:
-            chunk = list(islice(iterator, chunk_size))
-            if not chunk:
-                break
-            self._insert_chunk(chunk)
+    def _account(self, pairs: int, units: int, kernel: str) -> None:
+        """Book one bulk chunk: offered pairs, units, the path it took.
 
-    def _insert_chunk(self, chunk: List[Tuple[object, int]]) -> None:
-        """Aggregate and ingest one chunk (the batched hot loop)."""
-        domain = self.ifp.max_key
-        canonical = self.canonical_key
-        fingerprints: Dict[object, int] = {}
-        aggregated: Dict[int, int] = {}
-        chunk_total = 0
-        for raw_key, count in chunk:
-            if _inv.ENABLED:
-                _inv.check_counter_int(count, "DaVinciSketch.insert_batch count")
-            if (
-                isinstance(raw_key, int)
-                and not isinstance(raw_key, bool)
-                and 1 <= raw_key < domain
-            ):
-                key = raw_key
-            elif isinstance(raw_key, (int, str, bytes)) and not isinstance(
-                raw_key, bool
-            ):
-                cached = fingerprints.get(raw_key)
-                if cached is None:
-                    cached = canonical(raw_key)
-                    fingerprints[raw_key] = cached
-                key = cached
-            else:  # unhashable key types (e.g. bytearray): no memoization
-                key = canonical(raw_key)
-            aggregated[key] = aggregated.get(key, 0) + count
-            chunk_total += count
-
-        # ``insertions`` counts offered pairs (one per :meth:`insert` call
-        # the per-item loop would have made), so throughput and AMA stay
-        # comparable across ingestion paths; aggregation only changes the
-        # number of structure touches, which ``memory_accesses`` reflects.
-        self.insertions += len(chunk)
-        self.total_count += chunk_total
+        ``insertions`` counts offered pairs (one per :meth:`insert` call
+        the per-item loop would have made), so throughput and AMA stay
+        comparable across paths; aggregation only changes the number of
+        structure touches, which ``memory_accesses`` reflects.
+        """
+        self.insertions += pairs
+        self.total_count += units
         self._decode_cache = None
         if _obs.ENABLED:
-            self._record_inserts(len(chunk), chunk_total)
-            self._observe().kernel_chunks.counter_child(KERNEL_OBJECT).inc()
+            self._record_inserts(pairs, units)
+            self._observe().kernel_chunks.counter_child(kernel).inc()
 
-        demoted, accesses = self.fp.insert_batch(list(aggregated.items()))
-        self.memory_accesses += accesses
-        if demoted:
-            self._push_to_filter_batch(
-                [(key, count) for _position, key, count in demoted]
-            )
+    def _insert_totals(
+        self, keys: List[int], counts: Optional[Sequence[Any]]
+    ) -> None:
+        """The per-item fallback: aggregate, then Algorithm 1/2 per total.
+
+        ``keys`` are canonical; ``counts is None`` means one per key.
+        Totals are summed before anything is written, so a count that is
+        not an integer raises with the sketch untouched.
+        """
+        totals: Dict[int, int] = {}
+        if counts is None:
+            for key in keys:
+                totals[key] = totals.get(key, 0) + 1
+        else:
+            for key, count in zip(keys, counts):
+                if type(count) is not int:
+                    count = _integer_count(count)
+                totals[key] = totals.get(key, 0) + count
+        units = 0
+        for total in totals.values():
+            units += total
+        self._account(len(keys), units, KERNEL_OBJECT)
+        for key, total in totals.items():
+            self._insert_canonical(key, total)
 
     def _push_to_filter(self, key: int, count: int) -> None:
         """Route a demoted element through the EF, overflow to the IFP."""
@@ -349,22 +391,6 @@ class DaVinciSketch(Sketch):
         if overflow > 0:
             self.memory_accesses += self.ifp.rows
             self.ifp.insert(key, overflow)
-
-    def _push_to_filter_batch(
-        self, demoted: List[Tuple[int, int]]
-    ) -> List[Tuple[int, int]]:
-        """Route demoted elements through the EF in arrival order, batched.
-
-        Returns the ``(key, overflow)`` pairs that were promoted into the
-        infrequent part (instrumented subclasses use this to decompose
-        where insertions terminate).
-        """
-        self.memory_accesses += len(demoted) * self.ef.num_levels
-        overflow = self.ef.offer_batch(demoted)
-        if overflow:
-            self.memory_accesses += len(overflow) * self.ifp.rows
-            self.ifp.insert_batch(overflow)
-        return overflow
 
     # ------------------------------------------------------------------ #
     # decoding (Algorithm 5, cached)
@@ -529,19 +555,11 @@ class DaVinciSketch(Sketch):
         return to_state(self)
 
     @classmethod
-    def from_state(
-        cls, state: Dict, kernel: Optional[str] = None
-    ) -> "DaVinciSketch":
-        """Rebuild a sketch from :meth:`to_state` output.
-
-        ``kernel`` selects the execution kernel of the rebuilt sketch
-        independently of whichever kernel serialized the state — the two
-        kernels are byte-identical, so states carry no kernel marker and
-        any state loads into either kernel.
-        """
+    def from_state(cls, state: Dict) -> "DaVinciSketch":
+        """Rebuild a sketch from :meth:`to_state` output."""
         from repro.core.serialization import from_state
 
-        return from_state(state, kernel=kernel)
+        return from_state(state)
 
     @overload
     def cardinality(self) -> float: ...
@@ -715,7 +733,7 @@ class DaVinciSketch(Sketch):
 
     def empty_like(self) -> "DaVinciSketch":
         """A fresh sketch with the same config (for set-op results)."""
-        return DaVinciSketch(self.config, kernel=self.kernel)
+        return DaVinciSketch(self.config)
 
     def known_keys(self) -> Dict[int, int]:
         """Exactly-tracked keys: FP residents plus decoded IFP elements.

@@ -24,12 +24,14 @@ counter (the signed generalization of the CM minimum).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from array import array
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.common import invariants as _inv
 from repro.common.errors import ConfigurationError, IncompatibleSketchError
 from repro.common.hashing import HashFamily
 from repro.common.validation import require_positive
+from repro.core.kernel import _MAX_EF_ROUNDS, first_occurrences, hash_mod, np
 from repro.observability import instruments as _obs_instruments
 from repro.observability import metrics as _obs
 from repro.observability.instruments import ElementFilterMetrics
@@ -68,7 +70,11 @@ class ElementFilter:
             )
         self.num_levels = len(self.level_widths)
         self._hashes = HashFamily(self.num_levels, self.level_widths, seed=seed)
-        self.levels: List[List[int]] = [[0] * width for width in self.level_widths]
+        #: one int64 buffer per level: indexing yields plain ints, and
+        #: the bulk path views it in place (:meth:`counter_arrays`)
+        self.levels: List["array[int]"] = [
+            array("q", [0]) * width for width in self.level_widths
+        ]
         self._seed = seed
 
     # ------------------------------------------------------------------ #
@@ -203,98 +209,88 @@ class ElementFilter:
             self._record_offers(1, absorbed, overflow, crossed)
         return overflow
 
-    def offer_batch(
-        self,
-        items: Sequence[Tuple[int, int]],
-        positions_cache: Optional[Dict[int, List[int]]] = None,
-    ) -> List[Tuple[int, int]]:
-        """Offer many ``(key, count)`` pairs; return the overflow pairs.
+    def counter_arrays(self) -> List[Any]:
+        """The level counters as int64 numpy arrays viewing ``levels``.
 
-        Sequential-equivalent to calling :meth:`offer` once per pair in
-        order (the absorb arithmetic is order-sensitive under counter
-        collisions, so the pairs are processed strictly in sequence), but
-        amortized for the batched ingestion fast path:
-
-        * the level arrays, their caps and the hash family are bound to
-          locals once per batch instead of once per pair;
-        * each key's mapped positions are hashed once and memoized in
-          ``positions_cache`` (callers may share one cache across a whole
-          ingestion chunk — a key demoted by the frequent part and touched
-          again later in the same chunk hashes exactly once).
-
-        Returns ``[(key, overflow)]`` for every pair whose overflow was
-        positive, in arrival order — exactly the promotions the caller
-        must forward to the infrequent part.
+        Writes through a view land in the counters themselves; the bulk
+        path uses these instead of copying the levels per call.
         """
-        if positions_cache is None:
-            positions_cache = {}
-        overflows: List[Tuple[int, int]] = []
-        levels = self.levels
+        return [np.frombuffer(level, dtype=np.int64) for level in self.levels]
+
+    def offer_batch(self, keys: Any, counts: Any) -> Tuple[Any, Any]:
+        """Offer many demotions in arrival order; return the overflow.
+
+        ``keys``/``counts`` are int64 arrays.  The state afterwards equals
+        calling :meth:`offer` once per pair in order.  The absorb
+        arithmetic is order-sensitive under counter collisions, so the
+        pairs are applied in *first-occurrence rounds*: an offer is ready
+        once it is the earliest unprocessed offer at every counter it
+        maps to, so a round's offers touch disjoint counters and each
+        sees exactly the sequential state.  After ``_MAX_EF_ROUNDS``
+        rounds the rest go through :meth:`offer`, which writes the same
+        counters.
+
+        Returns ``(keys, overflow)`` arrays for the pairs whose overflow
+        is positive, in arrival order: the promotions the caller must
+        forward to the infrequent part.
+        """
+        n = len(keys)
         caps = self.level_caps
         threshold = self.threshold
-        saturated_floor = max(caps)
-        indexes = self._hashes.indexes
-        # Metrics tallies (locals; recorded once per batch when armed —
-        # the disabled path pays one hoisted flag read for the batch)
+        levels = self.counter_arrays()
+        keys_u64 = keys.astype(np.uint64)
+        positions = [
+            hash_mod(keys_u64, premix, width)
+            for premix, width in zip(self._hashes._premixed, self.level_widths)
+        ]
         observing = _obs.ENABLED
         absorbed_total = 0
         crossings = 0
-        for key, count in items:
-            positions = positions_cache.get(key)
-            if positions is None:
-                positions = indexes(key)
-                positions_cache[key] = positions
-            current: Optional[int] = None
-            for level, j in enumerate(positions):
-                value = levels[level][j]
-                if value >= caps[level]:
-                    continue
-                if current is None or value < current:
-                    current = value
-            if current is None:
-                current = saturated_floor
-            if current >= threshold:
-                overflows.append((key, count))
-                continue
-            absorbed = threshold - current
-            if count < absorbed:
-                absorbed = count
-            if observing:
-                absorbed_total += absorbed
-                if current + absorbed >= threshold:
-                    crossings += 1
-            for level, j in enumerate(positions):
-                cap = caps[level]
-                counters = levels[level]
-                value = counters[j]
-                if value >= cap:
-                    continue
-                value += absorbed
-                counters[j] = value if value < cap else cap
-                if _inv.ENABLED:
-                    _inv.check_saturation(
-                        counters[j], cap, "ElementFilter.offer_batch level counter"
-                    )
-            if _inv.ENABLED:
-                _inv.check_bounded(
-                    count - absorbed, 0, count, "ElementFilter.offer_batch overflow"
-                )
-                _inv.check_bounded(
-                    current + absorbed,
-                    0,
-                    threshold,
-                    "ElementFilter.offer_batch retained mass (first-T invariant)",
-                )
-            if count > absorbed:
-                overflows.append((key, count - absorbed))
-        if observing:
-            overflow_total = 0
-            for _key, amount in overflows:
-                overflow_total += amount
-            self._record_offers(
-                len(items), absorbed_total, overflow_total, crossings
+        overflow = np.zeros(n, dtype=np.int64)
+
+        remaining = np.arange(n, dtype=np.int64)  # stays in arrival order
+        rounds = 0
+        while remaining.size and rounds < _MAX_EF_ROUNDS:
+            rounds += 1
+            ready_mask = np.ones(remaining.size, dtype=bool)
+            for pos in positions:
+                earliest = np.zeros(remaining.size, dtype=bool)
+                earliest[first_occurrences(pos[remaining])[2]] = True
+                ready_mask &= earliest
+            ready = remaining[ready_mask]
+            remaining = remaining[~ready_mask]
+
+            offered = counts[ready]
+            mapped = [pos[ready] for pos in positions]
+            values = [level[at] for level, at in zip(levels, mapped)]
+            saturated = [value >= cap for value, cap in zip(values, caps)]
+            current = np.full(len(ready), max(caps), dtype=np.int64)
+            for value, full in zip(values, saturated):
+                np.minimum(current, np.where(full, current, value), out=current)
+            promoted = current >= threshold
+            absorbed = np.where(
+                promoted, 0, np.minimum(offered, threshold - current)
             )
-        return overflows
+            for level, at, value, full, cap in zip(
+                levels, mapped, values, saturated, caps
+            ):
+                write = ~promoted & ~full
+                level[at[write]] = np.minimum(value[write] + absorbed[write], cap)
+            overflow[ready] = offered - absorbed
+            if observing:
+                absorbed_total += int(absorbed.sum())
+                crossings += int(
+                    (~promoted & (current + absorbed >= threshold)).sum()
+                )
+
+        if observing:  # the rounds' share; offer() records the rest
+            self._record_offers(
+                n - remaining.size, absorbed_total, int(overflow.sum()), crossings
+            )
+        for i in remaining.tolist():  # pathological collisions: per item
+            overflow[i] = self.offer(int(keys[i]), int(counts[i]))
+        over = overflow > 0
+        return keys[over], overflow[over]
 
     def is_promoted(self, key: int) -> bool:
         """Whether the filter estimate says ``key`` crossed the threshold."""
@@ -320,29 +316,24 @@ class ElementFilter:
         """Counter-wise saturating sum (the union of filters)."""
         self.check_compatible(other)
         result = self.empty_like()
-        for level in range(self.num_levels):
-            cap = self.level_caps[level]
-            mine, theirs, out = (
-                self.levels[level],
-                other.levels[level],
-                result.levels[level],
-            )
-            for j in range(len(out)):
-                out[j] = min(mine[j] + theirs[j], cap)
+        for mine, theirs, out, cap in zip(
+            self.counter_arrays(),
+            other.counter_arrays(),
+            result.counter_arrays(),
+            self.level_caps,
+        ):
+            np.add(mine, theirs, out=out)
+            np.minimum(out, cap, out=out)
         return result
 
     def subtracted(self, other: "ElementFilter") -> "ElementFilter":
         """Counter-wise signed difference (may go negative)."""
         self.check_compatible(other)
         result = self.empty_like()
-        for level in range(self.num_levels):
-            mine, theirs, out = (
-                self.levels[level],
-                other.levels[level],
-                result.levels[level],
-            )
-            for j in range(len(out)):
-                out[j] = mine[j] - theirs[j]
+        for mine, theirs, out in zip(
+            self.counter_arrays(), other.counter_arrays(), result.counter_arrays()
+        ):
+            np.subtract(mine, theirs, out=out)
         return result
 
     def empty_like(self) -> "ElementFilter":
@@ -354,7 +345,7 @@ class ElementFilter:
     # ------------------------------------------------------------------ #
     # introspection used by the task estimators
     # ------------------------------------------------------------------ #
-    def base_level(self) -> List[int]:
+    def base_level(self) -> "array[int]":
         """Level-0 counters (used by linear counting and the EM estimator)."""
         return self.levels[0]
 

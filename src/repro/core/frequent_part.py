@@ -15,13 +15,23 @@ isolation and lets the set operations reuse the same bucket mechanics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from itertools import chain
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.common import invariants as _inv
 from repro.common.errors import IncompatibleSketchError
 from repro.common.hashing import hash64
 from repro.common.validation import require_positive
+from repro.core.kernel import (
+    _EXACT_LIMIT,
+    _MAX_FP_ROUNDS,
+    _MIN_ROUND_PAIRS,
+    _premix,
+    hash_mod,
+    np,
+    stable_order,
+)
 from repro.observability import instruments as _obs_instruments
 from repro.observability import metrics as _obs
 from repro.observability.instruments import FrequentPartMetrics
@@ -44,17 +54,6 @@ class FPOutcome:
     case: int
     demoted: Optional[Tuple[int, int]] = None
     accesses: int = 0
-
-
-def _entry_count(entry: List[Any]) -> int:
-    """Sort key for eviction candidates (same tie-break as ``min_entry``)."""
-    count: int = entry[1]
-    return count
-
-
-def _demotion_position(demotion: Tuple[int, int, int]) -> int:
-    """Sort key restoring arrival order of batched demotions."""
-    return demotion[0]
 
 
 class Bucket:
@@ -91,6 +90,33 @@ class Bucket:
     def min_entry(self) -> List[Any]:
         """The entry with the smallest count (eviction candidate)."""
         return min(self.entries, key=lambda entry: entry[1])
+
+
+@dataclass
+class BucketArrays:
+    """The FP's buckets as arrays, for the span of one bulk call.
+
+    ``keys``/``counts``/``flags`` are ``(buckets, c)`` arrays whose first
+    ``occupancy[b]`` columns are bucket ``b``'s entries in order;
+    ``ecnt``/``flag`` are the per-bucket eviction counter and flag;
+    ``loaded`` is the occupancy the mirror was taken at.
+    """
+
+    keys: Any
+    counts: Any
+    flags: Any
+    occupancy: Any
+    ecnt: Any
+    flag: Any
+    loaded: Any = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.loaded = self.occupancy.copy()
+
+    def slots(self, low: Any, high: Any) -> Any:
+        """Mask of each bucket's slots ``low <= j < high`` (row-major)."""
+        columns = np.arange(self.keys.shape[1])[None, :]
+        return (columns >= low[:, None]) & (columns < high[:, None])
 
 
 class FrequentPart:
@@ -227,95 +253,200 @@ class FrequentPart:
         return FPOutcome(case=4, demoted=(key, count), accesses=full_scan)
 
     # ------------------------------------------------------------------ #
-    # batched insertion (the ingestion fast path)
+    # bulk insertion (Algorithm 1 in rank rounds)
     # ------------------------------------------------------------------ #
-    def insert_batch(
-        self, items: Sequence[Tuple[int, int]]
-    ) -> Tuple[List[Tuple[int, int, int]], int]:
-        """Insert many ``(key, count)`` pairs; return demotions + accesses.
+    def to_arrays(self) -> Optional[BucketArrays]:
+        """Mirror the buckets into arrays; None when they cannot be exact.
 
-        Sequential-equivalent to calling :meth:`insert` once per pair in
-        order — the resulting bucket state is byte-identical — but the
-        pairs are grouped by destination bucket first, so each bucket's
-        entry list, capacity and eviction bookkeeping are bound to locals
-        exactly once per touched bucket instead of once per pair, and no
-        per-pair :class:`FPOutcome` is allocated.
-
-        Buckets are independent, so cross-bucket processing order cannot
-        change FP state; demotion order *does* matter downstream (the
-        element filter's absorb arithmetic is order-sensitive under
-        counter collisions), so each demotion is tagged with its pair's
-        arrival position and the returned list is sorted back into arrival
-        order.
-
-        Returns ``(demoted, accesses)`` where ``demoted`` is a list of
-        ``(position, key, count)`` triples in arrival order and
-        ``accesses`` is the summed logical memory-word count, both exactly
-        as the sequential loop would have produced.
+        Counts and eviction counters must be ints inside the exact
+        window of numpy's int64/float64 comparisons.
         """
-        grouped: Dict[int, List[Tuple[int, int, int]]] = {}
-        bucket_of = self.bucket_index
-        for position, (key, count) in enumerate(items):
-            if _inv.ENABLED:
-                _inv.check_counter_int(count, "FrequentPart.insert_batch count")
-                _inv.check(
-                    count >= 1, "FrequentPart.insert_batch: count must be >= 1"
-                )
-            grouped.setdefault(bucket_of(key), []).append((position, key, count))
-
-        demoted: List[Tuple[int, int, int]] = []
-        accesses = 0
-        capacity = self.entries_per_bucket
-        full_scan = capacity + 2  # entries + ecnt + flag
-        lambda_evict = self.lambda_evict
         buckets = self.buckets
-        # Metrics: only case-3 needs an in-loop tally; the other branch
-        # counts are derived after the loop (case 2 from the occupancy
-        # delta, case 4 from the demotion count), so the disabled path
-        # adds nothing to the per-pair work.
+        entries = list(chain.from_iterable(bucket.entries for bucket in buckets))
+        keys, counts, flags = list(zip(*entries)) or [(), (), ()]
+        ecnt = [bucket.ecnt for bucket in buckets]
+        for values in (counts, ecnt):
+            if values and not (
+                set(map(type, values)) == {int}
+                and min(values) >= 0
+                and max(values) < _EXACT_LIMIT
+            ):
+                return None
+        occupancy = np.fromiter(
+            map(len, (bucket.entries for bucket in buckets)),
+            dtype=np.int64,
+            count=self.num_buckets,
+        )
+        shape = (self.num_buckets, self.entries_per_bucket)
+        table = BucketArrays(
+            np.zeros(shape, dtype=np.int64),
+            np.zeros(shape, dtype=np.int64),
+            np.zeros(shape, dtype=bool),
+            occupancy,
+            np.array(ecnt, dtype=np.int64),
+            np.array([bucket.flag for bucket in buckets], dtype=bool),
+        )
+        resident = table.slots(np.zeros_like(occupancy), occupancy)
+        table.keys[resident] = keys
+        table.counts[resident] = counts
+        table.flags[resident] = flags
+        return table
+
+    def store_arrays(self, table: BucketArrays) -> None:
+        """Write a :meth:`to_arrays` mirror back into the buckets.
+
+        Entries only ever fill free slots, so the entry lists the mirror
+        was taken from are updated in place and new slots appended: no
+        per-entry allocation.
+        """
+        old = table.slots(np.zeros_like(table.loaded), table.loaded)
+        for entry, key, count, flag in zip(
+            chain.from_iterable(bucket.entries for bucket in self.buckets),
+            table.keys[old].tolist(),
+            table.counts[old].tolist(),
+            table.flags[old].tolist(),
+        ):
+            entry[0] = key
+            entry[1] = count
+            entry[2] = flag
+        new = table.slots(table.loaded, table.occupancy)
+        buckets = self.buckets
+        for index, key, count, flag in zip(
+            np.nonzero(new)[0].tolist(),
+            table.keys[new].tolist(),
+            table.counts[new].tolist(),
+            table.flags[new].tolist(),
+        ):
+            buckets[index].entries.append([key, count, flag])
+        for bucket, ecnt, flag in zip(
+            buckets, table.ecnt.tolist(), table.flag.tolist()
+        ):
+            bucket.ecnt = ecnt
+            bucket.flag = flag
+
+    def insert_batch(
+        self, table: BucketArrays, keys: Any, counts: Any
+    ) -> Optional[Tuple[Any, Any, int]]:
+        """Insert distinct keys with positive counts into ``table``.
+
+        ``keys``/``counts`` are int64 arrays.  The resulting buckets equal
+        calling :meth:`insert` once per pair in order.  Pairs are grouped
+        by bucket and applied in *rank rounds*: round ``r`` applies each
+        bucket's ``r``-th pair, so a round's writes touch distinct buckets
+        and each sees exactly the sequential state.  Buckets are
+        independent, so only the order within a bucket matters.
+
+        Returns ``(demoted keys, demoted counts, accesses)`` with the
+        demotions in arrival order (the element filter's absorb
+        arithmetic depends on it) and the summed logical memory words the
+        sequential loop would have touched — or None, before any write,
+        when a bucket would need more than ``_MAX_FP_ROUNDS`` rounds that
+        average fewer than ``_MIN_ROUND_PAIRS`` pairs.
+        """
+        n = len(keys)
+        buckets = hash_mod(
+            keys.astype(np.uint64), _premix(self._seed), self.num_buckets
+        )
+        by_bucket = stable_order(buckets, self.num_buckets)
+        sorted_buckets = buckets[by_bucket]
+        group_starts = np.flatnonzero(
+            np.concatenate(([True], sorted_buckets[1:] != sorted_buckets[:-1]))
+        )
+        ranks = np.arange(n) - np.repeat(
+            group_starts, np.diff(np.append(group_starts, n))
+        )
+        max_rank = int(ranks.max())
+        if max_rank >= _MAX_FP_ROUNDS and max_rank * _MIN_ROUND_PAIRS > n:
+            return None
+
+        cap = self.entries_per_bucket
+        lam = self.lambda_evict
+        keys2d, counts2d, flags2d = table.keys, table.counts, table.flags
+        occupancy, ecnt, bflag = table.occupancy, table.ecnt, table.flag
+        by_rank = stable_order(ranks, max_rank + 1)
+        round_order = by_bucket[by_rank]
+        bounds = np.searchsorted(ranks[by_rank], np.arange(max_rank + 2))
+
         observing = _obs.ENABLED
+        entries_before = int(occupancy.sum()) if observing else 0
+        accesses = 0
         evictions = 0
-        entries_before = len(self) if observing else 0
-        for bucket_index, ops in grouped.items():
-            bucket = buckets[bucket_index]
-            entries = bucket.entries
-            for position, key, count in ops:
-                resident = None
-                for scanned, entry in enumerate(entries):
-                    if entry[0] == key:  # case 1: already resident
-                        entry[1] += count
-                        accesses += scanned + 1
-                        resident = entry
-                        break
-                if resident is not None:
-                    continue
-                if len(entries) < capacity:  # case 2: room
-                    accesses += len(entries) + 1
-                    entries.append([key, count, False])
-                    continue
-                accesses += full_scan
-                bucket.ecnt += 1
-                victim = min(entries, key=_entry_count)
-                if bucket.ecnt > lambda_evict * victim[1]:  # case 3: evict
-                    demoted.append((position, victim[0], victim[1]))
-                    victim[0] = key
-                    victim[1] = count
-                    victim[2] = True  # the newcomer may have prior mass below
-                    bucket.flag = True
-                    bucket.ecnt = 0
-                    if observing:
-                        evictions += 1
-                else:  # case 4: the newcomer itself is deemed infrequent
-                    demoted.append((position, key, count))
-        demoted.sort(key=_demotion_position)
+        demoted_at: List[Any] = []
+        demoted_keys: List[Any] = []
+        demoted_counts: List[Any] = []
+        full_scan = cap + 2  # entries + ecnt + flag
+        for r in range(max_rank + 1):
+            items = round_order[bounds[r] : bounds[r + 1]]
+            kk = keys[items]
+            cc = counts[items]
+            bb = buckets[items]
+            occ = occupancy[bb]
+            eq = keys2d[bb] == kk[:, None]
+            resident = eq.any(axis=1)
+
+            if resident.any():  # case 1: already resident
+                pos = eq[resident].argmax(axis=1)
+                b1 = bb[resident]
+                counts2d[b1, pos] += cc[resident]
+                accesses += int(pos.sum()) + len(b1)
+
+            rest = ~resident
+            room = rest & (occ < cap)
+            if room.any():  # case 2: room for a fresh entry
+                b2 = bb[room]
+                o2 = occ[room]
+                keys2d[b2, o2] = kk[room]
+                counts2d[b2, o2] = cc[room]
+                flags2d[b2, o2] = False
+                occupancy[b2] = o2 + 1
+                accesses += int(o2.sum()) + len(b2)
+
+            full = rest & (occ >= cap)
+            if full.any():
+                bf = bb[full]
+                items_f = items[full]
+                kf = kk[full]
+                cf = cc[full]
+                accesses += full_scan * len(bf)
+                ec = ecnt[bf] + 1
+                ecnt[bf] = ec
+                crows = counts2d[bf]
+                victim = crows.argmin(axis=1)  # first minimum, like min()
+                vcnt = crows[np.arange(len(bf)), victim]
+                evict = ec > lam * vcnt
+                if evict.any():  # case 3: replace the smallest resident
+                    b3 = bf[evict]
+                    v3 = victim[evict]
+                    demoted_at.append(items_f[evict])
+                    demoted_keys.append(keys2d[b3, v3].copy())
+                    demoted_counts.append(vcnt[evict])
+                    keys2d[b3, v3] = kf[evict]
+                    counts2d[b3, v3] = cf[evict]
+                    flags2d[b3, v3] = True  # the newcomer may have mass below
+                    bflag[b3] = True
+                    ecnt[b3] = 0
+                    evictions += len(b3)
+                keep = ~evict
+                if keep.any():  # case 4: the newcomer is deemed infrequent
+                    demoted_at.append(items_f[keep])
+                    demoted_keys.append(kf[keep])
+                    demoted_counts.append(cf[keep])
+
+        if demoted_at:
+            arrival = np.argsort(np.concatenate(demoted_at))
+            out_keys = np.concatenate(demoted_keys)[arrival]
+            out_counts = np.concatenate(demoted_counts)[arrival]
+        else:
+            out_keys = np.empty(0, dtype=np.int64)
+            out_counts = np.empty(0, dtype=np.int64)
         if observing:
             self._record_batch(
-                len(items),
-                len(self) - entries_before,
+                n,
+                int(occupancy.sum()) - entries_before,
                 evictions,
-                len(demoted),
+                len(out_keys),
             )
-        return demoted, accesses
+        return out_keys, out_counts, accesses
 
     # ------------------------------------------------------------------ #
     # queries

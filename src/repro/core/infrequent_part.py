@@ -31,13 +31,14 @@ difference sketches decode to signed per-element deltas.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.common import invariants as _inv
 from repro.common.errors import ConfigurationError, IncompatibleSketchError
 from repro.common.hashing import HashFamily, SignFamily
 from repro.common.primes import DEFAULT_PRIME, mod_inverse, validate_prime
 from repro.common.validation import require_positive
+from repro.core.kernel import _premix, hash_mod, np, signs_of
 from repro.observability import instruments as _obs_instruments
 from repro.observability import metrics as _obs
 from repro.observability.instruments import InfrequentPartMetrics
@@ -162,71 +163,43 @@ class InfrequentPart:
                     self.counts[row][j], "InfrequentPart.insert icnt"
                 )
 
-    def insert_batch(
-        self,
-        items: Sequence[Tuple[int, int]],
-        positions_cache: Optional[Dict[int, List[int]]] = None,
-        signs_cache: Optional[Dict[int, List[int]]] = None,
-    ) -> None:
-        """Encode many ``(key, count)`` pairs (batched Algorithm 2).
+    def insert_batch(self, keys: Any, counts: Any) -> None:
+        """Encode many ``(key, count)`` pairs (bulk Algorithm 2).
 
-        The field updates are commutative, so this is state-identical to
-        calling :meth:`insert` per pair in any order; pairs are still
-        processed in sequence for determinism.  The amortizations over the
-        sequential loop:
-
-        * the ``ids``/``counts`` arrays, prime and hash/sign families are
-          bound to locals once per batch;
-        * per-key row positions and ±1 signs are hashed once and memoized
-          in the optional caches (shareable across an ingestion chunk).
+        ``keys``/``counts`` are int64 arrays.  The field updates commute,
+        so this equals calling :meth:`insert` per pair.  Row positions and
+        ±1 signs are hashed as arrays; the residues stay exact Python
+        ints, since ``count·key`` exceeds 64 bits.
         """
-        if positions_cache is None:
-            positions_cache = {}
-        if signs_cache is None:
-            signs_cache = {}
+        if len(keys) and not (
+            int(keys.min()) >= 1 and int(keys.max()) < self.max_key
+        ):
+            raise ConfigurationError(
+                f"keys outside the decodable domain [1, {self.max_key}); "
+                "fingerprint longer keys first"
+            )
+        keys_u64 = keys.astype(np.uint64)
+        positions = [
+            hash_mod(keys_u64, premix, self.width).tolist()
+            for premix in self._hashes._premixed
+        ]
+        signs = [
+            signs_of(keys_u64, _premix(seed)).tolist()
+            for seed in self._signs._seeds
+        ]
+        keys_list = keys.tolist()
+        counts_list = counts.tolist()
         p = self.prime
-        rows = self.rows
-        max_key = self.max_key
-        ids = self.ids
-        counts = self.counts
-        indexes = self._hashes.indexes
-        signs_of = self._signs.signs
-        observing = _obs.ENABLED
-        observed_units = 0
-        for key, count in items:
-            if not 1 <= key < max_key:
-                raise ConfigurationError(
-                    f"key {key} outside the decodable domain [1, {max_key}); "
-                    "fingerprint longer keys first"
-                )
-            if _inv.ENABLED:
-                _inv.check_counter_int(count, "InfrequentPart.insert_batch count")
-            positions = positions_cache.get(key)
-            if positions is None:
-                positions = indexes(key)
-                positions_cache[key] = positions
-            signs = signs_cache.get(key)
-            if signs is None:
-                signs = signs_of(key)
-                signs_cache[key] = signs
-            if observing:
-                observed_units += count
-            delta = count * key
-            for row in range(rows):
-                j = positions[row]
-                id_row = ids[row]
-                count_row = counts[row]
-                id_row[j] = (id_row[j] + delta) % p
-                count_row[j] += signs[row] * count
-                if _inv.ENABLED:
-                    _inv.check_field_element(
-                        id_row[j], p, "InfrequentPart.insert_batch iID"
-                    )
-                    _inv.check_counter_int(
-                        count_row[j], "InfrequentPart.insert_batch icnt"
-                    )
-        if observing:
-            self._record_inserts(len(items), observed_units)
+        for row in range(self.rows):
+            ids = self.ids[row]
+            icnts = self.counts[row]
+            for key, count, j, sign in zip(
+                keys_list, counts_list, positions[row], signs[row]
+            ):
+                ids[j] = (ids[j] + count * key) % p
+                icnts[j] += sign * count
+        if _obs.ENABLED:
+            self._record_inserts(len(keys_list), sum(counts_list))
 
     # ------------------------------------------------------------------ #
     # fast (non-inverting) query — Count-Sketch style

@@ -1,54 +1,52 @@
-"""Array-backed execution kernel for the ingestion hot path.
+"""Bulk ingestion: one chunk at a time, as arrays.
 
-The object kernel walks FP buckets and EF levels one Python object at a
-time; :meth:`DaVinciSketch.insert_batch` (PR 2) and sharding (PR 7) only
-amortize *around* that loop.  This module re-expresses one chunk's worth
-of work as contiguous numpy arrays — batched splitmix64 hashing, grouped
-per-bucket application of Algorithm 1, conflict-free rounds of the element
-filter's absorb arithmetic — while keeping the object parts the sole
-owners of sketch state between calls.
+:meth:`DaVinciSketch.insert_batch` and :meth:`DaVinciSketch.insert_all`
+run every chunk through :class:`ArrayKernelEngine`.  Its contract is the
+batching contract of ``insert_batch``: the state it leaves is
+byte-identical to aggregating each chunk into per-key totals and calling
+``insert(key, total)`` for them in first-seen order (the *per-item
+oracle*).  The engine gets there by group-applying the exact sequential
+recurrences, never by approximating them:
 
-Design contract (the reason everything else composes unchanged):
+* keys are canonicalized as one array (:func:`canonical_keys`) and
+  summed per key in first-seen order;
+* the frequent part applies the totals in *rank rounds*
+  (:meth:`FrequentPart.insert_batch`): round ``r`` applies each bucket's
+  ``r``-th arrival, so every write in a round touches a distinct bucket
+  and sees exactly the state the sequential loop would have seen;
+* the element filter applies the demotions in *first-occurrence rounds*
+  (:meth:`ElementFilter.offer_batch`): an offer is ready once it is the
+  earliest unprocessed offer at all of its counters, so ready offers
+  touch disjoint counters and the order-sensitive absorb arithmetic
+  stays exact;
+* the infrequent part encodes the overflow with exact Python-int field
+  arithmetic (:meth:`InfrequentPart.insert_batch`); ``count·key``
+  exceeds 64 bits, so only positions and signs are batched.
 
-* **Byte-identity.**  For identical input order, a sketch driven through
-  the array kernel produces ``to_state()``/``to_wire()`` output equal to
-  the object kernel's, bit for bit — eviction schedules, element-filter
-  absorb arithmetic and infrequent-part field residues included.  The
-  engine achieves this by *group-applying* the exact sequential recurrence,
-  never by approximating it:
+A chunk the arrays cannot express exactly takes the per-item fallback,
+which *is* the oracle: counts numpy cannot hold as positive int64 (a
+float, a count past 2^63, numpy unsigned integers; the fallback rejects
+those that are not integers), totals at or above ``2^52`` (where numpy's
+int64/float64 comparisons stop being exact), and a bucket pile-up into more
+than ``_MAX_FP_ROUNDS`` sparse rank rounds.  The
+``davinci_kernel_chunks_total`` counter labels array chunks ``"array"``
+and fallback chunks ``"object"``.
 
-  - FP pairs are sorted by destination bucket and applied in *rank rounds*:
-    round ``r`` applies each bucket's ``r``-th arrival, so every write in a
-    round touches a distinct bucket and sees exactly the state the
-    sequential loop would have seen.
-  - EF demotions are applied in *first-occurrence rounds*: an offer is
-    ready once it is the earliest unprocessed offer at **all** of its
-    mapped positions, so ready offers touch disjoint counters and the
-    order-sensitive absorb arithmetic stays exact.
-  - IFP field updates keep exact Python integer arithmetic
-    (``count·key`` exceeds 64 bits); only positions and signs are batched.
-
-* **Stateless between calls.**  The engine loads the object parts into
-  arrays lazily inside one ``insert_batch`` call and flushes them back
-  before returning (and before any exception escapes).  Serialization,
-  set operations, checkpointing, sharding and the service layer keep
-  reading the object parts and never see an array.
-
-* **Graceful degradation.**  Without numpy (or for inputs outside the
-  fast path's domain — non-integer counts, overflow-risk magnitudes,
-  pathological bucket skew), chunks fall back to the object kernel's
-  ``_insert_chunk``, which *is* the identity baseline, so mixing paths
-  mid-stream is always exact.
+The engine is stateless between calls: the frequent part's buckets are
+mirrored into arrays for one ``insert_batch`` call and written back
+before it returns (also when an exception escapes); the element filter's
+counters live in int64 buffers the rounds view in place.  Serialization,
+set operations, checkpointing, sharding and the service layer never see
+an array.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-from typing import TYPE_CHECKING, Any, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Iterable, List, Optional, Sequence, Tuple
+
+import numpy
 
 from repro.common import invariants as _inv
-from repro.common.errors import ConfigurationError, KernelFallbackWarning
 from repro.common.hashing import (
     _GAMMA,
     _MASK64,
@@ -60,80 +58,43 @@ from repro.common.hashing import (
     mix64,
     reject_key,
 )
-from repro.observability import metrics as _obs
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
     from repro.core.davinci import DaVinciSketch
+    from repro.core.frequent_part import BucketArrays
 
-try:  # numpy is a declared dependency, but the kernel degrades without it
-    import numpy
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    numpy = None  # type: ignore[assignment]
-
-#: module-level alias typed ``Any`` so strict typing tolerates the
-#: optional import (numpy's own annotations are not part of our gate)
+#: module-level alias typed ``Any`` (numpy's own annotations are not part
+#: of the strict typing gate)
 np: Any = numpy
 
-#: True when the array kernel can actually run in this process
-HAVE_NUMPY: bool = np is not None
-
-KERNEL_OBJECT = "object"
+#: ``davinci_kernel_chunks_total`` labels: chunks applied as arrays, and
+#: chunks that took the per-item fallback
 KERNEL_ARRAY = "array"
-VALID_KERNELS = (KERNEL_OBJECT, KERNEL_ARRAY)
+KERNEL_OBJECT = "object"
 
-#: environment override consulted when a sketch is built without an
-#: explicit ``kernel=`` argument (lets CI run whole suites per kernel)
-KERNEL_ENV_VAR = "REPRO_KERNEL"
-
-# Magnitude guard: all FP counters, eviction counters and EF absorb
-# arithmetic must stay exactly representable under numpy's int64/float64
-# comparisons (Python compares int > float exactly; numpy rounds the int
-# through float64 first).  Below 2^52 the two agree bit-for-bit.
+#: Magnitude guard: all FP counters, eviction counters and EF absorb
+#: arithmetic must stay exactly representable under numpy's int64/float64
+#: comparisons (Python compares int > float exactly; numpy rounds the int
+#: through float64 first).  Below 2^52 the two agree bit-for-bit.
 _EXACT_LIMIT = 1 << 52
 
-# Rank-round blowup guard: a chunk whose worst bucket receives more than
-# this many distinct keys would spend more time on round bookkeeping than
-# the object loop spends inserting; hand it back instead.
+#: Rank-round blowup guard: a chunk whose worst bucket receives at least
+#: ``_MAX_FP_ROUNDS`` distinct keys, and whose rounds would average fewer
+#: than ``_MIN_ROUND_PAIRS`` pairs, spends more time on round bookkeeping
+#: than the per-item loop spends inserting; it takes the fallback instead.
+#: (A small frequent part under a wide chunk has deep but dense rounds:
+#: 8 buckets under 17k distinct keys still run 2x faster as arrays.)
 _MAX_FP_ROUNDS = 512
+_MIN_ROUND_PAIRS = 4
 
-# EF conflict rounds beyond this bound finish through the exact scalar
-# tail (same arithmetic, applied one offer at a time on the arrays).
+#: EF conflict rounds beyond this bound finish through the exact scalar
+#: tail (same arithmetic, applied one offer at a time on the arrays).
 _MAX_EF_ROUNDS = 64
 
-# Byte-string fingerprints: once fewer keys than this are still being
-# hashed, one byte position costs more as numpy calls than as a scalar
-# loop over those keys' remaining bytes.
+#: Byte-string fingerprints: once fewer keys than this are still being
+#: hashed, one byte position costs more as numpy calls than as a scalar
+#: loop over those keys' remaining bytes.
 _SCALAR_TAIL = 32
-
-
-def resolve_kernel(requested: Optional[str]) -> str:
-    """Validate and resolve a kernel choice to an executable one.
-
-    ``None`` consults the ``REPRO_KERNEL`` environment variable and
-    defaults to the object kernel.  Requesting the array kernel without
-    numpy degrades to the object kernel with a
-    :class:`~repro.common.errors.KernelFallbackWarning` rather than
-    failing — the two kernels are state-identical, so the fallback only
-    changes throughput.
-    """
-    source = "kernel argument"
-    if requested is None:
-        requested = os.environ.get(KERNEL_ENV_VAR) or KERNEL_OBJECT
-        source = f"{KERNEL_ENV_VAR} environment variable"
-    if requested not in VALID_KERNELS:
-        raise ConfigurationError(
-            f"unknown kernel {requested!r} (from {source}); "
-            f"expected one of {VALID_KERNELS}"
-        )
-    if requested == KERNEL_ARRAY and not HAVE_NUMPY:
-        warnings.warn(
-            "numpy is unavailable; falling back to the object kernel "
-            "(state-identical, slower bulk ingestion)",
-            KernelFallbackWarning,
-            stacklevel=3,
-        )
-        return KERNEL_OBJECT
-    return requested
 
 
 def _premix(seed: int) -> int:
@@ -214,7 +175,9 @@ def canonical_keys(keys: Iterable[object]) -> Any:
     :class:`~repro.common.errors.ConfigurationError`, for the first such
     key in order.
     """
-    items: List[Any] = keys if isinstance(keys, list) else list(keys)
+    items: Sequence[Any] = (
+        keys if isinstance(keys, (list, tuple)) else list(keys)
+    )
     n = len(items)
     kinds = set(map(type, items))
     if kinds == {str}:
@@ -261,597 +224,187 @@ def canonical_keys(keys: Iterable[object]) -> Any:
     return out
 
 
-def _exact_sum(arr: Any) -> int:
-    """Sum an int64 array exactly (segments bound the partial sums)."""
-    total = 0
-    step = 1 << 16
-    for start in range(0, len(arr), step):
-        total += int(arr[start : start + step].sum())
-    return total
+def hash_mod(keys_u64: Any, premix: int, width: int) -> Any:
+    """``hash64(key, seed) % width`` over a uint64 key array (int64 out).
+
+    ``hash64(key, seed) == mix64(key ^ premix)`` with ``premix`` the
+    seed's cached inner mix (:func:`_premix`), so only the splitmix64
+    finalizer runs per key.
+    """
+    mixed = _finalize(keys_u64 ^ np.uint64(premix))
+    return (mixed % np.uint64(width)).astype(np.int64)
+
+
+def signs_of(keys_u64: Any, premix: int) -> Any:
+    """``SignFamily`` ±1 signs over a uint64 key array (int64 out)."""
+    bits = _finalize(keys_u64 ^ np.uint64(premix)) & np.uint64(1)
+    return bits.astype(np.int64) * 2 - 1
+
+
+def stable_order(values: Any, bound: int) -> Any:
+    """``np.argsort(values, kind="stable")`` for ints in ``[0, bound)``.
+
+    Values that fit 16 bits are sorted as such, which numpy radix-sorts.
+    """
+    if bound <= 1 << 16:
+        values = values.astype(np.uint16)
+    return np.argsort(values, kind="stable")
+
+
+def first_occurrences(values: Any) -> Tuple[Any, Any, Any]:
+    """Group equal values: ``(order, starts, firsts)``.
+
+    ``values[order]`` is sorted and ``starts`` are its group boundaries;
+    ``firsts[g]`` is the index of group ``g``'s first occurrence in
+    ``values``.
+    """
+    order = np.argsort(values)
+    ordered = values[order]
+    starts = np.flatnonzero(
+        np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    )
+    return order, starts, np.minimum.reduceat(order, starts)
+
+
+def _first_seen_totals(keys: Any, weights: Optional[Any]) -> Tuple[Any, Any]:
+    """Distinct keys in first-seen order with their summed weights.
+
+    ``weights is None`` means every key counts once.  Equal to filling a
+    dict ``totals[key] = totals.get(key, 0) + count`` in stream order.
+    """
+    order, starts, firsts = first_occurrences(keys)
+    if weights is None:
+        sums = np.diff(np.append(starts, len(keys)))
+    else:
+        sums = np.add.reduceat(weights[order], starts)
+    seen = np.argsort(firsts)
+    return keys[firsts][seen], sums[seen]
 
 
 class ArrayKernelEngine:
-    """One ``insert_batch`` call's worth of vectorized chunk ingestion.
+    """One ``insert_batch`` call's worth of chunk ingestion.
 
-    The engine is constructed per call, loads the sketch's parts into
-    arrays lazily (first array-path chunk), and must be flushed before
-    the call returns.  Chunks the fast path cannot express exactly are
-    routed through ``sketch._insert_chunk`` after a flush — the object
-    path is the identity baseline, so the mix is byte-exact.
+    Constructed per call; mirrors the frequent part into arrays on the
+    first array chunk and must be flushed before the call returns.  A
+    chunk the arrays cannot express exactly is flushed past and handed
+    to :meth:`DaVinciSketch._insert_totals`, the per-item oracle, so
+    mixing the two mid-stream is exact.
     """
 
     def __init__(self, sketch: "DaVinciSketch") -> None:
         self.sketch = sketch
-        self._loaded = False
-
-        u64 = np.uint64
-        fp = sketch.fp
-        ef = sketch.ef
-        ifp = sketch.ifp
-        # hash64(key, seed) == mix64(key ^ mix64(seed·γ + γ)); every family
-        # below premixes its seed once so the array path only runs the
-        # 5-op splitmix64 finalizer per key.
-        self._fp_premix = u64(_premix(fp._seed))
-        self._fp_buckets = u64(fp.num_buckets)
-        self._ef_premix = [u64(pm) for pm in ef._hashes._premixed]
-        self._ef_widths = [u64(w) for w in ef._hashes.widths]
-        self._ifp_premix = [u64(pm) for pm in ifp._hashes._premixed]
-        self._ifp_width = u64(ifp.width)
-        self._sign_premix = [u64(_premix(s)) for s in ifp._signs._seeds]
-
-        # FP / EF array state (populated by _load)
-        self._fp_keys: Any = None
-        self._fp_counts: Any = None
-        self._fp_flags: Any = None
-        self._fp_occ: Any = None
-        self._fp_ecnt: Any = None
-        self._fp_bflag: Any = None
-        self._ef_levels: List[Any] = []
-
-    # ------------------------------------------------------------------ #
-    # hashing (vectorized splitmix64, identical to repro.common.hashing)
-    # ------------------------------------------------------------------ #
-    def _hash_mod(self, keys_u64: Any, premix: Any, width: Any) -> Any:
-        """``hash64(key, seed) % width`` for a whole key array at once."""
-        return (_finalize(keys_u64 ^ premix) % width).astype(np.int64)
-
-    def _signs_for(self, keys_u64: Any, row: int) -> Any:
-        """±1 signs of ``keys`` in ``row`` (SignFamily, batched)."""
-        bits = _finalize(keys_u64 ^ self._sign_premix[row]) & np.uint64(1)
-        return np.where(bits.astype(bool), np.int64(1), np.int64(-1))
-
-    # ------------------------------------------------------------------ #
-    # load / flush (object parts stay the single source of truth)
-    # ------------------------------------------------------------------ #
-    def _load(self) -> bool:
-        """Mirror the object parts into arrays; False refuses the mirror."""
-        fp = self.sketch.fp
-        nb, cap = fp.num_buckets, fp.entries_per_bucket
-        keys = np.zeros((nb, cap), dtype=np.int64)
-        counts = np.zeros((nb, cap), dtype=np.int64)
-        flags = np.zeros((nb, cap), dtype=bool)
-        occ = np.zeros(nb, dtype=np.int64)
-        ecnt = np.zeros(nb, dtype=np.int64)
-        bflag = np.zeros(nb, dtype=bool)
-        for i, bucket in enumerate(fp.buckets):
-            entries = bucket.entries
-            if entries:
-                occ[i] = len(entries)
-                for j, entry in enumerate(entries):
-                    value = entry[1]
-                    if not (0 <= value < _EXACT_LIMIT):
-                        return False  # hand-loaded exotica: stay on objects
-                    keys[i, j] = entry[0]
-                    counts[i, j] = value
-                    flags[i, j] = bool(entry[2])
-            if not (0 <= bucket.ecnt < _EXACT_LIMIT):
-                return False
-            ecnt[i] = bucket.ecnt
-            bflag[i] = bucket.flag
-        self._fp_keys, self._fp_counts, self._fp_flags = keys, counts, flags
-        self._fp_occ, self._fp_ecnt, self._fp_bflag = occ, ecnt, bflag
-        self._ef_levels = [
-            np.asarray(level, dtype=np.int64) for level in self.sketch.ef.levels
-        ]
-        self._loaded = True
-        return True
+        #: the frequent part as arrays (None while not mirrored)
+        self._table: Optional["BucketArrays"] = None
 
     def flush(self) -> None:
-        """Write array state back into the object parts (no-op if clean)."""
-        if not self._loaded:
-            return
-        fp = self.sketch.fp
-        keys = self._fp_keys.tolist()
-        counts = self._fp_counts.tolist()
-        flags = self._fp_flags.tolist()
-        occ = self._fp_occ.tolist()
-        ecnt = self._fp_ecnt.tolist()
-        bflag = self._fp_bflag.tolist()
-        for i, bucket in enumerate(fp.buckets):
-            n = occ[i]
-            bucket.entries = [
-                [keys[i][j], counts[i][j], flags[i][j]] for j in range(n)
-            ]
-            bucket.ecnt = ecnt[i]
-            bucket.flag = bflag[i]
-        ef = self.sketch.ef
-        for level, arr in enumerate(self._ef_levels):
-            ef.levels[level] = arr.tolist()
-        self._loaded = False
+        """Write the mirrored buckets back into the frequent part."""
+        if self._table is not None:
+            self.sketch.fp.store_arrays(self._table)
+            self._table = None
 
-    # ------------------------------------------------------------------ #
-    # chunk entry point
-    # ------------------------------------------------------------------ #
-    def ingest_chunk(self, chunk: List[Tuple[object, int]]) -> None:
-        """Ingest one chunk, byte-identically to ``sketch._insert_chunk``."""
-        try:
-            prepared = self._prepare(chunk)
-            if prepared is not None and not self._loaded and not self._load():
-                prepared = None
-            if prepared is None:
-                self.flush()
-                self.sketch._insert_chunk(chunk)
-                return
-            keys_arr, counts_arr, chunk_total = prepared
-            if not self._vector_chunk(
-                chunk, keys_arr, counts_arr, chunk_total
-            ):
-                # rank-round blowup detected before any mutation
-                self.flush()
-                self.sketch._insert_chunk(chunk)
-        except BaseException:
-            self.flush()
-            raise
+    def ingest(
+        self, keys: Sequence[object], counts: Optional[Sequence[Any]]
+    ) -> None:
+        """Ingest one chunk; ``counts is None`` means one per key.
 
-    # ------------------------------------------------------------------ #
-    # canonicalization + fast-path admission
-    # ------------------------------------------------------------------ #
-    def _prepare(
-        self, chunk: List[Tuple[object, int]]
-    ) -> Optional[Tuple[Any, Any, int]]:
-        """Canonical int64 keys/counts for the fast path, or None.
-
-        ``None`` routes the chunk through the object kernel: non-integer
-        or non-positive counts, magnitudes that would overflow the exact
-        int64/float64 window, or count lists numpy cannot express.  Keys
-        map through :func:`canonical_keys`, which raises for an
-        unsupported key before anything is mutated, as the object loop
-        does.  Under the debug sanitizer the per-item count validation
-        runs up front so the raise points match the object loop exactly.
+        Raises before mutating anything for an unsupported key (as
+        :func:`canonical_keys` does) or, via the fallback's aggregation,
+        for a count that is not an integer.
         """
-        sketch = self.sketch
-        if _inv.ENABLED:
-            for _raw_key, count in chunk:
+        if _inv.ENABLED and counts is not None:
+            for count in counts:
                 _inv.check_counter_int(count, "DaVinciSketch.insert_batch count")
-        try:
-            counts_arr = np.asarray([count for _key, count in chunk])
-        except (TypeError, ValueError, OverflowError):
-            return None
-        if counts_arr.dtype.kind != "i" or counts_arr.ndim != 1:
-            return None
-        counts_arr = counts_arr.astype(np.int64, copy=False)
-        n = len(counts_arr)
-        if n == 0:
-            return None
-        max_count = int(counts_arr.max())
-        if int(counts_arr.min()) < 1:
-            return None
-        if max_count > (1 << 62) // n:
-            return None  # the chunk-total sum itself could overflow int64
-        chunk_total = _exact_sum(counts_arr)
-        if sketch.total_count + chunk_total >= _EXACT_LIMIT:
-            return None
+        canonical = canonical_keys(keys)
+        admitted = self._admit(counts, len(canonical))
+        if admitted is not None and self._apply(canonical, *admitted):
+            return
+        self.flush()
+        self.sketch._insert_totals(canonical.tolist(), counts)
 
-        keys_arr = canonical_keys([key for key, _count in chunk])
-        return keys_arr.astype(np.int64), counts_arr, chunk_total
+    def _admit(
+        self, counts: Optional[Sequence[Any]], n: int
+    ) -> Optional[Tuple[Optional[Any], int]]:
+        """``(int64 weights or None for unit counts, chunk total)``.
 
-    # ------------------------------------------------------------------ #
-    # the vectorized chunk (aggregation → FP rounds → EF rounds → IFP)
-    # ------------------------------------------------------------------ #
-    def _vector_chunk(
-        self, chunk: List[Tuple[object, int]], keys: Any, counts: Any, total: int
+        ``None`` sends the chunk to the per-item fallback: counts numpy
+        cannot hold as int64, counts below 1, or totals that would leave
+        the exact window.
+        """
+        weights: Any = None
+        total = n
+        if counts is not None:
+            try:
+                weights = np.asarray(counts)
+            except (TypeError, ValueError, OverflowError):
+                return None
+            if weights.dtype.kind != "i" or weights.ndim != 1:
+                return None
+            weights = weights.astype(np.int64, copy=False)
+            if int(weights.min()) < 1 or int(weights.max()) > (1 << 62) // n:
+                return None  # the chunk total itself could overflow int64
+            total = int(weights.sum())
+            if total == n:  # every count is 1
+                weights = None
+        if self.sketch.total_count + total >= _EXACT_LIMIT:
+            return None
+        return weights, total
+
+    def _apply(
+        self, canonical: Any, weights: Optional[Any], total: int
     ) -> bool:
-        """Apply one canonicalized chunk; False = refused (nothing mutated)."""
+        """Apply one admitted chunk; False = refused (nothing mutated)."""
         sketch = self.sketch
-
-        # per-key totals in first-seen key order (== dict insertion order)
-        uniq, first_idx, inverse = np.unique(
-            keys, return_index=True, return_inverse=True
-        )
-        inverse = inverse.reshape(-1)
-        sums = np.zeros(len(uniq), dtype=np.int64)
-        np.add.at(sums, inverse, counts)
-        order = np.argsort(first_idx)
-        agg_keys = uniq[order]
-        agg_counts = sums[order]
-
-        # FP routing + rank ranks (decided before any state mutation so a
-        # refusal can still fall back to the object path)
-        buckets = self._hash_mod(
-            agg_keys.astype(np.uint64), self._fp_premix, self._fp_buckets
-        )
-        by_bucket = np.argsort(buckets, kind="stable")
-        sorted_b = buckets[by_bucket]
-        n_agg = len(agg_keys)
-        new_group = np.empty(n_agg, dtype=bool)
-        new_group[0] = True
-        if n_agg > 1:
-            new_group[1:] = sorted_b[1:] != sorted_b[:-1]
-        group_starts = np.flatnonzero(new_group)
-        group_sizes = np.diff(np.append(group_starts, n_agg))
-        ranks = np.arange(n_agg, dtype=np.int64) - np.repeat(
-            group_starts, group_sizes
-        )
-        max_rank = int(ranks.max())
-        if max_rank >= _MAX_FP_ROUNDS:
+        keys, totals = _first_seen_totals(canonical.astype(np.int64), weights)
+        table = self._table
+        if table is None:
+            table = sketch.fp.to_arrays()
+            if table is None:  # counters outside the exact window
+                return False
+            self._table = table
+        applied = sketch.fp.insert_batch(table, keys, totals)
+        if applied is None:  # rank-round blowup, refused before mutation
             return False
-
-        # Counter updates mirror _insert_chunk exactly, and only after the
-        # chunk is committed to the array path.
-        sketch.insertions += len(chunk)
-        sketch.total_count += total
-        sketch._decode_cache = None
-        observing = _obs.ENABLED
-        if observing:
-            sketch._record_inserts(len(chunk), total)
-            sketch._observe().kernel_chunks.counter_child(KERNEL_ARRAY).inc()
-
-        dem_pos, dem_key, dem_cnt = self._fp_rounds(
-            agg_keys, agg_counts, buckets, by_bucket, ranks, max_rank, observing
-        )
-        if len(dem_pos) == 0:
-            if _inv.ENABLED:
-                self._check_chunk_invariants()
-            return True
-        order_d = np.argsort(dem_pos)
-        self._ef_ifp_phase(dem_key[order_d], dem_cnt[order_d], observing)
+        demoted_keys, demoted_counts, accesses = applied
+        sketch._account(len(canonical), total, KERNEL_ARRAY)
+        sketch.memory_accesses += accesses
+        if len(demoted_keys):
+            sketch.memory_accesses += len(demoted_keys) * sketch.ef.num_levels
+            overflow_keys, overflow_counts = sketch.ef.offer_batch(
+                demoted_keys, demoted_counts
+            )
+            if len(overflow_keys):
+                sketch.memory_accesses += len(overflow_keys) * sketch.ifp.rows
+                sketch.ifp.insert_batch(overflow_keys, overflow_counts)
         if _inv.ENABLED:
-            self._check_chunk_invariants()
+            self._check_chunk_invariants(table)
         return True
 
-    # ------------------------------------------------------------------ #
-    # frequent part: Algorithm 1 in rank rounds
-    # ------------------------------------------------------------------ #
-    def _fp_rounds(
-        self,
-        agg_keys: Any,
-        agg_counts: Any,
-        buckets: Any,
-        by_bucket: Any,
-        ranks: Any,
-        max_rank: int,
-        observing: bool,
-    ) -> Tuple[Any, Any, Any]:
-        """Group-apply the FP recurrence; returns demotions (pos, key, cnt)."""
-        sketch = self.sketch
-        fp = sketch.fp
-        cap = fp.entries_per_bucket
-        lam = fp.lambda_evict
-        keys2d, counts2d = self._fp_keys, self._fp_counts
-        flags2d, occupancy = self._fp_flags, self._fp_occ
-        ecnt, bflag = self._fp_ecnt, self._fp_bflag
-
-        # round r applies, for every bucket, its r-th arrival: distinct
-        # buckets per round, so each write sees exactly the sequential
-        # state.  ``ranks`` is aligned with ``by_bucket`` order (rank of
-        # the i-th bucket-sorted item), so it maps through ``by_rank``
-        # directly.
-        by_rank = np.argsort(ranks, kind="stable")
-        round_order = by_bucket[by_rank]
-        bounds = np.searchsorted(ranks[by_rank], np.arange(max_rank + 2))
-
-        accesses = 0
-        case2_n = 0
-        evictions_n = 0
-        entries_before = int(occupancy.sum()) if observing else 0
-        dp_parts: List[Any] = []
-        dk_parts: List[Any] = []
-        dc_parts: List[Any] = []
-        full_scan = cap + 2  # entries + ecnt + flag
-        for r in range(max_rank + 1):
-            items = round_order[bounds[r] : bounds[r + 1]]
-            kk = agg_keys[items]
-            cc = agg_counts[items]
-            bb = buckets[items]
-            occ = occupancy[bb]
-            rows = keys2d[bb]
-            eq = rows == kk[:, None]
-            is_res = eq.any(axis=1)
-
-            if is_res.any():  # case 1: already resident
-                pos = eq[is_res].argmax(axis=1)
-                b1 = bb[is_res]
-                counts2d[b1, pos] += cc[is_res]
-                accesses += int(pos.sum()) + len(b1)
-
-            rest = ~is_res
-            room = rest & (occ < cap)
-            if room.any():  # case 2: room for a fresh entry
-                b2 = bb[room]
-                o2 = occ[room]
-                keys2d[b2, o2] = kk[room]
-                counts2d[b2, o2] = cc[room]
-                flags2d[b2, o2] = False
-                occupancy[b2] = o2 + 1
-                accesses += int(o2.sum()) + len(b2)
-                case2_n += len(b2)
-
-            full = rest & (occ >= cap)
-            if full.any():
-                bf = bb[full]
-                items_f = items[full]
-                kf = kk[full]
-                cf = cc[full]
-                nf = len(bf)
-                accesses += full_scan * nf
-                ec = ecnt[bf] + 1
-                ecnt[bf] = ec
-                crows = counts2d[bf]
-                vict = crows.argmin(axis=1)  # first minimum, like min()
-                vcnt = crows[np.arange(nf), vict]
-                evict = ec > lam * vcnt
-                if evict.any():  # case 3: replace the smallest resident
-                    b3 = bf[evict]
-                    v3 = vict[evict]
-                    dp_parts.append(items_f[evict])
-                    dk_parts.append(keys2d[b3, v3].copy())
-                    dc_parts.append(vcnt[evict])
-                    keys2d[b3, v3] = kf[evict]
-                    counts2d[b3, v3] = cf[evict]
-                    flags2d[b3, v3] = True
-                    bflag[b3] = True
-                    ecnt[b3] = 0
-                    evictions_n += len(b3)
-                keep = ~evict
-                if keep.any():  # case 4: the newcomer is deemed infrequent
-                    dp_parts.append(items_f[keep])
-                    dk_parts.append(kf[keep])
-                    dc_parts.append(cf[keep])
-
-        sketch.memory_accesses += accesses
-        if dp_parts:
-            dem_pos = np.concatenate(dp_parts)
-            dem_key = np.concatenate(dk_parts)
-            dem_cnt = np.concatenate(dc_parts)
-        else:
-            dem_pos = np.empty(0, dtype=np.int64)
-            dem_key = np.empty(0, dtype=np.int64)
-            dem_cnt = np.empty(0, dtype=np.int64)
-        if observing:
-            fp._record_batch(
-                len(agg_keys),
-                int(occupancy.sum()) - entries_before,
-                evictions_n,
-                len(dem_pos),
-            )
-        return dem_pos, dem_key, dem_cnt
-
-    # ------------------------------------------------------------------ #
-    # element filter + infrequent part (demotions in arrival order)
-    # ------------------------------------------------------------------ #
-    def _ef_ifp_phase(self, dkeys: Any, dcnts: Any, observing: bool) -> None:
-        """Offer demotions to the EF in rounds; encode overflow exactly."""
-        sketch = self.sketch
-        ef = sketch.ef
-        nd = len(dkeys)
-        sketch.memory_accesses += nd * ef.num_levels
-
-        caps = ef.level_caps
-        threshold = ef.threshold
-        floor = max(caps)
-        num_levels = ef.num_levels
-        levels = self._ef_levels
-        dkeys_u64 = dkeys.astype(np.uint64)
-        positions = [
-            self._hash_mod(dkeys_u64, self._ef_premix[lv], self._ef_widths[lv])
-            for lv in range(num_levels)
-        ]
-
-        ov_pos_parts: List[Any] = []
-        ov_key_parts: List[Any] = []
-        ov_cnt_parts: List[Any] = []
-        absorbed_total = 0
-        crossings = 0
-
-        # first-occurrence rounds: an offer is ready once it is the earliest
-        # unprocessed offer at all of its mapped counters; ready offers
-        # touch disjoint counters, so the absorb arithmetic stays exact
-        remaining = np.arange(nd, dtype=np.int64)
-        firsts = [np.full(int(w), nd, dtype=np.int64) for w in self._ef_widths]
-        rounds = 0
-        while remaining.size and rounds < _MAX_EF_ROUNDS:
-            rounds += 1
-            ready_mask = np.ones(remaining.size, dtype=bool)
-            for lv in range(num_levels):
-                pl = positions[lv][remaining]
-                np.minimum.at(firsts[lv], pl, remaining)
-                ready_mask &= firsts[lv][pl] == remaining
-            ready = remaining[ready_mask]
-            for lv in range(num_levels):  # reset only the touched counters
-                firsts[lv][positions[lv][remaining]] = nd
-
-            rc = dcnts[ready]
-            vals = [levels[lv][positions[lv][ready]] for lv in range(num_levels)]
-            sats = [vals[lv] >= caps[lv] for lv in range(num_levels)]
-            cur = np.full(len(ready), np.iinfo(np.int64).max, dtype=np.int64)
-            any_unsat = np.zeros(len(ready), dtype=bool)
-            for lv in range(num_levels):
-                unsat = ~sats[lv]
-                cur = np.where(unsat & (vals[lv] < cur), vals[lv], cur)
-                any_unsat |= unsat
-            cur = np.where(any_unsat, cur, floor)
-
-            promoted = cur >= threshold
-            absorbed = np.where(
-                promoted, 0, np.minimum(rc, threshold - cur)
-            ).astype(np.int64)
-            for lv in range(num_levels):
-                write = ~promoted & ~sats[lv]
-                if write.any():
-                    idx = positions[lv][ready][write]
-                    levels[lv][idx] = np.minimum(
-                        vals[lv][write] + absorbed[write], caps[lv]
-                    )
-            overflow = rc - absorbed
-            has_over = overflow > 0
-            if has_over.any():
-                ov_pos_parts.append(ready[has_over])
-                ov_key_parts.append(dkeys[ready][has_over])
-                ov_cnt_parts.append(overflow[has_over])
-            if observing:
-                absorbed_total += int(absorbed.sum())
-                crossings += int(
-                    (~promoted & (cur + absorbed >= threshold)).sum()
-                )
-            remaining = remaining[~ready_mask]
-
-        if remaining.size:  # pathological collision tail: exact scalar loop
-            tail = self._ef_scalar_tail(
-                remaining, dkeys, dcnts, positions, observing
-            )
-            ov_pos_parts.append(tail[0])
-            ov_key_parts.append(tail[1])
-            ov_cnt_parts.append(tail[2])
-            absorbed_total += tail[3]
-            crossings += tail[4]
-
-        if ov_pos_parts:
-            ov_pos = np.concatenate(ov_pos_parts)
-            ov_order = np.argsort(ov_pos)
-            ov_keys = np.concatenate(ov_key_parts)[ov_order]
-            ov_cnts = np.concatenate(ov_cnt_parts)[ov_order]
-        else:
-            ov_keys = np.empty(0, dtype=np.int64)
-            ov_cnts = np.empty(0, dtype=np.int64)
-        if observing:
-            ef._record_offers(
-                nd, absorbed_total, int(ov_cnts.sum()), crossings
-            )
-        if len(ov_keys):
-            self._ifp_phase(ov_keys, ov_cnts, observing)
-
-    def _ef_scalar_tail(
-        self,
-        remaining: Any,
-        dkeys: Any,
-        dcnts: Any,
-        positions: List[Any],
-        observing: bool,
-    ) -> Tuple[Any, Any, Any, int, int]:
-        """Finish heavily-colliding offers one at a time (still exact)."""
-        ef = self.sketch.ef
-        caps = ef.level_caps
-        threshold = ef.threshold
-        floor = max(caps)
-        num_levels = ef.num_levels
-        levels = self._ef_levels
-        ov_pos: List[int] = []
-        ov_key: List[int] = []
-        ov_cnt: List[int] = []
-        absorbed_total = 0
-        crossings = 0
-        for i in remaining.tolist():
-            count = int(dcnts[i])
-            current: Optional[int] = None
-            for lv in range(num_levels):
-                value = int(levels[lv][positions[lv][i]])
-                if value >= caps[lv]:
-                    continue
-                if current is None or value < current:
-                    current = value
-            if current is None:
-                current = floor
-            if current >= threshold:
-                ov_pos.append(i)
-                ov_key.append(int(dkeys[i]))
-                ov_cnt.append(count)
-                continue
-            absorbed = min(count, threshold - current)
-            if observing:
-                absorbed_total += absorbed
-                if current + absorbed >= threshold:
-                    crossings += 1
-            for lv in range(num_levels):
-                j = positions[lv][i]
-                value = int(levels[lv][j])
-                if value >= caps[lv]:
-                    continue
-                levels[lv][j] = min(value + absorbed, caps[lv])
-            if count > absorbed:
-                ov_pos.append(i)
-                ov_key.append(int(dkeys[i]))
-                ov_cnt.append(count - absorbed)
-        return (
-            np.asarray(ov_pos, dtype=np.int64),
-            np.asarray(ov_key, dtype=np.int64),
-            np.asarray(ov_cnt, dtype=np.int64),
-            absorbed_total,
-            crossings,
-        )
-
-    def _ifp_phase(self, ov_keys: Any, ov_cnts: Any, observing: bool) -> None:
-        """Encode overflow into the IFP: batched hashes, exact field math.
-
-        ``count·key`` exceeds 64 bits long before the counters do, so the
-        residue updates stay in Python integers on the object arrays;
-        positions and signs — the actual hashing cost — are batched.
-        """
-        sketch = self.sketch
-        ifp = sketch.ifp
-        rows = ifp.rows
-        n = len(ov_keys)
-        sketch.memory_accesses += n * rows
-
-        keys_u64 = ov_keys.astype(np.uint64)
-        pos_rows = [
-            self._hash_mod(keys_u64, self._ifp_premix[r], self._ifp_width).tolist()
-            for r in range(rows)
-        ]
-        sign_rows = [self._signs_for(keys_u64, r).tolist() for r in range(rows)]
-        keys_l = ov_keys.tolist()
-        cnts_l = ov_cnts.tolist()
-        p = ifp.prime
-        ids = ifp.ids
-        counts = ifp.counts
-        for i in range(n):
-            key = keys_l[i]
-            count = cnts_l[i]
-            delta = count * key
-            for r in range(rows):
-                j = pos_rows[r][i]
-                id_row = ids[r]
-                count_row = counts[r]
-                id_row[j] = (id_row[j] + delta) % p
-                count_row[j] += sign_rows[r][i] * count
-        if observing:
-            ifp._record_inserts(n, sum(cnts_l))
-
-    # ------------------------------------------------------------------ #
-    # debug sanitizer (chunk-granularity re-checks of part invariants)
-    # ------------------------------------------------------------------ #
-    def _check_chunk_invariants(self) -> None:
+    def _check_chunk_invariants(self, table: "BucketArrays") -> None:
         """Array-state bounds after a chunk (sanitizer builds only).
 
-        The object kernel checks its invariants per update; the array
-        kernel re-establishes the same bounds once per chunk — resident
-        FP counts positive, occupancy within capacity, EF counters within
+        The per-item path checks its invariants per update; the array
+        path re-establishes the same bounds once per chunk — resident FP
+        counts positive, occupancy within capacity, EF counters within
         ``[0, cap]`` — which is the granularity at which its state is
         observable.
         """
         fp = self.sketch.fp
-        occ = self._fp_occ
+        occupancy = table.occupancy
         _inv.check(
-            bool((occ >= 0).all() and (occ <= fp.entries_per_bucket).all()),
+            bool(
+                (occupancy >= 0).all()
+                and (occupancy <= fp.entries_per_bucket).all()
+            ),
             "ArrayKernel: FP occupancy out of range",
         )
-        mask = np.arange(fp.entries_per_bucket)[None, :] < occ[:, None]
+        resident = table.slots(np.zeros_like(occupancy), occupancy)
         _inv.check(
-            bool((self._fp_counts[mask] >= 1).all()),
+            bool((table.counts[resident] >= 1).all()),
             "ArrayKernel: resident FP count must be >= 1",
         )
-        for level, arr in enumerate(self._ef_levels):
-            cap = self.sketch.ef.level_caps[level]
+        ef = self.sketch.ef
+        for level, cap in zip(ef.counter_arrays(), ef.level_caps):
             _inv.check(
-                bool((arr >= 0).all() and (arr <= cap).all()),
+                bool((level >= 0).all() and (level <= cap).all()),
                 "ArrayKernel: EF counter outside [0, cap]",
             )

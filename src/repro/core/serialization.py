@@ -47,7 +47,8 @@ import hashlib
 import json
 import warnings
 import zlib
-from typing import Any, Dict, List, Optional, Tuple, Union
+from array import array
+from typing import Any, Dict, List, Tuple, Union
 
 from repro.common.errors import (
     ConfigurationError,
@@ -194,7 +195,7 @@ def to_state(
             }
             for bucket in sketch.fp.buckets
         ],
-        "element_filter": [list(level) for level in sketch.ef.levels],
+        "element_filter": [level.tolist() for level in sketch.ef.levels],
         "infrequent_part": {
             "ids": [list(row) for row in sketch.ifp.ids],
             "counts": [list(row) for row in sketch.ifp.counts],
@@ -429,16 +430,8 @@ def verify_state(state: Dict[str, Any]) -> DaVinciConfig:
 # --------------------------------------------------------------------- #
 # rebuild
 # --------------------------------------------------------------------- #
-def from_state(
-    state: Dict[str, Any], kernel: Optional[str] = None
-) -> DaVinciSketch:
+def from_state(state: Dict[str, Any]) -> DaVinciSketch:
     """Rebuild a sketch from :func:`to_state` output.
-
-    ``kernel`` selects the rebuilt sketch's execution kernel.  States
-    carry no kernel marker — the array and object kernels are
-    byte-identical by contract — so any state deserializes into either
-    kernel regardless of which one produced it; ``None`` resolves through
-    the usual default (``REPRO_KERNEL`` or the object kernel).
 
     Order of defenses (see the module docstring's taxonomy):
 
@@ -473,7 +466,7 @@ def from_state(
     mode = state["mode"]
     total_count = state["total_count"]
 
-    sketch = DaVinciSketch(config, kernel=kernel)
+    sketch = DaVinciSketch(config)
     sketch.mode = mode
     sketch.total_count = total_count
 
@@ -485,7 +478,7 @@ def from_state(
         bucket.ecnt = bucket_state["ecnt"]
         bucket.flag = bool(bucket_state["flag"])
 
-    sketch.ef.levels = [list(level) for level in state["element_filter"]]
+    sketch.ef.levels = [array("q", level) for level in state["element_filter"]]
 
     ifp_state = state["infrequent_part"]
     sketch.ifp.ids = [list(row) for row in ifp_state["ids"]]
@@ -495,13 +488,8 @@ def from_state(
     return sketch
 
 
-def from_wire(
-    blob: Union[bytes, bytearray, memoryview], kernel: Optional[str] = None
-) -> DaVinciSketch:
+def from_wire(blob: Union[bytes, bytearray, memoryview]) -> DaVinciSketch:
     """Rebuild a sketch from :func:`to_wire` bytes.
-
-    ``kernel`` passes through to :func:`from_state` — any wire blob
-    deserializes into either kernel regardless of which one produced it.
 
     Undecodable bytes (truncation, flipped structural characters) raise
     :class:`~repro.common.errors.StateCorruptionError` — a wire blob is
@@ -519,7 +507,7 @@ def from_wire(
         raise StateCorruptionError(
             "state blob decoded to a non-mapping — corrupted in transit"
         )
-    return from_state(state, kernel=kernel)
+    return from_state(state)
 
 
 __all__: List[str] = [

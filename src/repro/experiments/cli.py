@@ -76,15 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="after the run, write the default trace sink's buffered "
         "events to PATH as JSON Lines ('-' for stdout)",
     )
-    common.add_argument(
-        "--kernel",
-        default=None,
-        choices=["object", "array"],
-        help="execution kernel for every sketch the run builds: 'array' "
-        "uses the numpy-vectorized ingest engine (byte-identical state, "
-        "faster bulk loads; see docs/PERFORMANCE.md), 'object' the plain "
-        "Python hot path; default honours REPRO_KERNEL",
-    )
 
     figure = subparsers.add_parser(
         "figure", help="one Figure 4/5/6 panel", parents=[common]
@@ -251,16 +242,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     metrics_path: Optional[str] = getattr(args, "metrics", None)
     trace_path: Optional[str] = getattr(args, "trace", None)
-    kernel: Optional[str] = getattr(args, "kernel", None)
-    if kernel is not None:
-        # Sketches are built deep inside the experiment harnesses (and in
-        # sharded worker processes, which inherit the environment), so the
-        # flag applies through the same default the constructors consult.
-        import os
-
-        from repro.core.kernel import KERNEL_ENV_VAR
-
-        os.environ[KERNEL_ENV_VAR] = kernel
     if metrics_path is None:
         code = _dispatch(args)
     else:
@@ -339,10 +320,7 @@ def _run_sharded(args: argparse.Namespace) -> int:
     config = DaVinciConfig.from_memory_kb(args.memory_kb, seed=args.seed)
     started = time.perf_counter()
     with ShardedIngestor(
-        config,
-        args.shards,
-        durable_root=args.durable_root,
-        kernel=getattr(args, "kernel", None),
+        config, args.shards, durable_root=args.durable_root
     ) as ingestor:
         ingestor.ingest_keys(trace)
         merged = ingestor.finalize()

@@ -293,7 +293,8 @@ class DaVinciMetrics:
         )
         self.kernel_chunks: MetricFamily = registry.counter_family(
             "davinci_kernel_chunks_total",
-            "Ingestion chunks processed, labeled by the executing kernel",
+            "Bulk ingestion chunks, labeled by the path that applied them "
+            "(array, or the per-item fallback: object)",
             ("kernel",),
         )
         self.task_seconds: MetricFamily = registry.histogram_family(

@@ -277,7 +277,6 @@ class CheckpointingIngestor:
         clock: Callable[[], float] = time.monotonic,
         crash_hook: Optional[CrashHook] = None,
         metrics_registry: Optional[MetricsRegistry] = None,
-        kernel: Optional[str] = None,
     ) -> None:
         if checkpoint_every_items is not None and checkpoint_every_items < 1:
             raise ConfigurationError(
@@ -306,10 +305,6 @@ class CheckpointingIngestor:
         self._clock = clock
         self._crash_hook = crash_hook
         self._obs_registry = metrics_registry
-        #: execution kernel for the owned sketch (fresh builds and
-        #: checkpoint recovery alike; both kernels are byte-identical,
-        #: so recovery is kernel-agnostic)
-        self.kernel = kernel
 
         os.makedirs(self.directory, exist_ok=True)
         self._journal_path = os.path.join(self.directory, JOURNAL_FILENAME)
@@ -356,9 +351,7 @@ class CheckpointingIngestor:
         checkpoint = self._load_checkpoint()
         if checkpoint is not None:
             had_state = True
-            sketch = serialization.from_state(
-                checkpoint["state"], kernel=self.kernel
-            )
+            sketch = serialization.from_state(checkpoint["state"])
             if sketch.config != self.config:
                 raise ConfigurationError(
                     "checkpoint was written by a differently-configured "
@@ -367,7 +360,7 @@ class CheckpointingIngestor:
             self.applied_seq = checkpoint["applied_seq"]
             self.items_ingested = checkpoint["items_ingested"]
         else:
-            sketch = DaVinciSketch(self.config, kernel=self.kernel)
+            sketch = DaVinciSketch(self.config)
         if self._obs_registry is not None:
             # from_state builds with the default registry; rebind the
             # whole stack to this ingestor's private one.

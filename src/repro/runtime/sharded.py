@@ -83,7 +83,7 @@ from repro.common.hashing import canonical_key
 from repro.core import serialization, setops
 from repro.core.config import DaVinciConfig
 from repro.core.davinci import DEFAULT_BATCH_CHUNK, DaVinciSketch
-from repro.core.kernel import HAVE_NUMPY, canonical_keys, np, resolve_kernel
+from repro.core.kernel import canonical_keys, np
 from repro.observability import instruments as _obs_instruments
 from repro.observability import metrics as _obs
 from repro.observability.instruments import ShardedMetrics
@@ -193,7 +193,6 @@ def _shard_worker(
     durable_dir: Optional[str],
     checkpoint_every_items: Optional[int],
     digest_algo: str,
-    kernel: Optional[str] = None,
 ) -> None:
     """One shard's process body: apply batches, report the final state.
 
@@ -211,12 +210,11 @@ def _shard_worker(
             durable_dir,
             journal_chunk_items=chunk_items,
             checkpoint_every_items=checkpoint_every_items,
-            kernel=kernel,
         )
         sketch = ingestor.sketch
         result_queue.put(("ready", shard_id, ingestor.items_ingested))
     else:
-        sketch = DaVinciSketch(config, kernel=kernel)
+        sketch = DaVinciSketch(config)
         result_queue.put(("ready", shard_id, 0))
     pending_keys: List[int] = []
     pending_counts: Optional[List[int]] = None
@@ -228,8 +226,10 @@ def _shard_worker(
         if kind == "batch":
             keys, counts = message[1].tolist(), message[2]
             if ingestor is not None:
-                pairs = zip(keys, counts if counts is not None else repeat(1))
-                ingestor.ingest(pairs)
+                if counts is None:
+                    ingestor.ingest_keys(keys)
+                else:
+                    ingestor.ingest(zip(keys, counts))
                 result_queue.put(("ack", shard_id, ingestor.items_ingested))
                 continue
             # Non-durable: replicate the ingestor's absolute chunk
@@ -245,13 +245,13 @@ def _shard_worker(
                 chunk_keys = pending_keys[:chunk_items]
                 del pending_keys[:chunk_items]
                 if pending_counts is not None:
-                    chunk_counts: Iterable[int] = pending_counts[:chunk_items]
+                    chunk_counts = pending_counts[:chunk_items]
                     del pending_counts[:chunk_items]
+                    sketch.insert_batch(
+                        zip(chunk_keys, chunk_counts), chunk_size=chunk_items
+                    )
                 else:
-                    chunk_counts = repeat(1, chunk_items)
-                sketch.insert_batch(
-                    zip(chunk_keys, chunk_counts), chunk_size=chunk_items
-                )
+                    sketch.insert_all(chunk_keys, chunk_size=chunk_items)
                 applied += chunk_items
         elif kind == "finalize":
             if ingestor is not None:
@@ -260,15 +260,14 @@ def _shard_worker(
                 applied = ingestor.items_ingested
                 ingestor.close()
             elif pending_keys:
-                tail = len(pending_keys)
-                tail_counts: Iterable[int] = (
-                    pending_counts if pending_counts is not None
-                    else repeat(1, tail)
-                )
-                sketch.insert_batch(
-                    zip(pending_keys, tail_counts), chunk_size=chunk_items
-                )
-                applied += tail
+                if pending_counts is not None:
+                    sketch.insert_batch(
+                        zip(pending_keys, pending_counts),
+                        chunk_size=chunk_items,
+                    )
+                else:
+                    sketch.insert_all(pending_keys, chunk_size=chunk_items)
+                applied += len(pending_keys)
             blob = serialization.to_wire(sketch, digest_algo)
             result_queue.put(("state", shard_id, bytes(blob), applied))
             return
@@ -402,7 +401,6 @@ class ShardedIngestor:
         digest_algo: str = "sha256",
         mp_context: Optional[Union[str, Any]] = None,
         metrics_registry: Optional[MetricsRegistry] = None,
-        kernel: Optional[str] = None,
     ) -> None:
         if chunk_items < 1:
             raise ConfigurationError("chunk_items must be >= 1")
@@ -417,10 +415,6 @@ class ShardedIngestor:
         if stall_timeout is not None and stall_timeout <= 0:
             raise ConfigurationError(
                 "stall_timeout must be positive when set"
-            )
-        if not HAVE_NUMPY:
-            raise ConfigurationError(
-                "ShardedIngestor routes keys with numpy, which is missing"
             )
         if digest_algo not in serialization.DIGEST_ALGOS:
             raise ConfigurationError(
@@ -443,9 +437,6 @@ class ShardedIngestor:
             float(stall_timeout) if stall_timeout is not None else None
         )
         self.digest_algo = digest_algo
-        #: execution kernel every shard worker builds its sketch with
-        #: (validated here so a typo fails in the parent, not per worker)
-        self.kernel = kernel if kernel is None else resolve_kernel(kernel)
         self._obs_registry = metrics_registry
 
         if isinstance(mp_context, str) or mp_context is None:
@@ -523,7 +514,6 @@ class ShardedIngestor:
                 self._shard_dir(handle.index),
                 self.checkpoint_every_items,
                 self.digest_algo,
-                self.kernel,
             ),
             daemon=True,
         )

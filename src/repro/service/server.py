@@ -24,8 +24,9 @@ Robustness posture, in order of the request path:
   deduplicated per aggregate, so a retried PUSH (response lost, client
   resent) folds exactly once;
 * **graceful drain** — :meth:`close` stops accepting, answers new
-  requests with ``DRAINING``, waits for in-flight requests to finish,
-  then closes the remaining connections.
+  requests with ``DRAINING`` (on open connections and on those already
+  queued in the listen backlog), waits for in-flight requests to
+  finish, then closes the remaining connections.
 
 Every response carries a ``status`` from :data:`STATUSES`; the client
 maps non-OK statuses onto the typed
@@ -244,6 +245,7 @@ class SketchServer:
             return
         self._sink().emit("service.drain.begin", inflight=self._inflight)
         self._tcp.shutdown()
+        self._accept_backlog()
         deadline = time.monotonic() + (
             self.drain_timeout_seconds if drain else 0.0
         )
@@ -264,6 +266,24 @@ class SketchServer:
         if self._thread is not None:
             self._thread.join(timeout=self.drain_timeout_seconds)
         self._sink().emit("service.drain.end", inflight=self._inflight)
+
+    def _accept_backlog(self) -> None:
+        """Serve the connections the stopped accept loop left queued.
+
+        A client whose handshake completed just before the drain began
+        sits in the listen backlog; nothing else would accept it, so it
+        would wait out its own deadline.  Each one gets a handler thread,
+        which answers its requests with ``DRAINING``.
+        """
+        listener = self._tcp.socket
+        listener.setblocking(False)
+        while True:
+            try:
+                conn, addr = listener.accept()
+            except OSError:  # backlog empty (BlockingIOError) or closed
+                return
+            conn.setblocking(True)
+            self._tcp.process_request(conn, addr)
 
     def __enter__(self) -> "SketchServer":
         return self.start()
@@ -354,11 +374,18 @@ class SketchServer:
                 if message is None:
                     return
                 header, blob = message
-                response, response_blob = self._dispatch(header, blob)
+                response, response_blob, admitted = self._dispatch(
+                    header, blob
+                )
                 try:
                     protocol.send_message(conn, response, response_blob)
                 except ServiceError:
                     return
+                finally:
+                    # The slot covers the reply too: a drain that saw
+                    # the count reach zero may close this connection.
+                    if admitted:
+                        self._release_slot()
         finally:
             with self._conn_lock:
                 self._connections.discard(conn)
@@ -368,10 +395,15 @@ class SketchServer:
     # ------------------------------------------------------------------ #
     def _dispatch(
         self, header: Dict[str, Any], blob: bytes
-    ) -> Tuple[Dict[str, Any], bytes]:
+    ) -> Tuple[Dict[str, Any], bytes, bool]:
+        """Answer one request; the flag is True when it holds a slot.
+
+        An admitted request keeps its admission slot until the caller has
+        written the reply and called :meth:`_release_slot`.
+        """
         op = header.get("op")
         if not isinstance(op, str):
-            return {"status": "BAD_REQUEST", "error": "missing op"}, b""
+            return {"status": "BAD_REQUEST", "error": "missing op"}, b"", False
         observing = _obs.ENABLED
         started = time.perf_counter() if observing else 0.0
 
@@ -383,7 +415,7 @@ class SketchServer:
                 bundle.request_seconds.histogram_child(op).observe(
                     time.perf_counter() - started
                 )
-            return response, response_blob
+            return response, response_blob, False
 
         admitted = 0
         with self._admission:
@@ -404,7 +436,7 @@ class SketchServer:
             return {
                 "status": "DRAINING",
                 "error": "server is draining",
-            }, b""
+            }, b"", False
         if verdict == "RESOURCE_EXHAUSTED":
             if observing:
                 bundle = self._observe()
@@ -419,7 +451,7 @@ class SketchServer:
                     f"admission window full "
                     f"({self.max_inflight} in flight)"
                 ),
-            }, b""
+            }, b"", False
         if observing:
             self._observe().inflight.set(admitted)
 
@@ -454,19 +486,25 @@ class SketchServer:
                 {"status": "INTERNAL", "error": str(exc)},
                 b"",
             )
-        finally:
-            with self._admission:
-                self._inflight -= 1
-                remaining_inflight = self._inflight
-                self._admission.notify_all()
+        except BaseException:
+            self._release_slot()
+            raise
         if observing:
             bundle = self._observe()
-            bundle.inflight.set(remaining_inflight)
             bundle.requests.counter_child(op, response["status"]).inc()
             bundle.request_seconds.histogram_child(op).observe(
                 time.perf_counter() - started
             )
-        return response, response_blob
+        return response, response_blob, True
+
+    def _release_slot(self) -> None:
+        """Give back one admission slot and wake a waiting drain."""
+        with self._admission:
+            self._inflight -= 1
+            remaining_inflight = self._inflight
+            self._admission.notify_all()
+        if _obs.ENABLED:
+            self._observe().inflight.set(remaining_inflight)
 
     def _handle_probe(self, op: str) -> Tuple[Dict[str, Any], bytes]:
         draining = self._draining

@@ -1,37 +1,30 @@
-"""Kernel selection, fallback and cross-kernel reconstruction.
+"""The bulk ingestion path: state, reconstruction and chunk routing.
 
-The array kernel is a pure execution strategy: it must never leak into
-serialized state, it must be selectable per-constructor and per-process
-(``REPRO_KERNEL``), and a sketch serialized under one kernel must
-reconstruct into either — the regression scenario here is the
-object → array → object round trip through ``from_state``/``from_wire``.
+Bulk ingestion is an execution strategy, never a semantic one: states
+carry no marker of how they were built, a sketch rebuilt from a state
+keeps ingesting exactly as the original would, and the per-item path
+(``insert``) and the bulk path (``insert_batch``/``insert_all``) leave
+the same bytes for the same chunk totals.
 """
 
 import random
 import re
 import tracemalloc
-import warnings
 
 import pytest
 
-from repro.common.errors import ConfigurationError, KernelFallbackWarning
+from repro.common import invariants
+from repro.common.errors import ConfigurationError, InvariantViolation
 from repro.common.hashing import canonical_key, key_to_int
 from repro.core import DaVinciConfig, DaVinciSketch
-from repro.core import kernel as kernel_mod
 from repro.core import serialization
-from repro.core.kernel import (
-    HAVE_NUMPY,
-    KERNEL_ARRAY,
-    KERNEL_ENV_VAR,
-    KERNEL_OBJECT,
-    canonical_keys,
-    resolve_kernel,
-)
+from repro.core.kernel import KERNEL_ARRAY, KERNEL_OBJECT, canonical_keys
+from repro.observability import metrics as obs_metrics
 
 
-def make_config(seed: int = 11) -> DaVinciConfig:
+def make_config(seed: int = 11, fp_buckets: int = 8) -> DaVinciConfig:
     return DaVinciConfig(
-        fp_buckets=8,
+        fp_buckets=fp_buckets,
         fp_entries=4,
         ef_level_widths=(128, 32),
         ef_level_bits=(4, 8),
@@ -46,116 +39,144 @@ def stream(n: int = 600):
     return [(key % 37 + 1, key % 5 + 1) for key in range(n)]
 
 
-class TestResolveKernel:
-    def test_default_is_object(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
-        assert resolve_kernel(None) == KERNEL_OBJECT
-
-    def test_explicit_choices(self):
-        assert resolve_kernel(KERNEL_OBJECT) == KERNEL_OBJECT
-        expected = KERNEL_ARRAY if HAVE_NUMPY else KERNEL_OBJECT
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", KernelFallbackWarning)
-            assert resolve_kernel(KERNEL_ARRAY) == expected
-
-    def test_env_var_applies_when_unspecified(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, KERNEL_ARRAY)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", KernelFallbackWarning)
-            resolved = resolve_kernel(None)
-            sketch = DaVinciSketch(make_config())
-        assert resolved in (KERNEL_ARRAY, KERNEL_OBJECT)
-        assert sketch.kernel == resolved
-
-    def test_explicit_argument_beats_env_var(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, KERNEL_ARRAY)
-        assert resolve_kernel(KERNEL_OBJECT) == KERNEL_OBJECT
-
-    def test_invalid_kernel_rejected(self, monkeypatch):
-        with pytest.raises(ConfigurationError, match="unknown kernel"):
-            resolve_kernel("simd")
-        monkeypatch.setenv(KERNEL_ENV_VAR, "bogus")
-        with pytest.raises(ConfigurationError, match=KERNEL_ENV_VAR):
-            resolve_kernel(None)
-
-    def test_empty_env_var_means_default(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "")
-        assert resolve_kernel(None) == KERNEL_OBJECT
-
-    def test_fallback_warns_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(kernel_mod, "HAVE_NUMPY", False)
-        with pytest.warns(KernelFallbackWarning):
-            assert resolve_kernel(KERNEL_ARRAY) == KERNEL_OBJECT
-
-    def test_sketch_degrades_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(kernel_mod, "HAVE_NUMPY", False)
-        with pytest.warns(KernelFallbackWarning):
-            sketch = DaVinciSketch(make_config(), kernel=KERNEL_ARRAY)
-        assert sketch.kernel == KERNEL_OBJECT
-        sketch.insert_batch(stream(), chunk_size=64)
-        reference = DaVinciSketch(make_config(), kernel=KERNEL_OBJECT)
-        reference.insert_batch(stream(), chunk_size=64)
-        assert serialization.to_state(sketch) == serialization.to_state(
-            reference
-        )
+def per_item(sketch: DaVinciSketch, pairs, chunk_size: int) -> DaVinciSketch:
+    """``insert(key, total)`` over each chunk's first-seen totals."""
+    for start in range(0, len(pairs), chunk_size):
+        totals = {}
+        for key, count in pairs[start : start + chunk_size]:
+            totals[key] = totals.get(key, 0) + count
+        for key, total in totals.items():
+            sketch.insert(key, total)
+    return sketch
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="array kernel needs numpy")
 class TestCrossKernelReconstruction:
-    """States carry no kernel marker; any kernel can load any state."""
+    """States carry no path marker; a rebuilt sketch ingests on exactly."""
 
     def test_state_has_no_kernel_marker(self):
-        sketch = DaVinciSketch(make_config(), kernel=KERNEL_ARRAY)
+        sketch = DaVinciSketch(make_config())
         sketch.insert_batch(stream(), chunk_size=64)
         assert "kernel" not in serialization.to_state(sketch)
 
     def test_object_to_array_to_object_round_trip(self):
-        # regression: from_state/from_wire used to inherit only the
-        # ambient default, so a state could not be re-executed under a
-        # different kernel than the one that serialized it
-        first = DaVinciSketch(make_config(), kernel=KERNEL_OBJECT)
-        first.insert_batch(stream(), chunk_size=64)
+        # per-item inserts, then bulk ingestion into the state rebuilt
+        # with from_state, then per-item again after a from_wire trip
+        first = per_item(DaVinciSketch(make_config()), stream(), 64)
 
-        second = serialization.from_state(
-            first.to_state(), kernel=KERNEL_ARRAY
-        )
-        assert second.kernel == KERNEL_ARRAY
+        second = serialization.from_state(first.to_state())
         second.insert_batch(stream(1_200), chunk_size=64)
 
-        third = serialization.from_wire(
-            serialization.to_wire(second), kernel=KERNEL_OBJECT
-        )
-        assert third.kernel == KERNEL_OBJECT
-        third.insert_batch(stream(300), chunk_size=64)
+        third = serialization.from_wire(serialization.to_wire(second))
+        per_item(third, stream(300), 64)
 
-        reference = DaVinciSketch(make_config(), kernel=KERNEL_OBJECT)
+        reference = DaVinciSketch(make_config())
         for extra in (600, 1_200, 300):
-            reference.insert_batch(stream(extra), chunk_size=64)
+            per_item(reference, stream(extra), 64)
         assert serialization.to_state(third) == serialization.to_state(
             reference
         )
 
-    def test_davinci_from_state_accepts_kernel(self):
-        sketch = DaVinciSketch(make_config(), kernel=KERNEL_OBJECT)
-        sketch.insert_batch(stream(), chunk_size=64)
-        rebuilt = DaVinciSketch.from_state(
-            sketch.to_state(), kernel=KERNEL_ARRAY
-        )
-        assert rebuilt.kernel == KERNEL_ARRAY
-        assert serialization.to_state(rebuilt) == serialization.to_state(
-            sketch
-        )
-
     def test_empty_like_preserves_kernel(self):
-        sketch = DaVinciSketch(make_config(), kernel=KERNEL_ARRAY)
+        # the provenance label names the one bulk path
+        sketch = DaVinciSketch(make_config())
+        assert sketch.kernel == KERNEL_ARRAY
         assert sketch.empty_like().kernel == KERNEL_ARRAY
 
     def test_wire_bytes_identical_across_kernels(self):
-        obj = DaVinciSketch(make_config(), kernel=KERNEL_OBJECT)
-        arr = DaVinciSketch(make_config(), kernel=KERNEL_ARRAY)
-        obj.insert_batch(stream(2_000), chunk_size=128)
-        arr.insert_batch(stream(2_000), chunk_size=128)
-        assert serialization.to_wire(obj) == serialization.to_wire(arr)
+        bulk = DaVinciSketch(make_config())
+        bulk.insert_batch(stream(2_000), chunk_size=128)
+        oracle = per_item(DaVinciSketch(make_config()), stream(2_000), 128)
+        assert serialization.to_wire(bulk) == serialization.to_wire(oracle)
+
+
+class TestCounts:
+    """Counts are integers, stored as Python ints on both paths."""
+
+    @pytest.mark.parametrize("bad", [1.5, 2.0, None, "3"])
+    def test_non_integer_count_raises_before_mutation(self, bad):
+        sketch = DaVinciSketch(make_config())
+        sketch.insert_batch(stream(), chunk_size=64)
+        before = serialization.to_state(sketch)
+        # the sanitizer rejects them earlier, with its own error
+        errors = (ConfigurationError, InvariantViolation)
+        with pytest.raises(errors, match="not an integer|expected int"):
+            sketch.insert(5, bad)
+        with pytest.raises(errors, match="not an integer|expected int"):
+            sketch.insert_batch([(4, 1), (5, bad)])
+        assert serialization.to_state(sketch) == before
+
+    def test_integer_like_counts_are_stored_as_ints(self):
+        import numpy
+
+        per_item = DaVinciSketch(make_config())
+        bulk = DaVinciSketch(make_config())
+        if invariants.ENABLED:  # the sanitizer wants Python ints only
+            with pytest.raises(InvariantViolation):
+                per_item.insert(5, numpy.int64(3))
+            with pytest.raises(InvariantViolation):
+                bulk.insert_batch([(5, numpy.uint64(3))])
+            return
+        per_item.insert(5, numpy.int64(3))
+        bulk.insert_batch([(5, numpy.uint64(3))])
+        assert per_item.fp.as_dict() == bulk.fp.as_dict() == {5: 3}
+        assert type(per_item.fp.as_dict()[5]) is int
+        assert serialization.to_wire(per_item) == serialization.to_wire(bulk)
+
+
+class TestChunkRouting:
+    """Which chunks run as arrays, and that the fallback is the oracle."""
+
+    def chunk_counts(self, build):
+        registry = obs_metrics.MetricsRegistry()
+        previous = obs_metrics.set_default_registry(registry)
+        try:
+            with obs_metrics.enabled():
+                sketch = build()
+        finally:
+            obs_metrics.set_default_registry(previous)
+        counters = registry.snapshot()["counters"]
+        return sketch, *(
+            counters.get(f'davinci_kernel_chunks_total{{kernel="{label}"}}', 0)
+            for label in (KERNEL_ARRAY, KERNEL_OBJECT)
+        )
+
+    def test_int_str_and_bytes_chunks_run_as_arrays(self):
+        keys = [1, "flow-a", b"flow-b", 2**40, 0, -3] * 50
+
+        def build():
+            sketch = DaVinciSketch(make_config())
+            sketch.insert_all(keys, chunk_size=64)
+            sketch.insert_batch(stream(), chunk_size=64)
+            return sketch
+
+        _sketch, array, fallback = self.chunk_counts(build)
+        assert (array, fallback) == (5 + 10, 0)
+
+    @pytest.mark.parametrize(
+        "fp_buckets, pairs, fallback",
+        [
+            (1, [(1, 2**63), (2, 1), (1, 3)], 1),  # a count past int64
+            (1, [(1, 1), (2, 2**52)], 1),  # a total past the exact window
+            (1, [(key, 1) for key in range(1, 700)], 1),  # 699 sparse rounds
+            (8, [(key, 1) for key in range(1, 6000)], 0),  # deep, dense rounds
+        ],
+        ids=["int64-overflow", "huge-total", "round-blowup", "deep-rounds"],
+    )
+    def test_chunks_match_the_per_item_oracle(self, fp_buckets, pairs, fallback):
+        config = make_config(fp_buckets=fp_buckets)
+
+        def build():
+            sketch = DaVinciSketch(config)
+            sketch.insert_batch(stream(), chunk_size=10_000)
+            sketch.insert_batch(pairs, chunk_size=10_000)
+            return sketch
+
+        sketch, array, object_chunks = self.chunk_counts(build)
+        assert (array, object_chunks) == (2 - fallback, fallback)
+        oracle = per_item(DaVinciSketch(config), stream(), 10_000)
+        per_item(oracle, pairs, 10_000)
+        assert serialization.to_state(sketch) == serialization.to_state(oracle)
+        assert sketch.insertions == len(stream()) + len(pairs)
 
 
 def flow_strings(n: int, seed: int = 5):
@@ -167,7 +188,6 @@ def flow_strings(n: int, seed: int = 5):
     ]
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="batch canonicalization needs numpy")
 class TestCanonicalKeys:
     """``canonical_keys`` is ``canonical_key`` over a list, key for key."""
 
@@ -206,18 +226,22 @@ class TestCanonicalKeys:
         "chunk",
         [
             [("a", 1), (5, 2), (2.5, 1)],
-            # numpy coerces [True, 2] to ints; the array kernel once
-            # accepted the bool key that the object kernel rejects
+            # numpy coerces [True, 2] to ints; the array path once
+            # accepted the bool key that the per-item path rejects
             [(True, 1), (2, 1)],
         ],
     )
     def test_both_kernels_raise_before_mutation(self, chunk):
-        for kernel in (KERNEL_OBJECT, KERNEL_ARRAY):
-            sketch = DaVinciSketch(make_config(), kernel=kernel)
+        # both bulk entries: weighted pairs and keys-first
+        for ingest in (
+            lambda sketch: sketch.insert_batch(chunk, chunk_size=64),
+            lambda sketch: sketch.insert_all([k for k, _ in chunk]),
+        ):
+            sketch = DaVinciSketch(make_config())
             sketch.insert_batch(stream(), chunk_size=64)
             before = serialization.to_state(sketch)
             with pytest.raises(ConfigurationError):
-                sketch.insert_batch(chunk, chunk_size=64)
+                ingest(sketch)
             assert serialization.to_state(sketch) == before
 
     def test_memory_grows_with_key_bytes_not_keys_times_longest(self):

@@ -1,53 +1,35 @@
-"""Property: the array kernel is byte-identical to the object kernel.
+"""Property: bulk ingestion is byte-identical to the per-item oracle.
 
-``DaVinciSketch(config, kernel="array")`` must produce exactly the state
-the object kernel produces for the same input order — FP entry order,
-eviction counters and flags, EF level counters and IFP residues all
-included.  Hypothesis drives randomized interleavings of ``insert``,
-``insert_batch``, ``query`` and ``union`` through both kernels and
-requires the serialized states to match byte for byte.
+The oracle is the paper's per-item Algorithms 1/2 over each chunk's
+aggregates: ``insert(key, total)`` for every chunk's per-key totals in
+first-seen order (``e2ebench.workloads.per_item_oracle`` checks the same
+contract end to end).  ``insert_batch``/``insert_all`` must leave exactly
+the oracle's ``to_state()`` — FP entry order, eviction counters and
+flags, EF counters and IFP residues included — for every key type,
+weighted or unit counts, chunk sizes from 1 to 65536, and the chunks
+that take the per-item fallback: counts numpy cannot hold as int64
+(numpy unsigned integers), totals at or above 2^52 and a bucket pile-up
+into more than ``_MAX_FP_ROUNDS`` sparse rank rounds.  A chunk with a
+bool key or a count that is not an integer raises before it changes
+anything.
 
-These tests are skipped when numpy is unavailable (the array kernel then
-degrades to the object kernel, which ``tests/core/test_kernel.py``
-covers separately).
+CI runs this file once more under ``REPRO_DEBUG_INVARIANTS=1``, where
+counts that are not Python ints are rejected up front on both sides.
 """
 
+import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.common import invariants
+from repro.common.errors import ConfigurationError, InvariantViolation
 from repro.common.hashing import canonical_key
 from repro.core import DaVinciConfig, DaVinciSketch
-from repro.core.kernel import HAVE_NUMPY, canonical_keys
+from repro.core.kernel import _MAX_FP_ROUNDS, canonical_keys
 from repro.core.serialization import to_state
 
-pytestmark = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="array kernel needs numpy"
-)
-
-keys = st.integers(min_value=1, max_value=60)
-counts = st.integers(min_value=1, max_value=40)
-pair_streams = st.lists(st.tuples(keys, counts), min_size=0, max_size=250)
-chunk_sizes = st.integers(min_value=1, max_value=300)
-
-#: one interleaved operation: ("insert", key, count) applies a single
-#: weighted insert, ("batch", pairs, chunk) a batched one, ("query", key)
-#: a read (which must not perturb state on either kernel)
-operations = st.lists(
-    st.one_of(
-        st.tuples(st.just("insert"), keys, counts),
-        st.tuples(
-            st.just("batch"),
-            st.lists(st.tuples(keys, counts), min_size=0, max_size=60),
-            st.integers(min_value=1, max_value=64),
-        ),
-        st.tuples(st.just("query"), keys),
-    ),
-    min_size=0,
-    max_size=25,
-)
-
-
+int_keys = st.integers(min_value=1, max_value=60)
 #: every key type canonicalization accepts: ints on both sides of the
 #: decodable domain and of 2^64, str, bytes and bytearray
 any_keys = st.one_of(
@@ -57,6 +39,50 @@ any_keys = st.one_of(
     st.binary(),
     st.binary().map(bytearray),
 )
+mixed_keys = st.one_of(
+    int_keys, st.text(min_size=0, max_size=6), st.binary(min_size=0, max_size=6)
+)
+counts = st.integers(min_value=1, max_value=40)
+pair_streams = st.lists(st.tuples(int_keys, counts), min_size=0, max_size=250)
+#: chunk sizes 1..65536, with the edges and the default drawn often
+chunk_sizes = st.one_of(
+    st.sampled_from([1, 2, 3, 64, 65536]),
+    st.integers(min_value=1, max_value=300),
+    st.integers(min_value=1, max_value=65536),
+)
+#: chunks the arrays cannot express: numpy unsigned counts, a total at
+#: or above 2^52, or (with one FP bucket) more distinct keys than rounds
+fallback_chunks = st.one_of(
+    st.lists(
+        st.tuples(int_keys, counts.map(numpy.uint64)),
+        min_size=1,
+        max_size=40,
+    ),
+    st.lists(
+        st.tuples(int_keys, st.integers(min_value=2**50, max_value=2**53)),
+        min_size=1,
+        max_size=8,
+    ),
+    st.just([(key, 1) for key in range(1, _MAX_FP_ROUNDS + 3)]),
+)
+
+#: one interleaved operation: ("insert", key, count) applies a single
+#: weighted insert, ("batch", pairs, chunk) a bulk one, ("query", key) a
+#: read (which must not perturb state)
+operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), int_keys, counts),
+        st.tuples(
+            st.just("batch"),
+            st.lists(st.tuples(int_keys, counts), min_size=0, max_size=60),
+            st.integers(min_value=1, max_value=64),
+        ),
+        st.tuples(st.just("query"), int_keys),
+    ),
+    min_size=0,
+    max_size=25,
+)
+
 #: mixed lists, and homogeneous ones long enough for the vectorized
 #: byte steps (the scalar tail alone covers short lists)
 key_lists = st.one_of(
@@ -66,9 +92,9 @@ key_lists = st.one_of(
 )
 
 
-def make_config(seed: int = 11) -> DaVinciConfig:
+def make_config(seed: int = 11, fp_buckets: int = 8) -> DaVinciConfig:
     return DaVinciConfig(
-        fp_buckets=8,
+        fp_buckets=fp_buckets,
         fp_entries=4,
         ef_level_widths=(128, 32),
         ef_level_bits=(4, 8),
@@ -79,79 +105,168 @@ def make_config(seed: int = 11) -> DaVinciConfig:
     )
 
 
-def apply_operations(sketch: DaVinciSketch, ops) -> None:
+def oracle_insert(sketch: DaVinciSketch, pairs, chunk_size: int) -> None:
+    """The per-item oracle: ``insert(key, total)`` per chunk aggregate."""
+    for start in range(0, len(pairs), chunk_size):
+        totals = {}
+        for key, count in pairs[start : start + chunk_size]:
+            key = canonical_key(key)
+            totals[key] = totals.get(key, 0) + count
+        for key, total in totals.items():
+            sketch.insert(key, total)
+
+
+def assert_matches_oracle(config, pairs, chunk_size, keys_first=False):
+    bulk = DaVinciSketch(config)
+    if keys_first:
+        bulk.insert_all([key for key, _count in pairs], chunk_size=chunk_size)
+    else:
+        bulk.insert_batch(pairs, chunk_size=chunk_size)
+    oracle = DaVinciSketch(config)
+    oracle_insert(oracle, pairs, chunk_size)
+    assert to_state(bulk) == to_state(oracle)
+    assert bulk.memory_accesses == oracle.memory_accesses
+    assert bulk.insertions == len(pairs)
+    return bulk
+
+
+def apply_operations(sketch: DaVinciSketch, ops, bulk: bool) -> None:
     for op in ops:
         if op[0] == "insert":
             sketch.insert(op[1], op[2])
         elif op[0] == "batch":
-            sketch.insert_batch(op[1], chunk_size=op[2])
+            if bulk:
+                sketch.insert_batch(op[1], chunk_size=op[2])
+            else:
+                oracle_insert(sketch, op[1], op[2])
         else:
             sketch.query(op[1])
 
 
 class TestKernelParity:
+    """``insert_batch``/``insert_all`` ≡ the per-item oracle."""
+
     @given(pairs=pair_streams, chunk_size=chunk_sizes)
     @settings(max_examples=80, deadline=None)
     def test_insert_batch_state_identical(self, pairs, chunk_size):
-        obj = DaVinciSketch(make_config(), kernel="object")
-        arr = DaVinciSketch(make_config(), kernel="array")
-        obj.insert_batch(pairs, chunk_size=chunk_size)
-        arr.insert_batch(pairs, chunk_size=chunk_size)
-        assert to_state(obj) == to_state(arr)
+        assert_matches_oracle(make_config(), pairs, chunk_size)
+
+    @given(
+        pairs=st.lists(
+            st.tuples(st.integers(min_value=1, max_value=400), counts),
+            min_size=80,
+            max_size=300,
+        ),
+        chunk_size=chunk_sizes,
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_colliding_filter_state_identical(self, pairs, chunk_size):
+        # one-entry buckets demote nearly every key, and a one-counter
+        # level makes every demotion collide: past _MAX_EF_ROUNDS
+        # rounds the rest of a chunk finishes one offer at a time
+        config = DaVinciConfig(
+            fp_buckets=2,
+            fp_entries=1,
+            ef_level_widths=(3, 1),
+            ef_level_bits=(4, 8),
+            ifp_rows=3,
+            ifp_width=32,
+            filter_threshold=10,
+            seed=5,
+        )
+        assert_matches_oracle(config, pairs, chunk_size)
+
+    @given(
+        keys=st.lists(mixed_keys, min_size=0, max_size=250),
+        chunk_size=chunk_sizes,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_mixed_key_types_state_identical(self, keys, chunk_size):
+        pairs = [(key, 1) for key in keys]
+        assert_matches_oracle(make_config(), pairs, chunk_size)
+        assert_matches_oracle(make_config(), pairs, chunk_size, keys_first=True)
+
+    @given(
+        pairs=st.lists(st.tuples(any_keys, counts), min_size=0, max_size=120),
+        chunk_size=chunk_sizes,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_accounting_identical(self, pairs, chunk_size):
+        bulk = assert_matches_oracle(make_config(), pairs, chunk_size)
+        assert bulk.total_count == sum(count for _key, count in pairs)
 
     @given(ops=operations)
     @settings(max_examples=60, deadline=None)
     def test_interleaved_operations_state_identical(self, ops):
-        obj = DaVinciSketch(make_config(), kernel="object")
-        arr = DaVinciSketch(make_config(), kernel="array")
-        apply_operations(obj, ops)
-        apply_operations(arr, ops)
-        assert to_state(obj) == to_state(arr)
+        bulk = DaVinciSketch(make_config())
+        oracle = DaVinciSketch(make_config())
+        apply_operations(bulk, ops, bulk=True)
+        apply_operations(oracle, ops, bulk=False)
+        assert to_state(bulk) == to_state(oracle)
 
     @given(left=pair_streams, right=pair_streams, chunk_size=chunk_sizes)
     @settings(max_examples=40, deadline=None)
     def test_union_of_array_built_sketches_identical(
         self, left, right, chunk_size
     ):
-        def build(kernel):
-            a = DaVinciSketch(make_config(), kernel=kernel)
-            b = DaVinciSketch(make_config(), kernel=kernel)
-            a.insert_batch(left, chunk_size=chunk_size)
-            b.insert_batch(right, chunk_size=chunk_size)
+        def build(bulk: bool) -> DaVinciSketch:
+            a = DaVinciSketch(make_config())
+            b = DaVinciSketch(make_config())
+            apply_operations(a, [("batch", left, chunk_size)], bulk)
+            apply_operations(b, [("batch", right, chunk_size)], bulk)
             return a.union(b)
 
-        assert to_state(build("object")) == to_state(build("array"))
-
-    @given(pairs=pair_streams, chunk_size=chunk_sizes)
-    @settings(max_examples=40, deadline=None)
-    def test_accounting_identical(self, pairs, chunk_size):
-        obj = DaVinciSketch(make_config(), kernel="object")
-        arr = DaVinciSketch(make_config(), kernel="array")
-        obj.insert_batch(pairs, chunk_size=chunk_size)
-        arr.insert_batch(pairs, chunk_size=chunk_size)
-        assert arr.total_count == obj.total_count
-        assert arr.insertions == obj.insertions
-        assert arr.memory_accesses == obj.memory_accesses
+        assert to_state(build(True)) == to_state(build(False))
 
     @given(
-        stream=st.lists(
-            st.one_of(
-                keys,
-                st.text(min_size=0, max_size=6),
-                st.binary(min_size=0, max_size=6),
-            ),
-            min_size=0,
-            max_size=120,
-        ),
-        chunk_size=chunk_sizes,
+        before=pair_streams,
+        fallback=fallback_chunks,
+        after=pair_streams,
+        chunk_size=st.sampled_from([64, 1_000]),
     )
     @settings(max_examples=40, deadline=None)
-    def test_mixed_key_types_state_identical(self, stream, chunk_size):
-        obj = DaVinciSketch(make_config(), kernel="object")
-        arr = DaVinciSketch(make_config(), kernel="array")
-        obj.insert_all(stream, chunk_size=chunk_size)
-        arr.insert_all(stream, chunk_size=chunk_size)
-        assert to_state(obj) == to_state(arr)
+    def test_fallback_chunks_state_identical(
+        self, before, fallback, after, chunk_size
+    ):
+        # one FP bucket, so a chunk of distinct keys piles up in it
+        config = make_config(fp_buckets=1)
+        pairs = before + fallback + after
+        if invariants.ENABLED and any(
+            type(count) is not int for _key, count in fallback
+        ):
+            # the sanitizer rejects non-int counts up front, on both sides
+            with pytest.raises(InvariantViolation):
+                DaVinciSketch(config).insert_batch(fallback)
+            with pytest.raises(InvariantViolation):
+                oracle_insert(DaVinciSketch(config), fallback, chunk_size)
+            return
+        assert_matches_oracle(config, pairs, chunk_size)
+
+    @given(
+        pairs=st.lists(st.tuples(mixed_keys, counts), min_size=1, max_size=60),
+        bad=st.one_of(
+            st.tuples(st.booleans(), counts),
+            st.tuples(
+                int_keys, st.sampled_from([None, "x", b"1", [1], 1.5, 2.0])
+            ),
+        ),
+        at=st.integers(min_value=0, max_value=60),
+        keys_first=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bad_chunk_raises_before_mutation(self, pairs, bad, at, keys_first):
+        sketch = DaVinciSketch(make_config())
+        sketch.insert_batch(pairs)
+        before = to_state(sketch)
+        chunk = pairs[:at] + [bad] + pairs[at:]
+        if keys_first and isinstance(bad[0], bool):
+            ingest = lambda: sketch.insert_all([k for k, _ in chunk])  # noqa: E731
+        else:
+            ingest = lambda: sketch.insert_batch(chunk)  # noqa: E731
+        with pytest.raises((ConfigurationError, InvariantViolation)):
+            ingest()
+        assert to_state(sketch) == before
+        assert sketch.insertions == len(pairs)
 
 
 class TestCanonicalKeys:

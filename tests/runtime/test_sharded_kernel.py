@@ -1,17 +1,12 @@
-"""Sharded ingestion under the array kernel: identity and validation.
+"""Sharded ingestion against the per-item oracle, across processes.
 
-Workers executing chunks through the numpy array kernel must produce the
-same merged state as the sequential per-partition fold built with the
-object kernel — the kernel is an execution strategy, never a semantic
-one, even across process boundaries.
+Shard workers run every chunk through the bulk path; the merged state
+must equal the fold of per-partition sketches built with the paper's
+per-item ``insert(key, total)`` over each chunk's aggregates.
 """
 
-import pytest
-
-from repro.common.errors import ConfigurationError
 from repro.core.config import DaVinciConfig
 from repro.core.davinci import DaVinciSketch
-from repro.core.kernel import HAVE_NUMPY
 from repro.runtime import ShardedIngestor, ShardRouter, merge_tree
 
 CHUNK = 1024
@@ -29,35 +24,27 @@ def trace(n: int = 30_000, seed: int = 9):
 
 
 def reference_fold(config, num_shards, pairs, chunk_items):
-    """Sequential object-kernel per-partition build + fold (the oracle)."""
+    """Per-partition per-item oracle + merge tree."""
     router = ShardRouter(num_shards)
     shards = []
     for part in router.partition_pairs(pairs):
-        sketch = DaVinciSketch(config, kernel="object")
-        if part:
-            sketch.insert_batch(part, chunk_size=chunk_items)
+        sketch = DaVinciSketch(config)
+        for start in range(0, len(part), chunk_items):
+            totals = {}
+            for key, count in part[start : start + chunk_items]:
+                totals[key] = totals.get(key, 0) + count
+            for key, total in totals.items():
+                sketch.insert(key, total)
         shards.append(sketch)
     return merge_tree(shards)
 
 
-class TestShardedKernelValidation:
-    def test_invalid_kernel_rejected_in_parent(self):
-        # eager validation: the parent must raise before spawning workers
-        with pytest.raises(ConfigurationError, match="unknown kernel"):
-            ShardedIngestor(small_config(), 2, kernel="simd")
-
-
-@pytest.mark.skipif(not HAVE_NUMPY, reason="array kernel needs numpy")
 class TestShardedArrayKernelIdentity:
     def test_merged_state_matches_object_kernel_fold(self):
         config = small_config()
         keys = trace()
         with ShardedIngestor(
-            config,
-            4,
-            chunk_items=CHUNK,
-            batch_items=4096,
-            kernel="array",
+            config, 4, chunk_items=CHUNK, batch_items=4096
         ) as ingestor:
             ingestor.ingest_keys(keys)
             merged = ingestor.finalize()

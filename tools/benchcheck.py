@@ -57,7 +57,7 @@ GUARDED_METRICS: Dict[str, str] = {
 BOOLEAN_GUARDS = (
     "state_identical_to_sequential",
     "state_identical_to_plain",
-    "state_identical_to_object_kernel",
+    "state_identical_to_per_item_oracle",
     "recovered_state_identical",
     "merged_identical_to_sequential_fold",
 )
