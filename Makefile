@@ -45,7 +45,7 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 test-debug:
-	REPRO_DEBUG_INVARIANTS=1 $(PYTHON) -m pytest tests/core tests/analysis -q
+	REPRO_DEBUG_INVARIANTS=1 $(PYTHON) -m pytest tests/core tests/analysis tests/sketches -q
 
 # fault-injection suite: crash recovery, corruption taxonomy and decode
 # degradation, all with runtime invariant checks switched on

@@ -118,7 +118,7 @@ def check_saturation(value: int, cap: int, where: str) -> None:
 def check_decode_roundtrip(ifp: object, decoded: object, where: str) -> None:
     """A *complete* decode must re-encode to the original arrays.
 
-    ``ifp`` is the :class:`~repro.core.infrequent_part.InfrequentPart`
+    ``ifp`` is the :class:`~repro.core.infrequent_part.CountingFermat`
     that was decoded, ``decoded`` its recovered ``{key: signed count}``
     map.  Re-inserting every pair into an empty clone must reproduce both
     the ``iID`` and ``icnt`` arrays bucket-for-bucket; any mismatch means
@@ -126,12 +126,8 @@ def check_decode_roundtrip(ifp: object, decoded: object, where: str) -> None:
     |decoded|), so it only ever runs under the debug flag.
     """
     scratch = ifp.empty_like()  # type: ignore[attr-defined]
-    prime = scratch.prime
     for key, count in decoded.items():  # type: ignore[attr-defined]
-        for row in range(scratch.rows):
-            j = scratch._hashes.index(row, key)
-            scratch.ids[row][j] = (scratch.ids[row][j] + count * key) % prime
-            scratch.counts[row][j] += scratch._signs.sign(row, key) * count
+        scratch._apply(scratch.ids, scratch.counts, key, count)
     if scratch.ids != ifp.ids or scratch.counts != ifp.counts:  # type: ignore[attr-defined]
         raise InvariantViolation(
             f"{where}: complete decode does not re-encode to the original "

@@ -12,9 +12,9 @@ The EF has two jobs in the DaVinci design:
    correction exact: a promoted element always has exactly ``T`` units of
    its mass resident in the filter.
 
-Counters update CM-style (every level gets the increment) and saturate at
-their level's capacity; a saturated counter is ignored by queries (treated
-as "no information", i.e. +inf for the min).
+The counters, their CM-style saturating update and the min-over-unsaturated
+query are :class:`~repro.sketches.tower.TowerSketch`'s; this class adds the
+threshold gate and the linear set operations.
 
 The structure is linear, so union/difference of two sketches reduce to
 counter-wise add/subtract; after a difference, counters may be negative and
@@ -25,20 +25,20 @@ counter (the signed generalization of the CM minimum).
 from __future__ import annotations
 
 from array import array
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Optional, Sequence, Tuple
 
 from repro.common import invariants as _inv
 from repro.common.errors import ConfigurationError, IncompatibleSketchError
-from repro.common.hashing import HashFamily
 from repro.common.validation import require_positive
 from repro.core.kernel import _MAX_EF_ROUNDS, first_occurrences, hash_mod, np
 from repro.observability import instruments as _obs_instruments
 from repro.observability import metrics as _obs
 from repro.observability.instruments import ElementFilterMetrics
 from repro.observability.metrics import MetricsRegistry
+from repro.sketches.tower import TowerSketch
 
 
-class ElementFilter:
+class ElementFilter(TowerSketch):
     """An ``m``-level TowerSketch with promotion threshold ``T``."""
 
     #: lazily-created metrics bundle (class-level default; see
@@ -54,63 +54,13 @@ class ElementFilter:
         threshold: int,
         seed: int = 1,
     ) -> None:
-        if len(level_widths) != len(level_bits) or not level_widths:
-            raise ConfigurationError("level widths/bits must match and be non-empty")
+        super().__init__(level_widths, level_bits, seed=seed)
         require_positive("threshold", threshold)
-        self.level_widths: Tuple[int, ...] = tuple(int(w) for w in level_widths)
-        self.level_bits: Tuple[int, ...] = tuple(int(b) for b in level_bits)
-        #: saturation value of each level's counters
-        self.level_caps: Tuple[int, ...] = tuple(
-            (1 << bits) - 1 for bits in self.level_bits
-        )
         self.threshold = int(threshold)
         if self.threshold >= max(self.level_caps):
             raise ConfigurationError(
                 "threshold must be below the largest level's saturation value"
             )
-        self.num_levels = len(self.level_widths)
-        self._hashes = HashFamily(self.num_levels, self.level_widths, seed=seed)
-        #: one int64 buffer per level: indexing yields plain ints, and
-        #: the bulk path views it in place (:meth:`counter_arrays`)
-        self.levels: List["array[int]"] = [
-            array("q", [0]) * width for width in self.level_widths
-        ]
-        self._seed = seed
-
-    # ------------------------------------------------------------------ #
-    # raw tower operations
-    # ------------------------------------------------------------------ #
-    def add(self, key: int, count: int) -> None:
-        """CM-style update: add ``count`` at every level, saturating."""
-        for level, counters in enumerate(self.levels):
-            cap = self.level_caps[level]
-            j = self._hashes.index(level, key)
-            value = counters[j]
-            if value >= cap:
-                continue  # saturated counters stay saturated
-            counters[j] = min(value + count, cap)
-            if _inv.ENABLED:
-                _inv.check_saturation(
-                    counters[j], cap, "ElementFilter.add level counter"
-                )
-
-    def query(self, key: int) -> int:
-        """Minimum over unsaturated mapped counters (saturated => +inf).
-
-        When every mapped counter is saturated the element's frequency
-        exceeds every level's range; we return the largest saturation value
-        as the best available lower bound.
-        """
-        best = None
-        for level, counters in enumerate(self.levels):
-            value = counters[self._hashes.index(level, key)]
-            if value >= self.level_caps[level]:
-                continue
-            if best is None or value < best:
-                best = value
-        if best is None:
-            return max(self.level_caps)
-        return best
 
     def query_signed(self, key: int) -> int:
         """Minimum-absolute-value mapped counter (for difference sketches)."""
@@ -164,35 +114,14 @@ class ElementFilter:
           whole ``count`` overflows.
         * estimate + count <= ``T`` — fully absorbed, no overflow.
         * otherwise — absorb up to ``T`` and overflow the rest.
-
-        This is the insertion hot path, so the mapped positions are hashed
-        once and shared between the estimate and the update.
         """
-        positions = self._hashes.indexes(key)
-        current = None
-        for level, j in enumerate(positions):
-            value = self.levels[level][j]
-            if value >= self.level_caps[level]:
-                continue
-            if current is None or value < current:
-                current = value
-        if current is None:
-            current = max(self.level_caps)
+        current = self.query(key)
         if current >= self.threshold:
             if _obs.ENABLED:
                 self._record_offers(1, 0, count, 0)
             return count
         absorbed = min(count, self.threshold - current)
-        for level, j in enumerate(positions):
-            cap = self.level_caps[level]
-            counters = self.levels[level]
-            if counters[j] >= cap:
-                continue
-            counters[j] = min(counters[j] + absorbed, cap)
-            if _inv.ENABLED:
-                _inv.check_saturation(
-                    counters[j], cap, "ElementFilter.offer level counter"
-                )
+        self.add(key, absorbed)
         overflow = count - absorbed
         if _inv.ENABLED:
             _inv.check_bounded(
@@ -208,14 +137,6 @@ class ElementFilter:
             crossed = 1 if current + absorbed >= self.threshold else 0
             self._record_offers(1, absorbed, overflow, crossed)
         return overflow
-
-    def counter_arrays(self) -> List[Any]:
-        """The level counters as int64 numpy arrays viewing ``levels``.
-
-        Writes through a view land in the counters themselves; the bulk
-        path uses these instead of copying the levels per call.
-        """
-        return [np.frombuffer(level, dtype=np.int64) for level in self.levels]
 
     def offer_batch(self, keys: Any, counts: Any) -> Tuple[Any, Any]:
         """Offer many demotions in arrival order; return the overflow.
@@ -348,19 +269,3 @@ class ElementFilter:
     def base_level(self) -> "array[int]":
         """Level-0 counters (used by linear counting and the EM estimator)."""
         return self.levels[0]
-
-    def base_index(self, key: int) -> int:
-        """Level-0 bucket index of ``key``."""
-        return self._hashes.index(0, key)
-
-    def zero_fraction(self) -> float:
-        """Fraction of level-0 counters that are exactly zero."""
-        counters = self.levels[0]
-        return sum(1 for value in counters if value == 0) / len(counters)
-
-    def memory_bytes(self) -> float:
-        """Logical size: Σ widthᵢ × bitsᵢ / 8."""
-        return sum(
-            width * bits / 8.0
-            for width, bits in zip(self.level_widths, self.level_bits)
-        )

@@ -7,15 +7,19 @@ mapped counters.  The configuration exploits skew: the numerous small
 flows are resolved by the numerous small counters, while the rare large
 flows fall through to the large counters.
 
-The standalone class here exists as an evaluated baseline and substrate;
-the DaVinci element filter (:class:`repro.core.element_filter.ElementFilter`)
-embeds the same mechanics plus the promotion threshold.
+The standalone class is an evaluated baseline; the DaVinci element filter
+(:class:`repro.core.element_filter.ElementFilter`) subclasses it and adds
+the promotion threshold.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from array import array
+from typing import Any, List, Sequence, Tuple
 
+import numpy as np
+
+from repro.common import invariants as _inv
 from repro.common.errors import ConfigurationError
 from repro.common.hashing import HashFamily
 from repro.sketches.base import FrequencySketch
@@ -37,12 +41,18 @@ class TowerSketch(FrequencySketch):
             )
         self.level_widths: Tuple[int, ...] = tuple(int(w) for w in level_widths)
         self.level_bits: Tuple[int, ...] = tuple(int(b) for b in level_bits)
+        #: saturation value of each level's counters
         self.level_caps: Tuple[int, ...] = tuple(
             (1 << bits) - 1 for bits in self.level_bits
         )
         self.num_levels = len(self.level_widths)
+        self._seed = seed
         self._hashes = HashFamily(self.num_levels, self.level_widths, seed=seed)
-        self.levels: List[List[int]] = [[0] * w for w in self.level_widths]
+        #: one int64 buffer per level: indexing yields plain ints, and
+        #: the bulk paths view it in place (:meth:`counter_arrays`)
+        self.levels: List["array[int]"] = [
+            array("q", [0]) * width for width in self.level_widths
+        ]
 
     @classmethod
     def from_memory(
@@ -64,14 +74,26 @@ class TowerSketch(FrequencySketch):
     def insert(self, key: int, count: int = 1) -> None:
         self.insertions += 1
         self.memory_accesses += self.num_levels
+        self.add(key, count)
+
+    def add(self, key: int, count: int) -> None:
+        """CM-style update: add ``count`` at every level, saturating."""
         for level, counters in enumerate(self.levels):
             cap = self.level_caps[level]
             j = self._hashes.index(level, key)
             if counters[j] >= cap:
-                continue
+                continue  # saturated counters stay saturated
             counters[j] = min(counters[j] + count, cap)
+            if _inv.ENABLED:
+                _inv.check_saturation(counters[j], cap, "tower level counter")
 
     def query(self, key: int) -> int:
+        """Minimum over unsaturated mapped counters (saturated => +inf).
+
+        When every mapped counter is saturated the element's frequency
+        exceeds every level's range; the largest saturation value is the
+        best available lower bound.
+        """
         best = None
         for level, counters in enumerate(self.levels):
             value = counters[self._hashes.index(level, key)]
@@ -81,7 +103,16 @@ class TowerSketch(FrequencySketch):
                 best = value
         return best if best is not None else max(self.level_caps)
 
+    def counter_arrays(self) -> List[Any]:
+        """The level counters as int64 numpy arrays viewing ``levels``.
+
+        Writes through a view land in the counters themselves; the bulk
+        paths use these instead of copying the levels.
+        """
+        return [np.frombuffer(level, dtype=np.int64) for level in self.levels]
+
     def memory_bytes(self) -> float:
+        """Logical size: Σ widthᵢ × bitsᵢ / 8."""
         return sum(
             width * bits / 8.0
             for width, bits in zip(self.level_widths, self.level_bits)

@@ -4,6 +4,16 @@ import pytest
 
 from repro.common.errors import ConfigurationError, IncompatibleSketchError
 from repro.core.element_filter import ElementFilter
+from tests.substrate_contracts import (
+    TowerConstructionContract,
+    TowerCounterContract,
+    TowerMemoryContract,
+)
+
+
+class _Filter:
+    def make(self, level_widths, level_bits):
+        return ElementFilter(level_widths, level_bits, threshold=3, seed=3)
 
 
 @pytest.fixture
@@ -13,43 +23,18 @@ def filter_() -> ElementFilter:
     )
 
 
-class TestConstruction:
-    def test_caps_derived_from_bits(self, filter_):
-        assert filter_.level_caps == (15, 255)
-
+class TestConstruction(_Filter, TowerConstructionContract):
     def test_threshold_must_fit(self):
         with pytest.raises(ConfigurationError):
             ElementFilter((8,), (4,), threshold=15)
 
-    def test_mismatched_levels_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ElementFilter((8, 8), (4,), threshold=3)
 
-
-class TestAddAndQuery:
-    def test_single_element_exact_below_cap(self, filter_):
-        filter_.add(5, 7)
-        assert filter_.query(5) == 7
-
+class TestAddAndQuery(_Filter, TowerCounterContract):
     def test_query_of_absent_key_without_collision(self, filter_):
         filter_.add(5, 7)
         # Most other keys map elsewhere; find one reading zero.
         zeros = [k for k in range(100, 200) if filter_.query(k) == 0]
         assert zeros
-
-    def test_min_combining_ignores_saturated_levels(self, filter_):
-        filter_.add(5, 100)  # level 0 saturates at 15; level 1 holds 100
-        assert filter_.query(5) == 100
-
-    def test_all_levels_saturated_returns_max_cap(self):
-        ef = ElementFilter((4,), (4,), threshold=10, seed=1)
-        ef.add(1, 500)
-        assert ef.query(1) == 15
-
-    def test_saturated_counters_stay_saturated(self, filter_):
-        filter_.add(5, 300)
-        filter_.add(5, 10)
-        assert filter_.query(5) == 255  # level-1 saturated too
 
 
 class TestOffer:
@@ -117,20 +102,11 @@ class TestLinearity:
         assert other.query(1) == 4
 
 
-class TestIntrospection:
-    def test_zero_fraction(self, filter_):
-        assert filter_.zero_fraction() == 1.0
-        filter_.add(1, 1)
-        assert filter_.zero_fraction() < 1.0
-
-    def test_base_index_stable(self, filter_):
-        assert filter_.base_index(42) == filter_.base_index(42)
-        assert 0 <= filter_.base_index(42) < 128
-
-    def test_memory_bytes(self, filter_):
-        assert filter_.memory_bytes() == 128 * 0.5 + 32 * 1.0
-
+class TestIntrospection(_Filter, TowerMemoryContract):
     def test_empty_like_same_hashing(self, filter_):
         clone = filter_.empty_like()
-        for key in range(50):
-            assert clone.base_index(key) == filter_.base_index(key)
+        for key in range(1, 50):
+            filter_.add(key, key % 7 + 1)
+            clone.add(key, key % 7 + 1)
+        assert clone.levels == filter_.levels
+        assert clone.query(42) == filter_.query(42)

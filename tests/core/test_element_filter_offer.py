@@ -1,9 +1,8 @@
-"""Equivalence tests for the optimized filter hot path.
+"""Pins for ``ElementFilter.offer``.
 
-``ElementFilter.offer`` inlines the query+add pair with shared hash
-positions; these tests pin its behaviour to the reference semantics
-("estimate via :meth:`query`, absorb via :meth:`add`") across saturation
-and threshold corners.
+These tests pin its behaviour to the reference semantics ("estimate via
+:meth:`query`, absorb via :meth:`add`") across saturation and threshold
+corners.
 """
 
 import random

@@ -4,17 +4,14 @@ from collections import Counter
 
 import pytest
 
-from repro.common.errors import IncompatibleSketchError
+from repro.common.errors import ConfigurationError, IncompatibleSketchError
+from repro.common.primes import SMALL_PRIME
 from repro.sketches import FermatSketch, FlowRadar, LossRadar
+from tests.substrate_contracts import FermatDecodeContract, FermatLinearityContract
 
 
-class TestFermatSketch:
-    def test_roundtrip(self):
-        fermat = FermatSketch(rows=3, width=64, seed=1)
-        truth = {key: key % 4 + 1 for key in range(100, 130)}
-        for key, count in truth.items():
-            fermat.insert(key, count)
-        assert fermat.decode() == truth
+class TestFermatSketch(FermatDecodeContract, FermatLinearityContract):
+    cls = FermatSketch
 
     def test_query_via_decode(self):
         fermat = FermatSketch(rows=3, width=64, seed=1)
@@ -28,6 +25,16 @@ class TestFermatSketch:
         assert fermat.decode() == {1: 2}
         fermat.insert(2, 3)
         assert fermat.decode() == {1: 2, 2: 3}
+
+    def test_overload_fails_gracefully(self):
+        fermat = FermatSketch(rows=3, width=8, seed=1)
+        for key in range(500, 600):
+            fermat.insert(key)
+        decoded = fermat.decode()
+        assert len(decoded) < 100  # partial or empty, never wrong keys
+        # The 32-bit key-domain check keeps false pure-bucket decodes out.
+        for key in decoded:
+            assert 500 <= key < 600
 
     def test_merge_is_union(self):
         a = FermatSketch(rows=3, width=64, seed=1)
@@ -46,28 +53,9 @@ class TestFermatSketch:
         b.insert(2, 2)
         assert a.subtract(b).decode() == {1: -2}
 
-    def test_overload_fails_gracefully(self):
-        fermat = FermatSketch(rows=3, width=8, seed=1)
-        for key in range(500, 600):
-            fermat.insert(key)
-        decoded = fermat.decode()
-        assert len(decoded) < 100  # partial or empty, never wrong keys
-        # The 32-bit key-domain check keeps false pure-bucket decodes out.
-        for key in decoded:
-            assert 500 <= key < 600
-
-    def test_out_of_domain_key_rejected(self):
-        fermat = FermatSketch(rows=3, width=8, seed=1)
-        with pytest.raises(ValueError):
-            fermat.insert(1 << 40)
-        with pytest.raises(ValueError):
-            fermat.insert(0)
-
-    def test_incompatible_rejected(self):
-        a = FermatSketch(rows=3, width=64, seed=1)
-        b = FermatSketch(rows=3, width=64, seed=2)
-        with pytest.raises(IncompatibleSketchError):
-            a.merge(b)
+    def test_key_domain_must_fit_field(self):
+        with pytest.raises(ConfigurationError):
+            FermatSketch(rows=3, width=64, prime=SMALL_PRIME)
 
 
 class TestFlowRadar:

@@ -4,13 +4,25 @@ import pytest
 
 from repro.common.errors import IncompatibleSketchError
 from repro.sketches import ElasticSketch, TowerSketch
+from tests.substrate_contracts import (
+    TowerConstructionContract,
+    TowerCounterContract,
+    TowerMemoryContract,
+)
 
 
-class TestTowerSketch:
+class TestTowerSketch(
+    TowerConstructionContract, TowerCounterContract, TowerMemoryContract
+):
+    def make(self, level_widths, level_bits):
+        return TowerSketch(level_widths, level_bits, seed=3)
+
     def test_exact_small_values(self):
         tower = TowerSketch((512, 128), (4, 8), seed=1)
         tower.insert(5, 7)
         assert tower.query(5) == 7
+        assert tower.insertions == 1
+        assert tower.memory_accesses == tower.num_levels
 
     def test_large_value_falls_through_to_big_counters(self):
         tower = TowerSketch((512, 128), (4, 16), seed=1)
@@ -31,11 +43,15 @@ class TestTowerSketch:
         assert tower.memory_bytes() <= 8 * 1024 * 1.01
         assert tower.level_widths[0] > tower.level_widths[1]
 
-    def test_mismatched_levels_rejected(self):
-        from repro.common.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            TowerSketch((8,), (4, 8))
+    def test_counter_arrays_view_the_levels(self):
+        tower = TowerSketch((64, 16), (8, 16), seed=2)
+        views = tower.counter_arrays()
+        views[0][3] = 9
+        assert tower.levels[0][3] == 9
+        tower.add(7, 2)
+        assert [view.tolist() for view in views] == [
+            list(level) for level in tower.levels
+        ]
 
 
 class TestElasticInsertQuery:
