@@ -6,7 +6,7 @@ export PYTHONPATH := src
 
 .PHONY: lint typecheck sketchlint lint-concurrency lint-sarif \
 	sketchlint-baseline bench-sketchlint test test-debug faults chaos \
-	bench-ingest bench-checkpoint bench-sharded bench-service \
+	bench-checkpoint bench-sharded bench-service \
 	bench-kernel benchcheck e2e-smoke coverage check
 
 lint:
@@ -63,11 +63,6 @@ chaos:
 	REPRO_DEBUG_INVARIANTS=1 REPRO_TEST_WATCHDOG=600 \
 		$(PYTHON) -m pytest tests/service tests/runtime/test_stall.py -q
 
-# acceptance benchmark: 1M-item Zipf(1.1) stream, batched path must be
-# >= 2x the per-item loop and byte-identical in state
-bench-ingest:
-	$(PYTHON) benchmarks/bench_ingest.py --min-speedup 2.0
-
 # acceptance benchmark: durable ingestion must stay within 10% of the
 # plain batched run at the default cadence, byte-identically
 bench-checkpoint:
@@ -97,8 +92,6 @@ bench-service:
 # see tools/benchcheck.py).  Fresh reports go to *_fresh.json so the
 # baselines are never overwritten.
 benchcheck:
-	$(PYTHON) benchmarks/bench_ingest.py --quick --min-speedup 1.0 \
-		--output BENCH_ingest_fresh.json
 	$(PYTHON) benchmarks/bench_checkpoint.py --quick --repeats 2 \
 		--max-overhead 1.0 --output BENCH_checkpoint_fresh.json
 	$(PYTHON) benchmarks/bench_sharded.py --quick --repeats 2 \
@@ -107,8 +100,6 @@ benchcheck:
 		--output BENCH_service_fresh.json
 	$(PYTHON) benchmarks/bench_kernel.py --quick --repeats 2 \
 		--min-speedup 3.0 --output BENCH_kernel_fresh.json
-	$(PYTHON) -m tools.benchcheck BENCH_ingest_fresh.json \
-		--baseline BENCH_ingest.json --min speedup=1.4
 	$(PYTHON) -m tools.benchcheck BENCH_checkpoint_fresh.json \
 		--baseline BENCH_checkpoint.json --max overhead_fraction=0.5
 	$(PYTHON) -m tools.benchcheck BENCH_sharded_fresh.json \

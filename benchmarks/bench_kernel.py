@@ -2,7 +2,7 @@
 """Bulk ingestion vs the per-item oracle: identity and items/second.
 
 ``DaVinciSketch.insert_all`` runs each chunk through the one bulk path
-(``repro.core.kernel.ArrayKernelEngine``): keys canonicalized and
+(``repro.core.kernel.ingest_chunk``): keys canonicalized and
 aggregated as arrays, frequent-part rank rounds, element-filter
 first-occurrence rounds, exact infrequent-part encodes.  Its contract is
 the per-item oracle: ``insert(key, total)`` over each chunk's per-key

@@ -11,6 +11,11 @@ from typing import Optional, Union
 
 from repro.common.errors import ConfigurationError
 
+#: the range of the int64 buffers that hold frequent-part counts, evict
+#: counters and a sketch's ``total_count``
+INT64_MIN = -(1 << 63)
+INT64_MAX = (1 << 63) - 1
+
 
 def require_positive(name: str, value: object) -> int:
     """Return ``value`` if it is a positive int, else raise."""
@@ -24,6 +29,15 @@ def require_non_negative(name: str, value: object) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or value < 0:
         raise ConfigurationError(
             f"{name} must be a non-negative integer, got {value!r}"
+        )
+    return value
+
+
+def require_int64(name: str, value: int) -> int:
+    """Return ``value`` if it fits a signed 64-bit integer, else raise."""
+    if not INT64_MIN <= value <= INT64_MAX:
+        raise ConfigurationError(
+            f"{name} {value} leaves the int64 range [-2^63, 2^63)"
         )
     return value
 

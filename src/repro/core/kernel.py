@@ -1,11 +1,11 @@
 """Bulk ingestion: one chunk at a time, as arrays.
 
 :meth:`DaVinciSketch.insert_batch` and :meth:`DaVinciSketch.insert_all`
-run every chunk through :class:`ArrayKernelEngine`.  Its contract is the
+run every chunk through :func:`ingest_chunk`.  Its contract is the
 batching contract of ``insert_batch``: the state it leaves is
 byte-identical to aggregating each chunk into per-key totals and calling
 ``insert(key, total)`` for them in first-seen order (the *per-item
-oracle*).  The engine gets there by group-applying the exact sequential
+oracle*).  It gets there by group-applying the exact sequential
 recurrences, never by approximating them:
 
 * keys are canonicalized as one array (:func:`canonical_keys`) and
@@ -26,18 +26,18 @@ recurrences, never by approximating them:
 A chunk the arrays cannot express exactly takes the per-item fallback,
 which *is* the oracle: counts numpy cannot hold as positive int64 (a
 float, a count past 2^63, numpy unsigned integers; the fallback rejects
-those that are not integers), totals at or above ``2^52`` (where numpy's
-int64/float64 comparisons stop being exact), and a bucket pile-up into more
-than ``_MAX_FP_ROUNDS`` sparse rank rounds.  The
+those that are not integers, and totals that would take ``total_count``
+out of int64), totals at or above ``2^52`` (where numpy's int64/float64
+comparisons stop being exact), frequent-part counts or evict counters
+outside ``[0, 2^52)``, and a bucket pile-up into more than
+``_MAX_FP_ROUNDS`` sparse rank rounds.  The
 ``davinci_kernel_chunks_total`` counter labels array chunks ``"array"``
 and fallback chunks ``"object"``.
 
-The engine is stateless between calls: the frequent part's buckets are
-mirrored into arrays for one ``insert_batch`` call and written back
-before it returns (also when an exception escapes); the element filter's
-counters live in int64 buffers the rounds view in place.  Serialization,
-set operations, checkpointing, sharding and the service layer never see
-an array.
+The frequent part's table and the element filter's counters live in
+int64 buffers that the rounds view in place; serialization, set
+operations, checkpointing, sharding and the service layer never see an
+array.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ from repro.common.hashing import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
     from repro.core.davinci import DaVinciSketch
-    from repro.core.frequent_part import BucketArrays
 
 #: module-level alias typed ``Any`` (numpy's own annotations are not part
 #: of the strict typing gate)
@@ -281,130 +280,109 @@ def _first_seen_totals(keys: Any, weights: Optional[Any]) -> Tuple[Any, Any]:
     return keys[firsts][seen], sums[seen]
 
 
-class ArrayKernelEngine:
-    """One ``insert_batch`` call's worth of chunk ingestion.
+def ingest_chunk(
+    sketch: "DaVinciSketch",
+    keys: Sequence[object],
+    counts: Optional[Sequence[Any]],
+) -> None:
+    """Ingest one chunk; ``counts is None`` means one per key.
 
-    Constructed per call; mirrors the frequent part into arrays on the
-    first array chunk and must be flushed before the call returns.  A
-    chunk the arrays cannot express exactly is flushed past and handed
-    to :meth:`DaVinciSketch._insert_totals`, the per-item oracle, so
-    mixing the two mid-stream is exact.
+    A chunk the arrays cannot express exactly is handed to
+    :meth:`DaVinciSketch._insert_totals`, the per-item oracle, so mixing
+    the two mid-stream is exact.  Raises before mutating anything for an
+    unsupported key (as :func:`canonical_keys` does) or, via the
+    fallback, for a count that is not an integer or a total that would
+    leave int64.
     """
+    if _inv.ENABLED and counts is not None:
+        for count in counts:
+            _inv.check_counter_int(count, "DaVinciSketch.insert_batch count")
+    canonical = canonical_keys(keys)
+    admitted = _admit(sketch, counts, len(canonical))
+    if admitted is not None and _apply(sketch, canonical, *admitted):
+        return
+    sketch._insert_totals(canonical.tolist(), counts)
 
-    def __init__(self, sketch: "DaVinciSketch") -> None:
-        self.sketch = sketch
-        #: the frequent part as arrays (None while not mirrored)
-        self._table: Optional["BucketArrays"] = None
 
-    def flush(self) -> None:
-        """Write the mirrored buckets back into the frequent part."""
-        if self._table is not None:
-            self.sketch.fp.store_arrays(self._table)
-            self._table = None
+def _admit(
+    sketch: "DaVinciSketch", counts: Optional[Sequence[Any]], n: int
+) -> Optional[Tuple[Optional[Any], int]]:
+    """``(int64 weights or None for unit counts, chunk total)``.
 
-    def ingest(
-        self, keys: Sequence[object], counts: Optional[Sequence[Any]]
-    ) -> None:
-        """Ingest one chunk; ``counts is None`` means one per key.
-
-        Raises before mutating anything for an unsupported key (as
-        :func:`canonical_keys` does) or, via the fallback's aggregation,
-        for a count that is not an integer.
-        """
-        if _inv.ENABLED and counts is not None:
-            for count in counts:
-                _inv.check_counter_int(count, "DaVinciSketch.insert_batch count")
-        canonical = canonical_keys(keys)
-        admitted = self._admit(counts, len(canonical))
-        if admitted is not None and self._apply(canonical, *admitted):
-            return
-        self.flush()
-        self.sketch._insert_totals(canonical.tolist(), counts)
-
-    def _admit(
-        self, counts: Optional[Sequence[Any]], n: int
-    ) -> Optional[Tuple[Optional[Any], int]]:
-        """``(int64 weights or None for unit counts, chunk total)``.
-
-        ``None`` sends the chunk to the per-item fallback: counts numpy
-        cannot hold as int64, counts below 1, or totals that would leave
-        the exact window.
-        """
-        weights: Any = None
-        total = n
-        if counts is not None:
-            try:
-                weights = np.asarray(counts)
-            except (TypeError, ValueError, OverflowError):
-                return None
-            if weights.dtype.kind != "i" or weights.ndim != 1:
-                return None
-            weights = weights.astype(np.int64, copy=False)
-            if int(weights.min()) < 1 or int(weights.max()) > (1 << 62) // n:
-                return None  # the chunk total itself could overflow int64
-            total = int(weights.sum())
-            if total == n:  # every count is 1
-                weights = None
-        if self.sketch.total_count + total >= _EXACT_LIMIT:
+    ``None`` sends the chunk to the per-item fallback: counts numpy
+    cannot hold as int64, counts below 1, or totals that would leave
+    the exact window.
+    """
+    weights: Any = None
+    total = n
+    if counts is not None:
+        try:
+            weights = np.asarray(counts)
+        except (TypeError, ValueError, OverflowError):
             return None
-        return weights, total
+        if weights.dtype.kind != "i" or weights.ndim != 1:
+            return None
+        weights = weights.astype(np.int64, copy=False)
+        if int(weights.min()) < 1 or int(weights.max()) > (1 << 62) // n:
+            return None  # the chunk total itself could overflow int64
+        total = int(weights.sum())
+        if total == n:  # every count is 1
+            weights = None
+    if sketch.total_count + total >= _EXACT_LIMIT:
+        return None
+    return weights, total
 
-    def _apply(
-        self, canonical: Any, weights: Optional[Any], total: int
-    ) -> bool:
-        """Apply one admitted chunk; False = refused (nothing mutated)."""
-        sketch = self.sketch
-        keys, totals = _first_seen_totals(canonical.astype(np.int64), weights)
-        table = self._table
-        if table is None:
-            table = sketch.fp.to_arrays()
-            if table is None:  # counters outside the exact window
-                return False
-            self._table = table
-        applied = sketch.fp.insert_batch(table, keys, totals)
-        if applied is None:  # rank-round blowup, refused before mutation
-            return False
-        demoted_keys, demoted_counts, accesses = applied
-        sketch._account(len(canonical), total, KERNEL_ARRAY)
-        sketch.memory_accesses += accesses
-        if len(demoted_keys):
-            sketch.memory_accesses += len(demoted_keys) * sketch.ef.num_levels
-            overflow_keys, overflow_counts = sketch.ef.offer_batch(
-                demoted_keys, demoted_counts
-            )
-            if len(overflow_keys):
-                sketch.memory_accesses += len(overflow_keys) * sketch.ifp.rows
-                sketch.ifp.insert_batch(overflow_keys, overflow_counts)
-        if _inv.ENABLED:
-            self._check_chunk_invariants(table)
-        return True
 
-    def _check_chunk_invariants(self, table: "BucketArrays") -> None:
-        """Array-state bounds after a chunk (sanitizer builds only).
-
-        The per-item path checks its invariants per update; the array
-        path re-establishes the same bounds once per chunk — resident FP
-        counts positive, occupancy within capacity, EF counters within
-        ``[0, cap]`` — which is the granularity at which its state is
-        observable.
-        """
-        fp = self.sketch.fp
-        occupancy = table.occupancy
-        _inv.check(
-            bool(
-                (occupancy >= 0).all()
-                and (occupancy <= fp.entries_per_bucket).all()
-            ),
-            "ArrayKernel: FP occupancy out of range",
+def _apply(
+    sketch: "DaVinciSketch", canonical: Any, weights: Optional[Any], total: int
+) -> bool:
+    """Apply one admitted chunk; False = refused (nothing mutated)."""
+    keys, totals = _first_seen_totals(canonical.astype(np.int64), weights)
+    applied = sketch.fp.insert_batch(keys, totals)
+    if applied is None:  # outside the exact window, or a round blowup
+        return False
+    demoted_keys, demoted_counts, accesses = applied
+    sketch._account(len(canonical), total, KERNEL_ARRAY)
+    sketch.memory_accesses += accesses
+    if len(demoted_keys):
+        sketch.memory_accesses += len(demoted_keys) * sketch.ef.num_levels
+        overflow_keys, overflow_counts = sketch.ef.offer_batch(
+            demoted_keys, demoted_counts
         )
-        resident = table.slots(np.zeros_like(occupancy), occupancy)
+        if len(overflow_keys):
+            sketch.memory_accesses += len(overflow_keys) * sketch.ifp.rows
+            sketch.ifp.insert_batch(overflow_keys, overflow_counts)
+    if _inv.ENABLED:
+        _check_chunk_invariants(sketch)
+    return True
+
+
+def _check_chunk_invariants(sketch: "DaVinciSketch") -> None:
+    """Array-state bounds after a chunk (sanitizer builds only).
+
+    The per-item path checks its invariants per update; the array path
+    re-establishes the same bounds once per chunk — resident FP counts
+    positive, occupancy within capacity, EF counters within ``[0, cap]``
+    — which is the granularity at which its state is observable.  The FP
+    is read through the same views its rank rounds write.
+    """
+    fp = sketch.fp
+    _keys, counts, _flags, occupancy, _ecnt, _flag = fp.bucket_arrays()
+    _inv.check(
+        bool(
+            (occupancy >= 0).all()
+            and (occupancy <= fp.entries_per_bucket).all()
+        ),
+        "ArrayKernel: FP occupancy out of range",
+    )
+    resident = np.arange(fp.entries_per_bucket) < occupancy[:, None]
+    _inv.check(
+        bool((counts[resident] >= 1).all()),
+        "ArrayKernel: resident FP count must be >= 1",
+    )
+    ef = sketch.ef
+    for level, cap in zip(ef.counter_arrays(), ef.level_caps):
         _inv.check(
-            bool((table.counts[resident] >= 1).all()),
-            "ArrayKernel: resident FP count must be >= 1",
+            bool((level >= 0).all() and (level <= cap).all()),
+            "ArrayKernel: EF counter outside [0, cap]",
         )
-        ef = self.sketch.ef
-        for level, cap in zip(ef.counter_arrays(), ef.level_caps):
-            _inv.check(
-                bool((level >= 0).all() and (level <= cap).all()),
-                "ArrayKernel: EF counter outside [0, cap]",
-            )

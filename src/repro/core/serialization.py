@@ -55,6 +55,7 @@ from repro.common.errors import (
     StateCorruptionError,
     UnverifiedStateWarning,
 )
+from repro.common.validation import INT64_MAX, INT64_MIN
 from repro.core.config import DaVinciConfig
 from repro.core.davinci import MODE_SIGNED, VALID_MODES, DaVinciSketch
 
@@ -187,14 +188,7 @@ def to_state(
         },
         "mode": sketch.mode,
         "total_count": sketch.total_count,
-        "frequent_part": [
-            {
-                "entries": [list(entry) for entry in bucket.entries],
-                "ecnt": bucket.ecnt,
-                "flag": bucket.flag,
-            }
-            for bucket in sketch.fp.buckets
-        ],
+        "frequent_part": sketch.fp.bucket_states(),
         "element_filter": [level.tolist() for level in sketch.ef.levels],
         "infrequent_part": {
             "ids": [list(row) for row in sketch.ifp.ids],
@@ -296,6 +290,11 @@ def _verify_frequent_part(
                     f"FP entry count {count} impossible for an unsigned "
                     f"sketch with total_count {total} — counter corruption"
                 )
+            if not INT64_MIN <= count <= INT64_MAX:
+                raise StateCorruptionError(
+                    f"FP entry count {count} outside int64 — counter "
+                    "corruption"
+                )
         ecnt = bucket_state.get("ecnt")
         if not _is_int(ecnt):
             raise ConfigurationError(
@@ -305,6 +304,11 @@ def _verify_frequent_part(
         if ecnt < 0:
             raise StateCorruptionError(
                 f"frequent-part bucket {index} ecnt {ecnt} is negative — "
+                "counter corruption"
+            )
+        if ecnt > INT64_MAX:
+            raise StateCorruptionError(
+                f"frequent-part bucket {index} ecnt {ecnt} outside int64 — "
                 "counter corruption"
             )
 
@@ -379,7 +383,8 @@ def verify_state(state: Dict[str, Any]) -> DaVinciConfig:
 
     Checks everything :func:`from_state` relies on *beyond* the digest:
     config field presence/types, mode/total_count consistency, frequent
-    part entry shape and counter bounds, element-filter counters within
+    part entry shape and counter bounds (``total_count``, FP counts and
+    ``ecnt`` within int64), element-filter counters within
     each level's bit range, and infrequent-part residues in ``[0, p)``.
 
     Raises :class:`~repro.common.errors.ConfigurationError` for malformed
@@ -419,6 +424,10 @@ def verify_state(state: Dict[str, Any]) -> DaVinciConfig:
         raise StateCorruptionError(
             f"negative total_count {total_count} is only meaningful for "
             "signed (difference) sketches"
+        )
+    if not INT64_MIN <= total_count <= INT64_MAX:
+        raise StateCorruptionError(
+            f"total_count {total_count} outside int64 — counter corruption"
         )
 
     _verify_frequent_part(state, config, signed, total_count)
@@ -470,13 +479,7 @@ def from_state(state: Dict[str, Any]) -> DaVinciSketch:
     sketch.mode = mode
     sketch.total_count = total_count
 
-    for bucket, bucket_state in zip(sketch.fp.buckets, state["frequent_part"]):
-        bucket.entries = [
-            [entry[0], entry[1], bool(entry[2])]
-            for entry in bucket_state["entries"]
-        ]
-        bucket.ecnt = bucket_state["ecnt"]
-        bucket.flag = bool(bucket_state["flag"])
+    sketch.fp.load_bucket_states(state["frequent_part"])
 
     sketch.ef.levels = [array("q", level) for level in state["element_filter"]]
 

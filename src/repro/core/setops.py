@@ -33,8 +33,9 @@ semantics: positive deltas are "more in A", negative "more in B".
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union, overload
+from typing import Optional, Union, overload
 
+from repro.common.validation import require_int64
 from repro.core.davinci import (
     MODE_ADDITIVE,
     MODE_SIGNED,
@@ -42,21 +43,6 @@ from repro.core.davinci import (
     DaVinciSketch,
 )
 from repro.core.degrade import DegradationPolicy, DegradedResult, execute
-
-
-def _merged_bucket_entries(
-    a: DaVinciSketch, b: DaVinciSketch, bucket_index: int, signed: bool
-) -> List[Tuple[int, int]]:
-    """Key-merged entries of one bucket pair, largest magnitude first."""
-    merged: Dict[int, int] = {}
-    for key, count, _flag in a.fp.buckets[bucket_index].entries:
-        merged[key] = merged.get(key, 0) + count
-    sign = -1 if signed else 1
-    for key, count, _flag in b.fp.buckets[bucket_index].entries:
-        merged[key] = merged.get(key, 0) + sign * count
-    entries = [(key, count) for key, count in merged.items() if count != 0]
-    entries.sort(key=lambda kv: (-abs(kv[1]), kv[0]))
-    return entries
 
 
 @overload
@@ -94,40 +80,30 @@ def _union_value(a: DaVinciSketch, b: DaVinciSketch) -> DaVinciSketch:
     a.check_compatible(b)
     result = a.empty_like()
     result.mode = MODE_ADDITIVE
-    result.total_count = a.total_count + b.total_count
+    result.total_count = require_int64(
+        "union total_count", a.total_count + b.total_count
+    )
 
     # Lower parts first, so that FP leftovers demoted below land on top of
     # the already-merged filter content (Alg. 3, lines 12-17).
     result.ef = a.ef.merged(b.ef)
     result.ifp = a.ifp.merged(b.ifp)
 
-    capacity = result.fp.entries_per_bucket
     threshold = result.ef.threshold
-    for i in range(result.fp.num_buckets):
-        entries = _merged_bucket_entries(a, b, i, signed=False)
-        keep, leftovers = entries[:capacity], entries[capacity:]
-        bucket = result.fp.buckets[i]
-        # Merged entries are conservatively flagged: either input may hold
-        # more of the key's mass in its lower parts (additive queries add
-        # the lower parts regardless, so the flag only matters for
-        # bookkeeping and re-export).
-        bucket.entries = [[key, count, True] for key, count in keep]
-        bucket.ecnt = a.fp.buckets[i].ecnt + b.fp.buckets[i].ecnt
-        evicted_any = bool(leftovers)
-        bucket.flag = a.fp.buckets[i].flag or b.fp.buckets[i].flag or evicted_any
-        for key, count in leftovers:
-            # State-independent demotion split.  ``offer`` would absorb
-            # ``T - current_estimate``, which depends on the filter's state
-            # at merge time and therefore on how a multi-way union is
-            # grouped; splitting at the threshold itself keeps the filter
-            # read for a demoted key at >= T (it re-promotes on sight),
-            # conserves the additive-query mass exactly, and makes the
-            # union of key-disjoint sketches byte-associative — the
-            # property the sharded merge tree relies on.
-            absorbed = min(count, threshold)
-            result.ef.add(key, absorbed)
-            if count > absorbed:
-                result.ifp.insert(key, count - absorbed)
+    result.fp, leftovers = a.fp.combined(b.fp, sign=1)
+    for key, count in leftovers:
+        # State-independent demotion split.  ``offer`` would absorb
+        # ``T - current_estimate``, which depends on the filter's state
+        # at merge time and therefore on how a multi-way union is
+        # grouped; splitting at the threshold itself keeps the filter
+        # read for a demoted key at >= T (it re-promotes on sight),
+        # conserves the additive-query mass exactly, and makes the
+        # union of key-disjoint sketches byte-associative — the
+        # property the sharded merge tree relies on.
+        absorbed = min(count, threshold)
+        result.ef.add(key, absorbed)
+        if count > absorbed:
+            result.ifp.insert(key, count - absorbed)
     result._decode_cache = None
     return result
 
@@ -169,22 +145,17 @@ def _difference_value(a: DaVinciSketch, b: DaVinciSketch) -> DaVinciSketch:
     a.check_compatible(b)
     result = a.empty_like()
     result.mode = MODE_SIGNED
-    result.total_count = a.total_count - b.total_count
+    result.total_count = require_int64(
+        "difference total_count", a.total_count - b.total_count
+    )
 
     result.ef = a.ef.subtracted(b.ef)
     result.ifp = a.ifp.subtracted(b.ifp)
 
-    capacity = result.fp.entries_per_bucket
-    for i in range(result.fp.num_buckets):
-        entries = _merged_bucket_entries(a, b, i, signed=True)
-        keep, leftovers = entries[:capacity], entries[capacity:]
-        bucket = result.fp.buckets[i]
-        bucket.entries = [[key, count, True] for key, count in keep]
-        bucket.ecnt = a.fp.buckets[i].ecnt + b.fp.buckets[i].ecnt
-        bucket.flag = a.fp.buckets[i].flag or b.fp.buckets[i].flag or bool(leftovers)
-        for key, count in leftovers:
-            # Signed counts bypass the filter's (unsigned) threshold
-            # pipeline and are encoded exactly into the infrequent part.
-            result.ifp.insert(key, count)
+    result.fp, leftovers = a.fp.combined(b.fp, sign=-1)
+    for key, count in leftovers:
+        # Signed counts bypass the filter's (unsigned) threshold
+        # pipeline and are encoded exactly into the infrequent part.
+        result.ifp.insert(key, count)
     result._decode_cache = None
     return result

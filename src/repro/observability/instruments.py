@@ -128,9 +128,7 @@ def frequent_part_metrics(
         "davinci_fp_flagged_buckets",
         "FP buckets that have ever evicted an entry (live callback gauge)",
     )
-    flagged.set_function(
-        lambda: sum(1 for bucket in fp.buckets if bucket.flag)
-    )
+    flagged.set_function(fp.flagged_buckets)
     return bundle
 
 

@@ -154,6 +154,6 @@ class TestMain:
         from pathlib import Path
 
         root = Path(__file__).resolve().parents[2]
-        for name in ("BENCH_ingest.json", "BENCH_checkpoint.json"):
+        for name in ("BENCH_kernel.json", "BENCH_checkpoint.json"):
             baseline = str(root / name)
             assert main([baseline, "--baseline", baseline]) == 0, name

@@ -263,6 +263,22 @@ class TestDeepValidation:
         with pytest.raises(StateCorruptionError, match="exceeds"):
             from_state(self._mutated(populated, mutate))
 
+    @pytest.mark.parametrize("field", ["count", "ecnt", "total_count"])
+    def test_signed_values_outside_int64(self, populated, field):
+        # a signed sketch bounds no count by its total; int64 still does
+        delta = populated.difference(DaVinciSketch(populated.config))
+        state = to_state(delta)
+        bucket = next(b for b in state["frequent_part"] if b["entries"])
+        if field == "count":
+            bucket["entries"][0][1] = 2**63
+        elif field == "ecnt":
+            bucket["ecnt"] = 2**63
+        else:
+            state["total_count"] = -(2**63) - 1
+        blob = json.dumps(sign_state(state)).encode("utf-8")
+        with pytest.raises(StateCorruptionError, match="int64"):
+            from_wire(blob)
+
     def test_verify_state_skips_digest(self, populated):
         """verify_state audits structure only; from_state owns the digest."""
         state = to_state(populated)

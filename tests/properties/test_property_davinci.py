@@ -70,10 +70,8 @@ class TestExactnessOnTinyInputs:
         sketch = DaVinciSketch(make_config())
         sketch.insert_all(stream)
         truth = Counter(stream)
-        if len(sketch.fp) + 0 < sketch.fp.capacity and all(
-            flag is False
-            for bucket in sketch.fp.buckets
-            for *_kc, flag in bucket.entries
+        if len(sketch.fp) + 0 < sketch.fp.capacity and not any(
+            sketch.fp.flagged_items()
         ):
             for key, count in truth.items():
                 assert sketch.query(key) == count

@@ -130,7 +130,9 @@ def test_difference_bucket_metadata_round_trips_wire_v2(left, right):
     rebuilt = from_wire(to_wire(delta, "sha256"))
     assert rebuilt.mode == "signed"
     assert rebuilt.to_state() == delta.to_state()
-    for mine, theirs in zip(delta.fp.buckets, rebuilt.fp.buckets):
-        assert theirs.ecnt == mine.ecnt
-        assert theirs.flag == mine.flag
-        assert theirs.entries == mine.entries
+    for mine, theirs in zip(
+        delta.fp.bucket_states(), rebuilt.fp.bucket_states()
+    ):
+        assert theirs["ecnt"] == mine["ecnt"]
+        assert theirs["flag"] == mine["flag"]
+        assert theirs["entries"] == mine["entries"]

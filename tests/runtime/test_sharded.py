@@ -286,9 +286,8 @@ class TestShardedIngestor:
         assert len(ingestor.shard_sketches) == 4
         router = ShardRouter(4)
         for index, shard in enumerate(ingestor.shard_sketches):
-            for bucket in shard.fp.buckets:
-                for key, _count, _flag in bucket.entries:
-                    assert router.shard_of(key) == index
+            for key, _count in shard.fp.items():
+                assert router.shard_of(key) == index
 
     def test_configuration_validation(self):
         config = small_config()

@@ -1,10 +1,10 @@
 """benchcheck — compare a fresh benchmark report against its baseline.
 
-The acceptance benchmarks (``benchmarks/bench_ingest.py``,
+The acceptance benchmarks (``benchmarks/bench_kernel.py``,
 ``benchmarks/bench_checkpoint.py``, ``benchmarks/bench_sharded.py`` and
-``benchmarks/bench_kernel.py``) write JSON reports; the committed
-``BENCH_ingest.json`` / ``BENCH_checkpoint.json`` /
-``BENCH_sharded.json`` / ``BENCH_kernel.json`` at the repo root are
+``benchmarks/bench_service.py``) write JSON reports; the committed
+``BENCH_kernel.json`` / ``BENCH_checkpoint.json`` /
+``BENCH_sharded.json`` / ``BENCH_service.json`` at the repo root are
 the blessed full-scale baselines.  This tool guards against performance
 regressions by comparing a *fresh* report against a baseline:
 
@@ -26,8 +26,8 @@ regressions by comparing a *fresh* report against a baseline:
 Exit status: 0 when every guard holds, 1 on any regression, 2 on a
 malformed invocation or unreadable report.  Intended entry points::
 
-    python -m tools.benchcheck FRESH.json --baseline BENCH_ingest.json
-    make benchcheck       # quick benches + both comparisons
+    python -m tools.benchcheck FRESH.json --baseline BENCH_kernel.json
+    make benchcheck       # quick benches + their comparisons
 
 Absolute throughput numbers (items/second) are deliberately *not*
 guarded by default: they measure the runner, not the code.  Guard them
@@ -194,7 +194,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--baseline",
         required=True,
-        help="committed baseline JSON (e.g. BENCH_ingest.json)",
+        help="committed baseline JSON (e.g. BENCH_kernel.json)",
     )
     parser.add_argument(
         "--tolerance",
