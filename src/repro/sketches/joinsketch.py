@@ -76,8 +76,8 @@ class JoinSketch(InnerProductSketch):
     # stream operations
     # ------------------------------------------------------------------ #
     def insert(self, key: int, count: int = 1) -> None:
+        outcome = self.frequent.insert(key, count)  # raises before any write
         self.insertions += 1
-        outcome = self.frequent.insert(key, count)
         self.memory_accesses += outcome.accesses
         if outcome.demoted is not None:
             demoted_key, demoted_count = outcome.demoted

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.common.errors import ConfigurationError
 from repro.sketches import FastAGMS, JoinSketch, SkimmedSketch
 
 
@@ -76,6 +77,24 @@ class TestJoinSketch:
         b = JoinSketch.from_memory(4 * 1024, seed=1)
         with pytest.raises(ValueError):
             a.inner_product(b)
+
+    @pytest.mark.parametrize("key", [2**63, 2**64 - 1])
+    def test_key_outside_int64_leaves_the_sketch_unchanged(self, key):
+        sketch = JoinSketch(fp_buckets=1, fp_entries=2, rows=3, width=16)
+        sketch.insert_all([1] * 50 + [2] * 40 + [3] * 5)  # a full bucket
+
+        def snapshot():
+            return (
+                sketch.insertions,
+                sketch.memory_accesses,
+                sketch.frequent.bucket_states(),
+                [list(row) for row in sketch.residual.counters],
+            )
+
+        before = snapshot()
+        with pytest.raises(ConfigurationError, match="int64"):
+            sketch.insert(key)
+        assert snapshot() == before
 
 
 class TestSkimmedSketch:
