@@ -13,8 +13,8 @@ This example runs the real pipeline end to end:
 1. a :class:`~repro.runtime.sharded.ShardedIngestor` spreads one site's
    stream across worker processes and merge-trees the shards back
    together (see ``docs/SCALING.md``);
-2. each vantage point ships its sketch as a digest-checked wire-format
-   v2 blob, the collector verifies and unions them.
+2. each vantage point ships its sketch as a digest-checked binary
+   wire-v3 blob, the collector verifies and unions them.
 
 Run:  python examples/distributed_aggregation.py
 """
@@ -55,7 +55,7 @@ def main(scale: float = 1.0) -> None:
     for index, site_packets in enumerate(slices):
         sketch = DaVinciSketch(config)
         sketch.insert_all(site_packets)
-        # Ship over the network as a checksummed wire-v2 blob: the
+        # Ship over the network as a checksummed wire-v3 blob: the
         # collector's from_wire() verifies the embedded digest before
         # trusting a single counter.
         blob = to_wire(sketch, "sha256")

@@ -1,42 +1,79 @@
-"""Serialization of DaVinci sketches to a checksummed wire format.
+"""Serialization of DaVinci sketches: the state dict and the wire blob.
 
 The distributed-aggregation use case (paper Algorithm 3) ships sketches
-between measurement points and a collector; this module provides the wire
-format: a nested dict of ints/lists/strings that round-trips through
-``json`` (or msgpack, etc.) without loss.
+between measurement points and a collector.  Two encodings exist:
 
-The state embeds the full :class:`~repro.core.config.DaVinciConfig`, so a
+* :func:`to_state` — a nested dict of ints/lists/strings (state
+  **version 2**) that round-trips through ``json`` without loss.  It is
+  the debugging view and what the golden digests pin.
+* :func:`to_wire` — a binary **wire v3** blob, what every push, fetch,
+  shard hand-off and checkpoint carries.  :func:`from_wire` reads v3,
+  and v2/v1 states sent as JSON bytes (first byte ``{``).
+
+Both embed the full :class:`~repro.core.config.DaVinciConfig`, so a
 deserialized sketch is merge-compatible with the original — same shapes,
 same hash seeds.
 
     state = sketch.to_state()          # or serialization.to_state(sketch)
-    wire  = json.dumps(state)
-    twin  = DaVinciSketch.from_state(json.loads(wire))
+    twin  = DaVinciSketch.from_state(json.loads(json.dumps(state)))
+    twin  = from_wire(to_wire(sketch))
 
-Integrity (wire-format **version 2**)
--------------------------------------
+Wire v3 layout
+--------------
+Little-endian throughout; ``k × c`` FP slots, ``d × w`` IFP buckets:
+
+=========  ==========================================================
+section    contents
+=========  ==========================================================
+header     ``b"DVSK"``, version (u8, 3), digest algorithm (u8: 0
+           sha256, 1 crc32), then u32 record length and u64 lengths of
+           the FP, EF and IFP sections
+record     compact JSON ``{"config", "mode", "total_count"}``
+FP         the six int64 buffers of
+           :meth:`~repro.core.frequent_part.FrequentPart.bucket_arrays`:
+           keys, counts, flags (``k·c`` each), occupancy, ``ecnt``,
+           bucket flag (``k`` each)
+EF         each level in the narrowest signed dtype holding ±its cap
+           (int8 for 2/4-bit, int16 for 8-bit, int32 for 16-bit, int64
+           for 32-bit levels)
+IFP        ``ids`` then ``counts``, ``d·w`` int64 each
+digest     sha256 (32 bytes) or crc32 (4 bytes) of every byte before it
+=========  ==========================================================
+
+:func:`to_wire` never truncates: a state int64 cannot hold (an IFP
+``icnt`` beyond int64, reachable by signed differences, or a prime
+``≥ 2^63``) raises :class:`~repro.common.errors.ConfigurationError`.
+
+Integrity
+---------
 A single flipped counter or truncated upload would silently corrupt all
-nine query tasks, so version-2 states embed a digest over the canonical
+nine query tasks.  Version-2 states embed a digest over the canonical
 JSON encoding of the payload::
 
     "digest": {"algo": "sha256", "value": "<hex>"}
 
-:func:`from_state` distinguishes three failure classes:
+and a v3 blob ends with a digest over its raw bytes.  Failures fall into
+three classes:
 
 * **malformed** — wrong structure (missing/mistyped fields, shape
   mismatches) → :class:`~repro.common.errors.ConfigurationError`;
 * **corrupted** — digest mismatch, a version-2 state missing its
-  mandatory digest, or deep-validation failures (see
-  :func:`verify_state`) → :class:`~repro.common.errors.StateCorruptionError`;
+  mandatory digest, a v3 blob whose config disagrees with its payload,
+  or deep-validation failures (see :func:`verify_state`) →
+  :class:`~repro.common.errors.StateCorruptionError`;
 * **incompatible** — a version this build cannot read →
   :class:`~repro.common.errors.ConfigurationError` naming the version.
 
+:func:`from_wire` checks a v3 blob in this order: the digest; the
+declared section lengths against the payload and the config's shapes,
+before any sketch is allocated (memory grows with the payload, not with
+the declared config); the counter ranges, as vectorized numpy checks.
+Only then is the sketch built, straight into its buffers.
+
 Version-1 states (no digest) still load, with a
 :class:`~repro.common.errors.UnverifiedStateWarning` — corruption in them
-is undetectable, so re-serialize legacy blobs when you can.
-
-For byte-level transport use :func:`to_wire` / :func:`from_wire`: any
-single bit-flip or truncation of a wire blob surfaces as
+is undetectable, so re-serialize legacy blobs when you can.  Any single
+bit-flip or truncation of a v3 blob or a v2 JSON blob surfaces as
 :class:`~repro.common.errors.StateCorruptionError`, never as a
 wrong-but-plausible sketch.
 """
@@ -45,10 +82,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import struct
 import warnings
 import zlib
 from array import array
 from typing import Any, Dict, List, Tuple, Union
+
+import numpy as np
 
 from repro.common.errors import (
     ConfigurationError,
@@ -59,13 +99,21 @@ from repro.common.validation import INT64_MAX, INT64_MIN
 from repro.core.config import DaVinciConfig
 from repro.core.davinci import MODE_SIGNED, VALID_MODES, DaVinciSketch
 
-#: current wire-format version (emitted by :func:`to_state`)
+#: current state-dict version (emitted by :func:`to_state`)
 STATE_VERSION = 2
 
 #: every version :func:`from_state` can still read
 READABLE_VERSIONS = (1, 2)
 
-#: digest algorithms the integrity layer understands
+#: wire-blob version emitted by :func:`to_wire`; :func:`from_wire` also
+#: reads :data:`READABLE_VERSIONS` states sent as JSON bytes
+WIRE_VERSION = 3
+
+#: the first bytes of a wire-v3 blob (a JSON state starts with ``{``)
+WIRE_MAGIC = b"DVSK"
+
+#: digest algorithms the integrity layer understands; a v3 header
+#: names one by its index here
 DIGEST_ALGOS = ("sha256", "crc32")
 
 #: default digest algorithm for new states
@@ -73,6 +121,32 @@ DEFAULT_DIGEST_ALGO = "sha256"
 
 #: the sketch's decodable key domain (matches ``InfrequentPart.max_key``)
 _MAX_KEY = 1 << 32
+
+#: v3 header: magic, version, digest algorithm, record length, then the
+#: FP, EF and IFP section lengths
+_WIRE_HEADER = struct.Struct("<4sBBIQQQ")
+
+#: v3 trailing digest size per algorithm
+_DIGEST_SIZES = {"sha256": 32, "crc32": 4}
+
+#: the v3 dtype of an EF level by counter bits: the narrowest signed
+#: integer holding ±its cap
+_EF_WIRE_DTYPES = {
+    2: np.dtype("<i1"),
+    4: np.dtype("<i1"),
+    8: np.dtype("<i2"),
+    16: np.dtype("<i4"),
+    32: np.dtype("<i8"),
+}
+
+_INT64_WIRE = np.dtype("<i8")
+
+#: a JSON state lists every EF counter, IFP bucket and FP bucket, but not
+#: the FP's per-bucket capacity, so a small blob could declare a huge
+#: ``fp_entries``: :func:`from_wire` refuses FP buffers larger than this
+#: multiple of the blob (states :func:`to_state` writes for ``c ≤ 50``
+#: stay below it)
+_JSON_FP_EXPANSION = 32
 
 #: required config fields and the JSON types they must arrive as
 _CONFIG_FIELDS: Tuple[Tuple[str, Tuple[type, ...], str], ...] = (
@@ -163,29 +237,33 @@ def _verify_digest(state: Dict[str, Any]) -> None:
 # --------------------------------------------------------------------- #
 # capture
 # --------------------------------------------------------------------- #
+def _config_state(config: DaVinciConfig) -> Dict[str, Any]:
+    """The ``config`` mapping both encodings carry."""
+    return {
+        "fp_buckets": config.fp_buckets,
+        "fp_entries": config.fp_entries,
+        "ef_level_widths": list(config.ef_level_widths),
+        "ef_level_bits": list(config.ef_level_bits),
+        "ifp_rows": config.ifp_rows,
+        "ifp_width": config.ifp_width,
+        "lambda_evict": config.lambda_evict,
+        "filter_threshold": config.filter_threshold,
+        "prime": config.prime,
+        "seed": config.seed,
+    }
+
+
 def to_state(
     sketch: DaVinciSketch, digest_algo: str = DEFAULT_DIGEST_ALGO
 ) -> Dict[str, Any]:
     """Capture a sketch's complete state as JSON-compatible data.
 
-    Emits wire-format version 2: the payload plus an embedded integrity
+    Emits state version 2: the payload plus an embedded integrity
     digest (``sha256`` by default; ``crc32`` for checkpoint-rate signing).
     """
-    config = sketch.config
     state: Dict[str, Any] = {
         "version": STATE_VERSION,
-        "config": {
-            "fp_buckets": config.fp_buckets,
-            "fp_entries": config.fp_entries,
-            "ef_level_widths": list(config.ef_level_widths),
-            "ef_level_bits": list(config.ef_level_bits),
-            "ifp_rows": config.ifp_rows,
-            "ifp_width": config.ifp_width,
-            "lambda_evict": config.lambda_evict,
-            "filter_threshold": config.filter_threshold,
-            "prime": config.prime,
-            "seed": config.seed,
-        },
+        "config": _config_state(sketch.config),
         "mode": sketch.mode,
         "total_count": sketch.total_count,
         "frequent_part": sketch.fp.bucket_states(),
@@ -198,19 +276,85 @@ def to_state(
     return sign_state(state, digest_algo)
 
 
+def _raw_digest(data: Union[bytes, memoryview], algo: str) -> bytes:
+    """The v3 trailing digest of ``data`` under ``algo``."""
+    if algo == "crc32":
+        return struct.pack("<I", zlib.crc32(data) & 0xFFFFFFFF)
+    return hashlib.sha256(data).digest()
+
+
 def to_wire(
     sketch: DaVinciSketch, digest_algo: str = DEFAULT_DIGEST_ALGO
 ) -> bytes:
-    """Serialize a sketch to self-verifying UTF-8 JSON bytes."""
-    return json.dumps(to_state(sketch, digest_algo)).encode("utf-8")
+    """Serialize a sketch to a self-verifying wire-v3 blob.
+
+    Raises :class:`~repro.common.errors.ConfigurationError` for an
+    unknown ``digest_algo`` and for a state the v3 arrays cannot hold
+    exactly (an IFP ``icnt`` outside int64, a prime ``≥ 2^63``).
+    """
+    if digest_algo not in DIGEST_ALGOS:
+        raise ConfigurationError(
+            f"unknown digest algorithm {digest_algo!r}; expected one of "
+            f"{DIGEST_ALGOS}"
+        )
+    config = sketch.config
+    if config.prime > INT64_MAX:
+        raise ConfigurationError(
+            f"prime {config.prime} leaves int64: wire v3 carries IFP "
+            "residues as int64"
+        )
+    record = json.dumps(
+        {
+            "config": _config_state(config),
+            "mode": sketch.mode,
+            "total_count": sketch.total_count,
+        },
+        separators=(",", ":"),
+    ).encode("utf-8")
+    fp = b"".join(
+        view.astype(_INT64_WIRE, copy=False).tobytes()
+        for view in sketch.fp.bucket_arrays()
+    )
+    ef_levels = []
+    for index, (level, bits) in enumerate(
+        zip(sketch.ef.counter_arrays(), config.ef_level_bits)
+    ):
+        dtype = _EF_WIRE_DTYPES[bits]
+        limits = np.iinfo(dtype)
+        if int(level.min()) < limits.min or int(level.max()) > limits.max:
+            raise ConfigurationError(
+                f"element-filter level {index} holds a counter outside "
+                f"{dtype.name}; wire v3 cannot carry it exactly"
+            )
+        ef_levels.append(level.astype(dtype).tobytes())
+    ef = b"".join(ef_levels)
+    try:
+        ifp = np.array(
+            [sketch.ifp.ids, sketch.ifp.counts], dtype=_INT64_WIRE
+        ).tobytes()
+    except OverflowError:
+        raise ConfigurationError(
+            "an infrequent-part icnt leaves int64: wire v3 cannot carry "
+            "it exactly (to_state() still can)"
+        ) from None
+    header = _WIRE_HEADER.pack(
+        WIRE_MAGIC,
+        WIRE_VERSION,
+        DIGEST_ALGOS.index(digest_algo),
+        len(record),
+        len(fp),
+        len(ef),
+        len(ifp),
+    )
+    body = b"".join((header, record, fp, ef, ifp))
+    return body + _raw_digest(body, digest_algo)
 
 
 # --------------------------------------------------------------------- #
 # deep validation
 # --------------------------------------------------------------------- #
-def _parse_config(state: Dict[str, Any]) -> DaVinciConfig:
-    """Parse ``state["config"]``, mapping malformed payloads to clear errors."""
-    raw = state["config"]
+def _check_config_fields(raw: object) -> Dict[str, Any]:
+    """Check a raw ``config`` mapping's fields are present and typed."""
     if not isinstance(raw, dict):
         raise ConfigurationError(
             f"config must be a mapping, got {type(raw).__name__}"
@@ -233,20 +377,52 @@ def _parse_config(state: Dict[str, Any]) -> DaVinciConfig:
                     f"config field {name!r} must contain only integers, "
                     f"got {type(element).__name__} ({element!r})"
                 )
+    return raw
+
+
+def _parse_config(fields: Dict[str, Any]) -> DaVinciConfig:
+    """Build the config from :func:`_check_config_fields` output."""
     # semantic validation (positivity, primality, level shapes) happens in
     # DaVinciConfig.__post_init__ and also raises ConfigurationError
     return DaVinciConfig(
-        fp_buckets=raw["fp_buckets"],
-        fp_entries=raw["fp_entries"],
-        ef_level_widths=tuple(raw["ef_level_widths"]),
-        ef_level_bits=tuple(raw["ef_level_bits"]),
-        ifp_rows=raw["ifp_rows"],
-        ifp_width=raw["ifp_width"],
-        lambda_evict=raw["lambda_evict"],
-        filter_threshold=raw["filter_threshold"],
-        prime=raw["prime"],
-        seed=raw["seed"],
+        fp_buckets=fields["fp_buckets"],
+        fp_entries=fields["fp_entries"],
+        ef_level_widths=tuple(fields["ef_level_widths"]),
+        ef_level_bits=tuple(fields["ef_level_bits"]),
+        ifp_rows=fields["ifp_rows"],
+        ifp_width=fields["ifp_width"],
+        lambda_evict=fields["lambda_evict"],
+        filter_threshold=fields["filter_threshold"],
+        prime=fields["prime"],
+        seed=fields["seed"],
     )
+
+
+def _parse_header(state: Dict[str, Any]) -> Tuple[str, bool, int]:
+    """Check ``mode`` and ``total_count``; return ``(mode, signed, total)``."""
+    mode = state.get("mode")
+    if mode not in VALID_MODES:
+        raise ConfigurationError(
+            f"unknown sketch mode {mode!r}; expected one of {VALID_MODES} "
+            "(an unvalidated mode would silently fall through query "
+            "dispatch to the standard path)"
+        )
+    signed = mode == MODE_SIGNED
+    total_count = state.get("total_count")
+    if not _is_int(total_count):
+        raise ConfigurationError(
+            f"total_count must be an integer, got {total_count!r}"
+        )
+    if total_count < 0 and not signed:
+        raise StateCorruptionError(
+            f"negative total_count {total_count} is only meaningful for "
+            "signed (difference) sketches"
+        )
+    if not INT64_MIN <= total_count <= INT64_MAX:
+        raise StateCorruptionError(
+            f"total_count {total_count} outside int64 — counter corruption"
+        )
+    return mode, signed, total_count
 
 
 def _verify_frequent_part(
@@ -344,12 +520,16 @@ def _verify_infrequent_part(
     ifp_state = state["infrequent_part"]
     if not isinstance(ifp_state, dict):
         raise ConfigurationError("infrequent-part state must be a mapping")
-    expected_shape = [config.ifp_width] * config.ifp_rows
     for field in ("ids", "counts"):
         rows = ifp_state.get(field)
-        if not isinstance(rows, list) or [
-            len(row) if isinstance(row, list) else -1 for row in rows
-        ] != expected_shape:
+        if (
+            not isinstance(rows, list)
+            or len(rows) != config.ifp_rows
+            or any(
+                not isinstance(row, list) or len(row) != config.ifp_width
+                for row in rows
+            )
+        ):
             raise ConfigurationError(
                 "infrequent-part state does not match config"
             )
@@ -405,30 +585,8 @@ def verify_state(state: Dict[str, Any]) -> DaVinciConfig:
         if field not in state:
             raise ConfigurationError(f"state is missing its {field!r} section")
 
-    config = _parse_config(state)
-
-    mode = state.get("mode")
-    if mode not in VALID_MODES:
-        raise ConfigurationError(
-            f"unknown sketch mode {mode!r}; expected one of {VALID_MODES} "
-            "(an unvalidated mode would silently fall through query "
-            "dispatch to the standard path)"
-        )
-    signed = mode == MODE_SIGNED
-    total_count = state.get("total_count")
-    if not _is_int(total_count):
-        raise ConfigurationError(
-            f"total_count must be an integer, got {total_count!r}"
-        )
-    if total_count < 0 and not signed:
-        raise StateCorruptionError(
-            f"negative total_count {total_count} is only meaningful for "
-            "signed (difference) sketches"
-        )
-    if not INT64_MIN <= total_count <= INT64_MAX:
-        raise StateCorruptionError(
-            f"total_count {total_count} outside int64 — counter corruption"
-        )
+    config = _parse_config(_check_config_fields(state["config"]))
+    _mode, signed, total_count = _parse_header(state)
 
     _verify_frequent_part(state, config, signed, total_count)
     _verify_element_filter(state, config, signed)
@@ -491,31 +649,215 @@ def from_state(state: Dict[str, Any]) -> DaVinciSketch:
     return sketch
 
 
-def from_wire(blob: Union[bytes, bytearray, memoryview]) -> DaVinciSketch:
-    """Rebuild a sketch from :func:`to_wire` bytes.
+def _check_range(values: Any, low: int, high: int, message: str) -> None:
+    """Raise ``StateCorruptionError`` unless every value lies in
+    ``[low, high]``; ``message`` formats the offending ``{value}``."""
+    if values.size:
+        smallest, largest = int(values.min()), int(values.max())
+        if smallest < low or largest > high:
+            bad = smallest if smallest < low else largest
+            raise StateCorruptionError(
+                message.format(value=bad) + " — counter corruption"
+            )
 
-    Undecodable bytes (truncation, flipped structural characters) raise
+
+def _section_lengths(raw: Dict[str, Any]) -> Tuple[int, int, int]:
+    """The FP, EF and IFP section lengths a typed raw config implies."""
+    ef = 0
+    for width, bits in zip(raw["ef_level_widths"], raw["ef_level_bits"]):
+        if bits not in _EF_WIRE_DTYPES:
+            raise ConfigurationError(
+                f"ef counter bits must be one of {sorted(_EF_WIRE_DTYPES)}, "
+                f"got {bits}"
+            )
+        ef += width * _EF_WIRE_DTYPES[bits].itemsize
+    fp = 3 * 8 * raw["fp_buckets"] * (raw["fp_entries"] + 1)
+    return fp, ef, 16 * raw["ifp_rows"] * raw["ifp_width"]
+
+
+def _from_wire_v3(data: bytes) -> DaVinciSketch:
+    """Verify and rebuild a wire-v3 blob (order: module docstring)."""
+    if len(data) < _WIRE_HEADER.size:
+        raise StateCorruptionError(
+            "wire-v3 blob is shorter than its header — truncated"
+        )
+    _magic, version, algo_index, *lengths = _WIRE_HEADER.unpack_from(data)
+    if algo_index >= len(DIGEST_ALGOS):
+        raise StateCorruptionError(
+            f"wire-v3 blob names unknown digest algorithm {algo_index} — "
+            "corrupted or tampered"
+        )
+    algo = DIGEST_ALGOS[algo_index]
+    body_len = len(data) - _DIGEST_SIZES[algo]
+    body = memoryview(data)[:body_len]
+    if (
+        body_len < _WIRE_HEADER.size
+        or _raw_digest(body, algo) != data[body_len:]
+    ):
+        raise StateCorruptionError(
+            f"wire-v3 digest mismatch ({algo}) — the blob was corrupted "
+            "in transit or at rest"
+        )
+    if version != WIRE_VERSION:
+        raise ConfigurationError(
+            f"unsupported wire version {version} (this build writes "
+            f"version {WIRE_VERSION})"
+        )
+    record_len, *section_lens = lengths
+    if _WIRE_HEADER.size + sum(lengths) != body_len:
+        raise StateCorruptionError(
+            "wire-v3 section lengths disagree with the payload length"
+        )
+
+    offset = _WIRE_HEADER.size + record_len
+    try:
+        record = json.loads(bytes(body[_WIRE_HEADER.size : offset]))
+    except (ValueError, RecursionError) as exc:
+        raise StateCorruptionError(
+            f"wire-v3 config record is not decodable JSON ({exc})"
+        ) from exc
+    if not isinstance(record, dict) or "config" not in record:
+        raise StateCorruptionError("wire-v3 config record is not a mapping")
+    raw = _check_config_fields(record["config"])
+    expected = _section_lengths(raw)
+    if list(expected) != section_lens:
+        raise StateCorruptionError(
+            f"wire-v3 config implies sections of {list(expected)} bytes but "
+            f"the blob carries {section_lens}"
+        )
+    config = _parse_config(raw)
+    mode, signed, total = _parse_header(record)
+    bound = max(total, 0)
+
+    k, c = config.fp_buckets, config.fp_entries
+    fp = np.frombuffer(data, _INT64_WIRE, 3 * k * (c + 1), offset)
+    keys, counts, flags, occupancy, ecnt, bucket_flag = np.split(
+        fp, np.cumsum([k * c, k * c, k * c, k, k])
+    )
+    keys, counts, flags = (part.reshape(k, c) for part in (keys, counts, flags))
+    _check_range(
+        occupancy, 0, c, f"frequent-part occupancy {{value}} outside [0, {c}]"
+    )
+    resident = np.arange(c) < occupancy[:, None]
+    padding = ~resident
+    if keys[padding].any() or counts[padding].any() or flags[padding].any():
+        raise StateCorruptionError(
+            "frequent-part padding slot holds a nonzero value — counter "
+            "corruption"
+        )
+    _check_range(
+        keys[resident],
+        1,
+        _MAX_KEY - 1,
+        f"FP entry key {{value}} outside the decodable domain [1, {_MAX_KEY})",
+    )
+    if not signed:
+        _check_range(
+            counts[resident],
+            0,
+            bound,
+            "FP entry count {value} impossible for an unsigned sketch with "
+            f"total_count {total}",
+        )
+    _check_range(flags, 0, 1, "FP entry flag {value} is not 0 or 1")
+    _check_range(
+        bucket_flag, 0, 1, "frequent-part bucket flag {value} is not 0 or 1"
+    )
+    _check_range(ecnt, 0, INT64_MAX, "frequent-part ecnt {value} is negative")
+    offset += fp.nbytes
+
+    levels = []
+    for index, (width, bits) in enumerate(
+        zip(config.ef_level_widths, config.ef_level_bits)
+    ):
+        level = np.frombuffer(data, _EF_WIRE_DTYPES[bits], width, offset)
+        offset += level.nbytes
+        cap = (1 << bits) - 1
+        low = -cap if signed else 0
+        _check_range(
+            level,
+            low,
+            cap,
+            f"element-filter level {index} counter {{value}} outside its "
+            f"{bits}-bit range [{low}, {cap}]",
+        )
+        levels.append(level)
+
+    d, w = config.ifp_rows, config.ifp_width
+    ifp = np.frombuffer(data, _INT64_WIRE, 2 * d * w, offset)
+    ids, icnt = ifp.reshape(2, d, w)
+    _check_range(
+        ids,
+        0,
+        config.prime - 1,
+        "infrequent-part iID residue {value} outside the field "
+        f"[0, {config.prime})",
+    )
+    if not signed:
+        _check_range(
+            icnt,
+            -bound,
+            bound,
+            f"infrequent-part icnt {{value}} exceeds the stream total {total}",
+        )
+
+    sketch = DaVinciSketch(config)
+    sketch.mode = mode
+    sketch.total_count = total
+    for view, section in zip(
+        sketch.fp.bucket_arrays(),
+        (keys, counts, flags, occupancy, ecnt, bucket_flag),
+    ):
+        view[...] = section
+    for view, level in zip(sketch.ef.counter_arrays(), levels):
+        view[...] = level
+    sketch.ifp.ids = ids.tolist()
+    sketch.ifp.counts = icnt.tolist()
+    return sketch
+
+
+def from_wire(blob: Union[bytes, bytearray, memoryview]) -> DaVinciSketch:
+    """Rebuild a sketch from :func:`to_wire` bytes (or a v1/v2 JSON state).
+
+    Undecodable bytes (truncation, flipped bits) raise
     :class:`~repro.common.errors.StateCorruptionError` — a wire blob is
     self-described as a signed state, so *any* parse failure is evidence
     of corruption rather than a caller-side type mistake.
     """
+    data = bytes(blob)
+    if data[: len(WIRE_MAGIC)] == WIRE_MAGIC:
+        return _from_wire_v3(data)
     try:
-        state = json.loads(bytes(blob).decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
+        state = json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
         raise StateCorruptionError(
-            f"state blob is not decodable JSON ({exc}) — truncated or "
-            "corrupted in transit"
+            f"state blob is neither wire v3 nor decodable JSON ({exc}) — "
+            "truncated or corrupted in transit"
         ) from exc
     if not isinstance(state, dict):
         raise StateCorruptionError(
             "state blob decoded to a non-mapping — corrupted in transit"
         )
+    config = state.get("config")
+    if isinstance(config, dict):
+        buckets, entries = config.get("fp_buckets"), config.get("fp_entries")
+        if (
+            _is_int(buckets)
+            and _is_int(entries)
+            and 24 * buckets * (entries + 1) > _JSON_FP_EXPANSION * len(data)
+        ):
+            raise StateCorruptionError(
+                f"JSON state declares a {buckets}×{entries} frequent part, "
+                f"too large for its {len(data)}-byte blob — forged or corrupted"
+            )
     return from_state(state)
 
 
 __all__: List[str] = [
     "STATE_VERSION",
     "READABLE_VERSIONS",
+    "WIRE_VERSION",
+    "WIRE_MAGIC",
     "DIGEST_ALGOS",
     "DEFAULT_DIGEST_ALGO",
     "canonical_payload",

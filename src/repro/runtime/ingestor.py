@@ -23,8 +23,11 @@ The ingestor owns a directory with two files:
 ``checkpoint.json``
     The newest durable sketch snapshot::
 
-        {"format": 1, "applied_seq": 7, "items_ingested": 57344,
-         "state": {…v2 signed state…}, "crc": "…"}
+        {"format": 2, "applied_seq": 7, "items_ingested": 57344,
+         "sketch": "…base64 wire-v3 blob…", "crc": "…"}
+
+    Recovery also reads format 1, which embeds the v2 state dict as
+    ``"state"`` in place of ``"sketch"``.
 
     Written atomically (temp file → flush → fsync → ``os.replace`` →
     directory fsync), so a crash at any instant leaves either the old or
@@ -33,7 +36,7 @@ The ingestor owns a directory with two files:
 
 Recovery (performed by the constructor whenever the directory already
 holds state) loads the checkpoint, verifies both its own CRC and the
-embedded state's digest, replays every journal record with
+embedded sketch's digest, replays every journal record with
 ``seq > applied_seq``, and discards a torn trailing line.  Because chunk
 boundaries are recorded exactly and replay applies each record through
 ``insert_batch(pairs, chunk_size=len(pairs))`` — the same call the live
@@ -92,8 +95,11 @@ JOURNAL_FILENAME = "journal.log"
 #: checkpoint file name inside the ingestor directory
 CHECKPOINT_FILENAME = "checkpoint.json"
 
-#: checkpoint record format version
-_CHECKPOINT_FORMAT = 1
+#: checkpoint record format version: the sketch as a base64 wire-v3 blob
+_CHECKPOINT_FORMAT = 2
+
+#: the previous format, still recovered: the sketch as a v2 state dict
+_JSON_STATE_CHECKPOINT_FORMAT = 1
 
 IngestKey = Union[int, str, bytes]
 CrashHook = Callable[[str], None]
@@ -351,7 +357,10 @@ class CheckpointingIngestor:
         checkpoint = self._load_checkpoint()
         if checkpoint is not None:
             had_state = True
-            sketch = serialization.from_state(checkpoint["state"])
+            if checkpoint["format"] == _JSON_STATE_CHECKPOINT_FORMAT:
+                sketch = serialization.from_state(checkpoint["state"])
+            else:
+                sketch = serialization.from_wire(checkpoint["sketch"])
             if sketch.config != self.config:
                 raise ConfigurationError(
                     "checkpoint was written by a differently-configured "
@@ -408,13 +417,23 @@ class CheckpointingIngestor:
         record = _loads_payload(payload_blob)
         if not isinstance(record, dict):
             raise CheckpointError("checkpoint file holds a non-mapping")
-        if record.get("format") != _CHECKPOINT_FORMAT:
+        checkpoint_format = record.get("format")
+        if checkpoint_format == _JSON_STATE_CHECKPOINT_FORMAT:
+            sketch_ok = isinstance(record.get("state"), dict)
+        elif checkpoint_format == _CHECKPOINT_FORMAT:
+            try:
+                record["sketch"] = base64.b64decode(
+                    record.get("sketch"), validate=True
+                )
+                sketch_ok = True
+            except (TypeError, ValueError):
+                sketch_ok = False
+        else:
             raise CheckpointError(
-                f"unsupported checkpoint format {record.get('format')!r}"
+                f"unsupported checkpoint format {checkpoint_format!r}"
             )
         applied_seq = record.get("applied_seq")
         items = record.get("items_ingested")
-        state = record.get("state")
         if (
             not isinstance(applied_seq, int)
             or isinstance(applied_seq, bool)
@@ -422,7 +441,7 @@ class CheckpointingIngestor:
             or not isinstance(items, int)
             or isinstance(items, bool)
             or items < 0
-            or not isinstance(state, dict)
+            or not sketch_ok
         ):
             raise CheckpointError("checkpoint fields are malformed")
         return record
@@ -700,7 +719,9 @@ class CheckpointingIngestor:
             "applied_seq": self.applied_seq,
             "format": _CHECKPOINT_FORMAT,
             "items_ingested": self.items_ingested,
-            "state": serialization.to_state(self.sketch, self.digest_algo),
+            "sketch": base64.b64encode(
+                serialization.to_wire(self.sketch, self.digest_algo)
+            ).decode("ascii"),
         }
         # Single dump + CRC splice, same construction as journal lines.
         blob = _crc_line(payload)

@@ -23,7 +23,7 @@ single queryable sketch.  This module owns that pipeline:
     queues (a full queue blocks the producer — natural backpressure),
     and on
     :meth:`~ShardedIngestor.finalize` collects each worker's sketch as a
-    digest-verified wire-format-v2 blob and folds the shards through
+    digest-verified wire-v3 blob and folds the shards through
     :func:`repro.core.setops.union` in a binary merge tree.
 
 Byte-identity contract

@@ -425,7 +425,7 @@ class AggregationClient:
         *,
         deadline_seconds: Optional[float] = None,
     ) -> bytes:
-        """The aggregate's wire-v2 blob (for client-side merging)."""
+        """The aggregate's wire-v3 blob (for client-side merging)."""
         header = {"op": "FETCH", "aggregate": aggregate}
         _, blob = self._call(
             "FETCH", header, deadline_seconds=deadline_seconds

@@ -14,7 +14,7 @@ Payload layout::
     offset  size  field
     0       4     header length H
     4       H     header: one UTF-8 JSON object
-    4+H     rest  blob: raw bytes (a wire-v2 sketch state, or empty)
+    4+H     rest  blob: raw bytes (a wire-v3 sketch blob, or empty)
 
 The header carries the message semantics (``op``/``status`` plus
 request fields); the blob carries bulk binary state untouched — no

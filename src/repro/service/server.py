@@ -1,7 +1,7 @@
 """The aggregation server: named remote aggregates behind a TCP endpoint.
 
 A :class:`SketchServer` owns a set of *named aggregates*.  Each PUSH
-delivers one wire-v2 sketch blob to be union-folded into an aggregate
+delivers one wire-v3 sketch blob to be union-folded into an aggregate
 (the mergeable-state property the paper's Algorithm 3 provides — and,
 since PR 7, byte-associatively for key-disjoint shards, so the fold
 order over a partitioned workload cannot change the result bytes).

@@ -7,7 +7,7 @@ names.  Both ends use this table: the server runs a task against a
 stored aggregate; the cluster querier runs the same task against a
 locally merged fold of fetched shards.  ``encode_value`` /
 ``decode_value`` round-trip each task's result through JSON (sketch
-results travel as wire-v2 blobs instead).
+results travel as wire-v3 blobs instead).
 """
 
 from __future__ import annotations

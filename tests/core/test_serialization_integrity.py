@@ -1,27 +1,36 @@
 """Integrity layer: digests, corruption taxonomy, config hardening.
 
-Acceptance property: any single bit-flip or truncation of a version-2
-wire blob raises :class:`StateCorruptionError` — it must never load as a
-plausible-but-wrong sketch.  Version-1 blobs (no digest) still load,
-with an explicit :class:`UnverifiedStateWarning`.
+Acceptance property: any single bit-flip or truncation of a wire-v3 blob
+or a version-2 JSON blob raises :class:`StateCorruptionError` — it must
+never load as a plausible-but-wrong sketch.  A v3 blob whose digest is
+valid but whose content is impossible is corruption too.  Version-1
+blobs (no digest) still load, with an explicit
+:class:`UnverifiedStateWarning`.
 """
 
 from __future__ import annotations
 
 import json
+import tracemalloc
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import (
     ConfigurationError,
+    ReproError,
     StateCorruptionError,
     UnverifiedStateWarning,
 )
 from repro.core import serialization
+from repro.core.config import DaVinciConfig
 from repro.core.davinci import DaVinciSketch
 from repro.core.serialization import (
     _CONFIG_FIELDS,
+    _WIRE_HEADER,
+    _raw_digest,
     from_state,
     from_wire,
     sign_state,
@@ -41,10 +50,38 @@ def populated(small_config) -> DaVinciSketch:
     return sketch
 
 
+def _blob(sketch, fmt, algo="sha256") -> bytes:
+    """The sketch as a wire-v3 blob or as a version-2 JSON blob."""
+    if fmt == "v3":
+        return to_wire(sketch, digest_algo=algo)
+    return json.dumps(to_state(sketch, algo)).encode("utf-8")
+
+
+def _resign(blob: bytes) -> bytes:
+    """Replace a sha256-signed v3 blob's digest with a fresh one."""
+    body = blob[:-32]
+    return body + _raw_digest(body, "sha256")
+
+
+def _forge(record, sections=(b"", b"", b""), version=3) -> bytes:
+    """A signed v3 blob with an arbitrary record and section payloads."""
+    raw_record = json.dumps(record).encode("utf-8")
+    header = _WIRE_HEADER.pack(
+        serialization.WIRE_MAGIC,
+        version,
+        0,
+        len(raw_record),
+        *(len(section) for section in sections),
+    )
+    body = header + raw_record + b"".join(sections)
+    return body + _raw_digest(body, "sha256")
+
+
 class TestBitFlipSweep:
+    @pytest.mark.parametrize("fmt", ["v3", "v2"])
     @pytest.mark.parametrize("algo", ["sha256", "crc32"])
-    def test_every_sampled_bitflip_is_caught(self, populated, algo):
-        blob = to_wire(populated, digest_algo=algo)
+    def test_every_sampled_bitflip_is_caught(self, populated, algo, fmt):
+        blob = _blob(populated, fmt, algo)
         total_bits = 8 * len(blob)
         step = max(1, total_bits // 97)  # ~97 positions spread over the blob
         positions = list(range(0, total_bits, step))
@@ -66,11 +103,12 @@ class TestBitFlipSweep:
 
 class TestTruncationSweep:
     def test_every_sampled_truncation_is_caught(self, populated):
-        blob = to_wire(populated)
-        lengths = {0, 1, 2, len(blob) // 4, len(blob) // 2, len(blob) - 1}
-        for length in sorted(lengths):
-            with pytest.raises(StateCorruptionError):
-                from_wire(truncate(blob, length))
+        for fmt in ("v3", "v2"):
+            blob = _blob(populated, fmt)
+            lengths = {0, 1, 2, len(blob) // 4, len(blob) // 2, len(blob) - 1}
+            for length in sorted(lengths):
+                with pytest.raises(StateCorruptionError):
+                    from_wire(truncate(blob, length))
 
     def test_non_json_bytes_are_corruption(self):
         with pytest.raises(StateCorruptionError):
@@ -113,10 +151,9 @@ class TestDigestTaxonomy:
         assert twin.to_state() == populated.to_state()
 
     def test_digest_ignores_transport_formatting(self, populated):
-        """Re-encoding with different JSON whitespace stays verifiable."""
-        pretty = json.dumps(
-            json.loads(to_wire(populated)), indent=2, sort_keys=False
-        ).encode()
+        """Re-encoding a v2 state with different JSON whitespace stays
+        verifiable."""
+        pretty = json.dumps(to_state(populated), indent=2, sort_keys=False).encode()
         assert from_wire(pretty).to_state() == populated.to_state()
 
 
@@ -294,3 +331,213 @@ class TestDeepValidation:
         state["total_count"] += 1
         with pytest.raises(ConfigurationError):
             from_state(state)
+
+
+def _partly_filled(sketch):
+    """The FP views and a bucket holding at least one, not all, entries."""
+    views = sketch.fp.bucket_arrays()
+    occupancy = views[3]
+    bucket = next(
+        b for b, used in enumerate(occupancy) if 0 < used < sketch.fp.entries_per_bucket
+    )
+    return views, bucket
+
+
+def _set_fp(view_index, value, column=0):
+    def mutate(sketch):
+        views, bucket = _partly_filled(sketch)
+        if views[view_index].ndim == 2:
+            views[view_index][bucket, column] = value(sketch)
+        else:
+            views[view_index][bucket] = value(sketch)
+
+    return mutate
+
+
+def _set_ef(value):
+    def mutate(sketch):
+        sketch.ef.levels[0][0] = value(sketch)
+
+    return mutate
+
+
+def _set_ifp(field, value):
+    def mutate(sketch):
+        getattr(sketch.ifp, field)[0][0] = value(sketch)
+
+    return mutate
+
+
+#: one impossible value each, written by to_wire under a valid digest:
+#: the TestDeepValidation cases, then the checks only v3 makes.  FP
+#: counts and ecnt outside int64 have no counterpart: the v3 buffers are
+#: int64 and cannot hold them.
+FORGERIES = {
+    "fp_key_outside_domain": (_set_fp(0, lambda s: 0), "domain"),
+    "fp_count_above_stream_total": (
+        _set_fp(1, lambda s: s.total_count + 1),
+        "impossible",
+    ),
+    "negative_bucket_ecnt": (_set_fp(4, lambda s: -1), "negative"),
+    "ef_counter_above_bit_cap": (
+        _set_ef(lambda s: s.ef.level_caps[0] + 1),
+        "range",
+    ),
+    "negative_ef_counter_outside_signed_mode": (_set_ef(lambda s: -1), "range"),
+    "ifp_residue_outside_field": (
+        _set_ifp("ids", lambda s: s.config.prime),
+        "field",
+    ),
+    "ifp_count_above_stream_total": (
+        _set_ifp("counts", lambda s: s.total_count + 1),
+        "exceeds",
+    ),
+    "padding_key": (_set_fp(0, lambda s: 5, column=-1), "padding"),
+    "padding_count": (_set_fp(1, lambda s: 1, column=-1), "padding"),
+    "padding_flag": (_set_fp(2, lambda s: 1, column=-1), "padding"),
+    "entry_flag_not_boolean": (_set_fp(2, lambda s: 2), "flag"),
+    "bucket_flag_not_boolean": (_set_fp(5, lambda s: 2), "flag"),
+    "occupancy_above_capacity": (
+        _set_fp(3, lambda s: s.fp.entries_per_bucket + 1),
+        "occupancy",
+    ),
+    "negative_occupancy": (_set_fp(3, lambda s: -1), "occupancy"),
+}
+
+
+class TestForgedWireV3:
+    """A v3 blob with a valid digest and one impossible value is corruption."""
+
+    @pytest.fixture
+    def sparse(self, small_config) -> DaVinciSketch:
+        sketch = DaVinciSketch(small_config)
+        for key in range(1, 21):
+            sketch.insert(key, 3)
+        return sketch
+
+    @pytest.mark.parametrize("case", sorted(FORGERIES))
+    def test_forged_value_is_corruption(self, sparse, case):
+        mutate, match = FORGERIES[case]
+        from_wire(to_wire(sparse))  # intact: loads
+        mutate(sparse)
+        with pytest.raises(StateCorruptionError, match=match):
+            from_wire(to_wire(sparse))
+
+    def test_signed_total_count_outside_int64(self, populated):
+        delta = populated.difference(DaVinciSketch(populated.config))
+        delta.total_count = -(2**63) - 1
+        with pytest.raises(StateCorruptionError, match="int64"):
+            from_wire(to_wire(delta))
+
+    def test_digest_mismatch_is_corruption(self, populated):
+        """The v3 counterpart of a state whose digest does not verify."""
+        blob = bytearray(to_wire(populated))
+        blob[-1] ^= 0x01
+        with pytest.raises(StateCorruptionError, match="digest"):
+            from_wire(bytes(blob))
+        with pytest.raises(ConfigurationError):  # the catch contract
+            from_wire(bytes(blob))
+
+
+class TestHostileBlobs:
+    def test_config_larger_than_payload_is_rejected_before_allocation(
+        self, populated
+    ):
+        record = {
+            "config": dict(to_state(populated)["config"], fp_buckets=2**30),
+            "mode": "standard",
+            "total_count": 0,
+        }
+        blob = _forge(record, (b"\0" * 480, b"\0" * 160, b"\0" * 96))
+        assert len(blob) < 1100
+        tracemalloc.start()
+        try:
+            with pytest.raises(StateCorruptionError, match="implies"):
+                from_wire(blob)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * len(blob)
+
+    def test_json_state_declaring_a_huge_fp_is_rejected(self, populated):
+        """A v2 JSON blob lists no FP capacity; a forged one stays cheap."""
+        state = to_state(populated)
+        state["config"]["fp_entries"] = 2**40
+        blob = json.dumps(sign_state(state)).encode("utf-8")
+        with pytest.raises(StateCorruptionError, match="too large"):
+            from_wire(blob)
+
+    def test_json_state_declaring_huge_ifp_rows_is_a_typed_error(
+        self, populated
+    ):
+        state = to_state(populated)
+        state["config"]["ifp_rows"] = 2**70
+        blob = json.dumps(sign_state(state)).encode("utf-8")
+        with pytest.raises(ConfigurationError, match="infrequent"):
+            from_wire(blob)
+
+    def test_section_lengths_must_match_the_payload(self, populated):
+        blob = bytearray(to_wire(populated))
+        _WIRE_HEADER.pack_into(
+            blob, 0, *(_WIRE_HEADER.unpack_from(blob)[:-1]), 2**40
+        )
+        with pytest.raises(StateCorruptionError, match="lengths"):
+            from_wire(_resign(bytes(blob)))
+
+    def test_unknown_version_with_valid_digest_names_the_version(self):
+        with pytest.raises(ConfigurationError, match="version 9"):
+            from_wire(_forge({}, version=9))
+
+    def test_non_mapping_record_is_corruption(self):
+        with pytest.raises(StateCorruptionError, match="mapping"):
+            from_wire(_forge([1, 2, 3]))
+
+    def test_unknown_digest_algorithm_is_corruption(self, populated):
+        blob = bytearray(to_wire(populated))
+        blob[5] = 7
+        with pytest.raises(StateCorruptionError, match="algorithm"):
+            from_wire(bytes(blob))
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_resigned_byte_mutations_raise_only_typed_errors(self, data):
+        """Any body edit under a valid digest loads or raises a ReproError."""
+        config = DaVinciConfig(
+            fp_buckets=4,
+            fp_entries=2,
+            ef_level_widths=(16, 8),
+            ef_level_bits=(4, 8),
+            ifp_rows=2,
+            ifp_width=4,
+            filter_threshold=10,
+        )
+        sketch = DaVinciSketch(config)
+        sketch.insert_all([1, 2, 2, 3, 3, 3] * 5 + list(range(4, 40)))
+        blob = bytearray(to_wire(sketch))
+        body_len = len(blob) - 32
+        for _ in range(data.draw(st.integers(1, 4))):
+            at = data.draw(st.integers(0, body_len - 1))
+            blob[at] = data.draw(st.integers(0, 255))
+        try:
+            from_wire(_resign(bytes(blob)))
+        except ReproError:
+            pass
+
+
+class TestWireV3Exactness:
+    """to_wire raises for a state int64 cannot hold; it never truncates."""
+
+    def test_ifp_count_outside_int64(self, populated):
+        delta = populated.difference(DaVinciSketch(populated.config))
+        delta.ifp.counts[0][0] = 2**63
+        with pytest.raises(ConfigurationError, match="int64"):
+            to_wire(delta)
+        assert from_state(to_state(delta)).ifp.counts[0][0] == 2**63
+
+    def test_prime_at_or_above_two_to_the_63(self, small_config):
+        prime = 2**63 + 29  # the least prime above 2^63
+        config = DaVinciConfig(**{**small_config.__dict__, "prime": prime})
+        sketch = DaVinciSketch(config)
+        sketch.insert_all([1, 2, 3])
+        with pytest.raises(ConfigurationError, match="prime"):
+            to_wire(sketch)

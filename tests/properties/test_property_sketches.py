@@ -74,12 +74,20 @@ class TestInvertibleRoundtrips:
     )
     # all three hashes of 10365 hit one cell of a flat 128-cell table
     @example({10365: 1})
+    # 8438 and 19698 map to the same three cells: no peel separates them
+    @example({8438: 1, 19698: 1})
     @settings(max_examples=50, deadline=None)
     def test_lossradar_roundtrip(self, counts):
+        """Every decoded count is exact; decode is complete unless two
+        keys share a cell set, which stalls any peel."""
         sketch = LossRadar(cells=128, seed=4)
         for key, count in counts.items():
             sketch.insert(key, count)
-        assert sketch.decode() == counts
+        decoded = sketch.decode()
+        assert all(counts.get(key) == count for key, count in decoded.items())
+        cell_sets = {frozenset(sketch._cells_of(key)) for key in counts}
+        if len(cell_sets) == len(counts):
+            assert decoded == counts
 
     @given(
         counts=st.dictionaries(

@@ -8,6 +8,7 @@ to an uninterrupted run with the same chunking.
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 
@@ -22,6 +23,7 @@ from repro.runtime import (
     JOURNAL_FILENAME,
     CheckpointingIngestor,
 )
+from repro.runtime.ingestor import _crc_line
 from repro.testing import CrashInjector, InjectedCrash
 from tests.conftest import make_zipf_stream
 
@@ -285,8 +287,32 @@ class TestCheckpointFile:
         directory = tmp_path / "d"
         _run_to_completion(small_config, directory, _pairs(512), **FAST)
         record = json.loads((directory / CHECKPOINT_FILENAME).read_bytes())
-        config = serialization.verify_state(record["state"])
-        assert config == small_config
+        assert record["format"] == 2
+        # from_wire deep-verifies the embedded wire-v3 blob
+        sketch = serialization.from_wire(base64.b64decode(record["sketch"]))
+        assert sketch.config == small_config
+
+    def test_json_state_checkpoint_still_recovers(self, small_config, tmp_path):
+        """A format-1 checkpoint (the v2 state dict, no wire blob) loads."""
+        pairs = _pairs(1500)
+        baseline = _run_to_completion(small_config, tmp_path / "base", pairs, **FAST)
+        directory = tmp_path / "d"
+        directory.mkdir()
+        sketch = DaVinciSketch(small_config)
+        sketch.insert_batch(pairs[:1000], chunk_size=1000)
+        record = {
+            "applied_seq": 1,
+            "format": 1,
+            "items_ingested": 1000,
+            "state": sketch.to_state(),
+        }
+        (directory / CHECKPOINT_FILENAME).write_bytes(_crc_line(record))
+        ingestor = CheckpointingIngestor(small_config, directory, **FAST)
+        assert ingestor.recovered and ingestor.items_ingested == 1000
+        assert ingestor.sketch.to_state() == sketch.to_state()
+        ingestor.close()
+        resumed = _recover_and_finish(small_config, directory, pairs, **FAST)
+        assert resumed["total_count"] == baseline["total_count"]
 
     def test_config_mismatch_is_refused(self, small_config, tmp_path):
         directory = tmp_path / "d"
