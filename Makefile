@@ -52,7 +52,8 @@ test-debug:
 faults:
 	REPRO_DEBUG_INVARIANTS=1 $(PYTHON) -m pytest tests/runtime \
 		tests/core/test_degrade.py \
-		tests/core/test_serialization_integrity.py -q
+		tests/core/test_serialization_integrity.py \
+		tests/properties/test_property_serialization.py -q
 
 # networked fault suite: retries/dedup/breaker/shedding/drain plus the
 # chaos-proxy acceptance (convergence under resets, corruption, delays

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.common import invariants as _inv
 from repro.common.errors import ConfigurationError, IncompatibleSketchError
@@ -439,7 +439,7 @@ class FrequentPart:
     def bucket_states(self) -> List[Dict[str, Any]]:
         """Per bucket ``{"entries": [[key, count, flag], ...], "ecnt", "flag"}``.
 
-        Flags are bools.  :meth:`load_bucket_states` reads it back.
+        Flags are bools.
         """
         entries = list(map(list, zip(*self._entries())))
         states: List[Dict[str, Any]] = []
@@ -450,41 +450,6 @@ class FrequentPart:
             )
             end += used
         return states
-
-    def load_bucket_states(self, states: List[Dict[str, Any]]) -> None:
-        """Replace the table with :meth:`bucket_states` output.
-
-        Each bucket may hold at most ``c`` entries.  A count or ``ecnt``
-        outside int64 raises
-        :class:`~repro.common.errors.ConfigurationError` with the table
-        unchanged.
-        """
-        rows = [state["entries"] for state in states]
-        entries = [entry for row in rows for entry in row]
-        self._load(
-            *(zip(*entries) if entries else ((), (), ())),
-            [len(row) for row in rows],
-            [state["ecnt"] for state in states],
-            [bool(state["flag"]) for state in states],
-        )
-
-    def _load(self, *columns: Sequence[int]) -> None:
-        """Replace the table with ``(keys, counts, flags)`` of the resident
-        entries in bucket order, then per bucket ``(occupancy, ecnt, flag)``.
-        """
-        try:
-            arrays = [np.array(column, dtype=np.int64) for column in columns]
-        except OverflowError:
-            raise ConfigurationError(
-                "a frequent-part count or ecnt leaves the int64 range"
-            ) from None
-        views = self.bucket_arrays()
-        mask = np.arange(self.entries_per_bucket) < arrays[3][:, None]
-        for view, column in zip(views[:3], arrays[:3]):
-            view[...] = 0
-            view[mask] = column
-        for view, column in zip(views[3:], arrays[3:]):
-            view[:] = column
 
     # ------------------------------------------------------------------ #
     # structure checks / set operations
@@ -555,5 +520,16 @@ class FrequentPart:
             leftovers.extend(rest)
         ecnt = [a + b for a, b in zip(self._ecnt, other._ecnt)]
         result = self.empty_like()
-        result._load(keys, counts, [1] * len(keys), occupancy, ecnt, flag)
+        keys2d, counts2d, flags2d, *per_bucket = result.bucket_arrays()
+        resident = np.arange(c) < np.array(occupancy)[:, None]
+        try:
+            keys2d[resident] = keys
+            counts2d[resident] = counts
+            for view, column in zip(per_bucket, (occupancy, ecnt, flag)):
+                view[:] = column
+        except OverflowError:
+            raise ConfigurationError(
+                "a frequent-part count or ecnt leaves the int64 range"
+            ) from None
+        flags2d[resident] = 1
         return result, leftovers

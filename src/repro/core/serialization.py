@@ -64,11 +64,25 @@ three classes:
 * **incompatible** — a version this build cannot read →
   :class:`~repro.common.errors.ConfigurationError` naming the version.
 
-:func:`from_wire` checks a v3 blob in this order: the digest; the
-declared section lengths against the payload and the config's shapes,
-before any sketch is allocated (memory grows with the payload, not with
-the declared config); the counter ranges, as vectorized numpy checks.
-Only then is the sketch built, straight into its buffers.
+Both encodings are checked and built by one code path, over the arrays
+a v3 blob carries.  A v3 blob is sliced into them after its digest and
+after its declared section lengths are checked against the payload and
+the config's shapes, before any sketch is allocated (memory grows with
+the payload, not with the declared config).  A v2 state is converted
+into them by a JSON layer that checks only structure and types (shapes,
+``[key, count, flag]`` triples, integers; a bool only as a flag).  Then
+one vectorized range check runs:
+
+* FP: occupancy in ``[0, c]``, padding slots zero, keys in
+  ``[1, 2^32)``, an unsigned sketch's counts in ``[0, total_count]``,
+  ``ecnt`` in ``[0, 2^63)``, entry and bucket flags in {0, 1};
+* EF: an unsigned sketch's level in ``[0, cap]``; a signed sketch's in
+  whatever the level's wire dtype holds, since chained differences take
+  counters past ``±cap`` (:func:`to_wire` raises beyond that dtype);
+* IFP: residues in ``[0, p)``, an unsigned sketch's ``|icnt|`` at most
+  ``total_count``.
+
+Only then does one builder write the arrays into a new sketch's buffers.
 
 Version-1 states (no digest) still load, with a
 :class:`~repro.common.errors.UnverifiedStateWarning` — corruption in them
@@ -85,8 +99,8 @@ import json
 import struct
 import warnings
 import zlib
-from array import array
-from typing import Any, Dict, List, Tuple, Union
+from itertools import chain
+from typing import Any, Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -351,7 +365,7 @@ def to_wire(
 
 
 # --------------------------------------------------------------------- #
-# deep validation
+# parsing: config and header (both encodings)
 # --------------------------------------------------------------------- #
 def _check_config_fields(raw: object) -> Dict[str, Any]:
     """Check a raw ``config`` mapping's fields are present and typed."""
@@ -398,9 +412,8 @@ def _parse_config(fields: Dict[str, Any]) -> DaVinciConfig:
     )
 
 
-def _parse_header(state: Dict[str, Any]) -> Tuple[str, bool, int]:
+def _parse_header(mode: Any, total_count: Any) -> Tuple[str, bool, int]:
     """Check ``mode`` and ``total_count``; return ``(mode, signed, total)``."""
-    mode = state.get("mode")
     if mode not in VALID_MODES:
         raise ConfigurationError(
             f"unknown sketch mode {mode!r}; expected one of {VALID_MODES} "
@@ -408,7 +421,6 @@ def _parse_header(state: Dict[str, Any]) -> Tuple[str, bool, int]:
             "dispatch to the standard path)"
         )
     signed = mode == MODE_SIGNED
-    total_count = state.get("total_count")
     if not _is_int(total_count):
         raise ConfigurationError(
             f"total_count must be an integer, got {total_count!r}"
@@ -425,154 +437,231 @@ def _parse_header(state: Dict[str, Any]) -> Tuple[str, bool, int]:
     return mode, signed, total_count
 
 
-def _verify_frequent_part(
-    state: Dict[str, Any], config: DaVinciConfig, signed: bool, total: int
+# --------------------------------------------------------------------- #
+# the one check and the one build, over the wire-v3 arrays
+# --------------------------------------------------------------------- #
+#: a sketch's content as the arrays wire v3 carries: the six FP buffers
+#: of :meth:`~repro.core.frequent_part.FrequentPart.bucket_arrays` (entry
+#: buffers shaped ``(k, c)``), one array per EF level, and the IFP
+#: ``(ids, counts)`` shaped ``(d, w)``
+Sections = Tuple[Tuple[Any, ...], List[Any], Tuple[Any, Any]]
+
+
+def _check_range(values: Any, low: int, high: int, message: str) -> None:
+    """Raise ``StateCorruptionError`` unless every value lies in
+    ``[low, high]``; ``message`` formats the offending ``{value}``."""
+    if values.size:
+        smallest, largest = int(values.min()), int(values.max())
+        if smallest < low or largest > high:
+            bad = smallest if smallest < low else largest
+            raise StateCorruptionError(
+                message.format(value=bad) + " — counter corruption"
+            )
+
+
+def _check_sections(
+    config: DaVinciConfig, signed: bool, total: int, sections: Sections
 ) -> None:
-    buckets_state = state["frequent_part"]
-    if not isinstance(buckets_state, list) or len(buckets_state) != config.fp_buckets:
+    """Raise ``StateCorruptionError`` for any value a sketch cannot hold.
+
+    The one range check both encodings pass; vectorized, so it costs no
+    per-element Python work.
+    """
+    (keys, counts, flags, occupancy, ecnt, bucket_flag), levels, ifp = sections
+    c = config.fp_entries
+    bound = max(total, 0)
+    _check_range(
+        occupancy, 0, c, f"frequent-part occupancy {{value}} outside [0, {c}]"
+    )
+    resident = np.arange(c) < occupancy[:, None]
+    padding = ~resident
+    if keys[padding].any() or counts[padding].any() or flags[padding].any():
+        raise StateCorruptionError(
+            "frequent-part padding slot holds a nonzero value — counter "
+            "corruption"
+        )
+    _check_range(
+        keys[resident],
+        1,
+        _MAX_KEY - 1,
+        f"FP entry key {{value}} outside the decodable domain [1, {_MAX_KEY})",
+    )
+    if not signed:
+        _check_range(
+            counts[resident],
+            0,
+            bound,
+            "FP entry count {value} impossible for an unsigned sketch with "
+            f"total_count {total}",
+        )
+    _check_range(flags, 0, 1, "FP entry flag {value} is not 0 or 1")
+    _check_range(
+        bucket_flag, 0, 1, "frequent-part bucket flag {value} is not 0 or 1"
+    )
+    _check_range(ecnt, 0, INT64_MAX, "frequent-part ecnt {value} is negative")
+
+    for index, (level, bits) in enumerate(zip(levels, config.ef_level_bits)):
+        if signed:
+            # differences may push a counter past ±cap (a chained
+            # difference does); accept what the level's wire dtype holds
+            limits = np.iinfo(_EF_WIRE_DTYPES[bits])
+            low, high = int(limits.min), int(limits.max)
+        else:
+            low, high = 0, (1 << bits) - 1
+        _check_range(
+            level,
+            low,
+            high,
+            f"element-filter level {index} counter {{value}} outside its "
+            f"{bits}-bit level's range [{low}, {high}]",
+        )
+
+    ids, icnt = ifp
+    _check_range(
+        ids,
+        0,
+        config.prime - 1,
+        "infrequent-part iID residue {value} outside the field "
+        f"[0, {config.prime})",
+    )
+    if not signed:
+        _check_range(
+            icnt,
+            -bound,
+            bound,
+            f"infrequent-part icnt {{value}} exceeds the stream total {total}",
+        )
+
+
+def _build(
+    config: DaVinciConfig, mode: str, total: int, sections: Sections
+) -> DaVinciSketch:
+    """The sketch holding checked ``sections``, written into its buffers."""
+    fp, levels, (ids, icnt) = sections
+    sketch = DaVinciSketch(config)
+    sketch.mode = mode
+    sketch.total_count = total
+    for view, section in zip(sketch.fp.bucket_arrays(), fp):
+        view[...] = section
+    for view, level in zip(sketch.ef.counter_arrays(), levels):
+        view[...] = level
+    sketch.ifp.ids = ids.tolist()
+    sketch.ifp.counts = icnt.tolist()
+    return sketch
+
+
+# --------------------------------------------------------------------- #
+# the JSON state: structure and types, then arrays
+# --------------------------------------------------------------------- #
+def _int_array(
+    values: Sequence[Any], what: str, flags: bool = False, wide: bool = False
+) -> Any:
+    """``values`` as an int64 array.
+
+    A non-integer is malformed (``ConfigurationError``); a bool counts as
+    one, except among ``flags``, where any non-integer is an impossible
+    flag.  A value int64 cannot hold is corruption, unless ``wide``: then
+    the array keeps exact Python ints (dtype object).
+    """
+    for kind in set(map(type, values)):
+        if issubclass(kind, int) and (flags or kind is not bool):
+            continue
+        bad = next(value for value in values if type(value) is kind)
+        message = f"{what} holds non-integer {bad!r}"
+        if flags:
+            raise StateCorruptionError(message + " — counter corruption")
+        raise ConfigurationError(message)
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        if not wide:
+            raise StateCorruptionError(
+                f"{what} holds a value outside int64 — counter corruption"
+            ) from None
+        return np.array(values, dtype=object)
+
+
+def _json_frequent_part(section: Any, config: DaVinciConfig) -> Tuple[Any, ...]:
+    """The FP buffers of a ``frequent_part`` section."""
+    k, c = config.fp_buckets, config.fp_entries
+    if not isinstance(section, list) or len(section) != k:
         raise ConfigurationError("frequent-part state does not match config")
-    for index, bucket_state in enumerate(buckets_state):
-        if not isinstance(bucket_state, dict):
+    entries: List[Any] = []
+    for index, bucket in enumerate(section):
+        if (
+            not isinstance(bucket, dict)
+            or not {"entries", "ecnt", "flag"} <= bucket.keys()
+            or not isinstance(bucket["entries"], list)
+        ):
             raise ConfigurationError(
-                f"frequent-part bucket {index} must be a mapping"
+                f"frequent-part bucket {index} must map 'entries' (a list), "
+                "'ecnt' and 'flag'"
             )
-        entries = bucket_state.get("entries")
-        if not isinstance(entries, list):
-            raise ConfigurationError(
-                f"frequent-part bucket {index} is missing its entries list"
-            )
-        if len(entries) > config.fp_entries:
+        if len(bucket["entries"]) > c:
             raise ConfigurationError("bucket state exceeds entry capacity")
-        for entry in entries:
-            if not isinstance(entry, (list, tuple)) or len(entry) != 3:
-                raise ConfigurationError("FP entries must be [key, count, flag]")
-            key, count, flag = entry
-            if not _is_int(key) or not _is_int(count):
-                raise ConfigurationError(
-                    "FP entry key/count must be integers, got "
-                    f"{[type(v).__name__ for v in entry]}"
-                )
-            if not isinstance(flag, bool) and flag not in (0, 1):
-                raise ConfigurationError(
-                    f"FP entry flag must be boolean, got {flag!r}"
-                )
-            if not 1 <= key < _MAX_KEY:
-                raise StateCorruptionError(
-                    f"FP entry key {key} outside the decodable domain "
-                    f"[1, {_MAX_KEY}) — counter corruption"
-                )
-            if not signed and not 0 <= count <= max(total, 0):
-                raise StateCorruptionError(
-                    f"FP entry count {count} impossible for an unsigned "
-                    f"sketch with total_count {total} — counter corruption"
-                )
-            if not INT64_MIN <= count <= INT64_MAX:
-                raise StateCorruptionError(
-                    f"FP entry count {count} outside int64 — counter "
-                    "corruption"
-                )
-        ecnt = bucket_state.get("ecnt")
-        if not _is_int(ecnt):
-            raise ConfigurationError(
-                f"frequent-part bucket {index} ecnt must be an integer, "
-                f"got {ecnt!r}"
-            )
-        if ecnt < 0:
-            raise StateCorruptionError(
-                f"frequent-part bucket {index} ecnt {ecnt} is negative — "
-                "counter corruption"
-            )
-        if ecnt > INT64_MAX:
-            raise StateCorruptionError(
-                f"frequent-part bucket {index} ecnt {ecnt} outside int64 — "
-                "counter corruption"
-            )
+        entries += bucket["entries"]
+    if not all(
+        isinstance(entry, (list, tuple)) and len(entry) == 3 for entry in entries
+    ):
+        raise ConfigurationError("FP entries must be [key, count, flag]")
+    occupancy = np.array([len(bucket["entries"]) for bucket in section])
+    resident = np.arange(c) < occupancy[:, None]
+    columns = []
+    for values, what in zip(
+        zip(*entries) if entries else ((), (), ()),
+        ("FP entry key", "FP entry count", "FP entry flag"),
+    ):
+        column = np.zeros((k, c), dtype=np.int64)
+        column[resident] = _int_array(values, what, flags=what.endswith("flag"))
+        columns.append(column)
+    return (
+        *columns,
+        occupancy.astype(np.int64),
+        _int_array([bucket["ecnt"] for bucket in section], "frequent-part ecnt"),
+        _int_array(
+            [bucket["flag"] for bucket in section],
+            "frequent-part bucket flag",
+            flags=True,
+        ),
+    )
 
 
-def _verify_element_filter(
-    state: Dict[str, Any], config: DaVinciConfig, signed: bool
-) -> None:
-    levels_state = state["element_filter"]
-    if not isinstance(levels_state, list) or [
-        len(level) if isinstance(level, list) else -1 for level in levels_state
+def _json_sections(state: Dict[str, Any], config: DaVinciConfig) -> Sections:
+    """A JSON state's sections as arrays, structure and types checked.
+
+    IFP values may leave int64 (a signed ``icnt``, a prime ``≥ 2^63``):
+    those sections stay exact as object arrays.
+    """
+    fp = _json_frequent_part(state["frequent_part"], config)
+    levels = state["element_filter"]
+    if not isinstance(levels, list) or [
+        len(level) if isinstance(level, list) else -1 for level in levels
     ] != list(config.ef_level_widths):
         raise ConfigurationError("element-filter state does not match config")
-    for level_index, level in enumerate(levels_state):
-        cap = (1 << config.ef_level_bits[level_index]) - 1
-        low = -cap if signed else 0
-        for value in level:
-            if not _is_int(value):
-                raise ConfigurationError(
-                    f"element-filter level {level_index} holds non-integer "
-                    f"{value!r}"
-                )
-            if not low <= value <= cap:
-                raise StateCorruptionError(
-                    f"element-filter level {level_index} counter {value} "
-                    f"outside its {config.ef_level_bits[level_index]}-bit "
-                    f"range [{low}, {cap}] — counter corruption"
-                )
-
-
-def _verify_infrequent_part(
-    state: Dict[str, Any], config: DaVinciConfig, signed: bool, total: int
-) -> None:
+    ef = [
+        _int_array(level, f"element-filter level {index}")
+        for index, level in enumerate(levels)
+    ]
     ifp_state = state["infrequent_part"]
     if not isinstance(ifp_state, dict):
         raise ConfigurationError("infrequent-part state must be a mapping")
+    d, w = config.ifp_rows, config.ifp_width
+    ifp = []
     for field in ("ids", "counts"):
         rows = ifp_state.get(field)
         if (
             not isinstance(rows, list)
-            or len(rows) != config.ifp_rows
-            or any(
-                not isinstance(row, list) or len(row) != config.ifp_width
-                for row in rows
-            )
+            or len(rows) != d
+            or any(not isinstance(row, list) or len(row) != w for row in rows)
         ):
-            raise ConfigurationError(
-                "infrequent-part state does not match config"
-            )
-    prime = config.prime
-    for row in ifp_state["ids"]:
-        for residue in row:
-            if not _is_int(residue):
-                raise ConfigurationError(
-                    f"infrequent-part iID holds non-integer {residue!r}"
-                )
-            if not 0 <= residue < prime:
-                raise StateCorruptionError(
-                    f"infrequent-part iID residue {residue} outside the "
-                    f"field [0, {prime}) — counter corruption"
-                )
-    for row in ifp_state["counts"]:
-        for counter in row:
-            if not _is_int(counter):
-                raise ConfigurationError(
-                    f"infrequent-part icnt holds non-integer {counter!r}"
-                )
-            if not signed and abs(counter) > max(total, 0):
-                raise StateCorruptionError(
-                    f"infrequent-part icnt {counter} exceeds the stream "
-                    f"total {total} — counter corruption"
-                )
+            raise ConfigurationError("infrequent-part state does not match config")
+        flat = list(chain.from_iterable(rows))
+        ifp.append(_int_array(flat, f"infrequent-part {field}", wide=True))
+    return fp, ef, (ifp[0].reshape(d, w), ifp[1].reshape(d, w))
 
 
-def verify_state(state: Dict[str, Any]) -> DaVinciConfig:
-    """Deep-validate a parsed state dict; return its parsed config.
-
-    Checks everything :func:`from_state` relies on *beyond* the digest:
-    config field presence/types, mode/total_count consistency, frequent
-    part entry shape and counter bounds (``total_count``, FP counts and
-    ``ecnt`` within int64), element-filter counters within
-    each level's bit range, and infrequent-part residues in ``[0, p)``.
-
-    Raises :class:`~repro.common.errors.ConfigurationError` for malformed
-    payloads and :class:`~repro.common.errors.StateCorruptionError` for
-    well-formed payloads holding impossible values.  Does **not** verify
-    the digest — :func:`from_state` does that first; call this directly
-    to audit states from trusted transports (e.g. checkpoint recovery).
-    """
+def _verified(state: Dict[str, Any]) -> Tuple[DaVinciConfig, str, int, Sections]:
+    """:func:`verify_state`'s checks; returns what :func:`_build` takes."""
     if not isinstance(state, dict) or "config" not in state:
         raise ConfigurationError("not a DaVinci sketch state")
     version = state.get("version")
@@ -586,12 +675,29 @@ def verify_state(state: Dict[str, Any]) -> DaVinciConfig:
             raise ConfigurationError(f"state is missing its {field!r} section")
 
     config = _parse_config(_check_config_fields(state["config"]))
-    _mode, signed, total_count = _parse_header(state)
+    mode, signed, total = _parse_header(
+        state.get("mode"), state.get("total_count")
+    )
+    sections = _json_sections(state, config)
+    _check_sections(config, signed, total, sections)
+    return config, mode, total, sections
 
-    _verify_frequent_part(state, config, signed, total_count)
-    _verify_element_filter(state, config, signed)
-    _verify_infrequent_part(state, config, signed, total_count)
-    return config
+
+def verify_state(state: Dict[str, Any]) -> DaVinciConfig:
+    """Deep-validate a parsed state dict; return its parsed config.
+
+    Checks everything :func:`from_state` relies on *beyond* the digest:
+    config field presence/types, mode/total_count consistency, the
+    sections' shapes and types, then the same range check a wire-v3 blob
+    passes (see the module docstring).
+
+    Raises :class:`~repro.common.errors.ConfigurationError` for malformed
+    payloads and :class:`~repro.common.errors.StateCorruptionError` for
+    well-formed payloads holding impossible values.  Does **not** verify
+    the digest — :func:`from_state` does that first; call this directly
+    to audit states from trusted transports (e.g. checkpoint recovery).
+    """
+    return _verified(state)[0]
 
 
 # --------------------------------------------------------------------- #
@@ -608,8 +714,8 @@ def from_state(state: Dict[str, Any]) -> DaVinciSketch:
     2. a version-2 state *without* a digest is itself corruption (v2
        always embeds one);  version-1 states load with an
        :class:`~repro.common.errors.UnverifiedStateWarning`;
-    3. :func:`verify_state` deep-validates structure and counter bounds;
-    4. only then is the sketch materialized.
+    3. :func:`verify_state`'s checks;
+    4. only then is the sketch built.
     """
     if not isinstance(state, dict):
         raise ConfigurationError("not a DaVinci sketch state")
@@ -628,37 +734,7 @@ def from_state(state: Dict[str, Any]) -> DaVinciSketch:
             "version-2 state is missing its mandatory integrity digest — "
             "truncated or tampered payload"
         )
-
-    config = verify_state(state)
-    mode = state["mode"]
-    total_count = state["total_count"]
-
-    sketch = DaVinciSketch(config)
-    sketch.mode = mode
-    sketch.total_count = total_count
-
-    sketch.fp.load_bucket_states(state["frequent_part"])
-
-    sketch.ef.levels = [array("q", level) for level in state["element_filter"]]
-
-    ifp_state = state["infrequent_part"]
-    sketch.ifp.ids = [list(row) for row in ifp_state["ids"]]
-    sketch.ifp.counts = [list(row) for row in ifp_state["counts"]]
-
-    sketch._decode_cache = None
-    return sketch
-
-
-def _check_range(values: Any, low: int, high: int, message: str) -> None:
-    """Raise ``StateCorruptionError`` unless every value lies in
-    ``[low, high]``; ``message`` formats the offending ``{value}``."""
-    if values.size:
-        smallest, largest = int(values.min()), int(values.max())
-        if smallest < low or largest > high:
-            bad = smallest if smallest < low else largest
-            raise StateCorruptionError(
-                message.format(value=bad) + " — counter corruption"
-            )
+    return _build(*_verified(state))
 
 
 def _section_lengths(raw: Dict[str, Any]) -> Tuple[int, int, int]:
@@ -726,94 +802,25 @@ def _from_wire_v3(data: bytes) -> DaVinciSketch:
             f"the blob carries {section_lens}"
         )
     config = _parse_config(raw)
-    mode, signed, total = _parse_header(record)
-    bound = max(total, 0)
+    mode, signed, total = _parse_header(
+        record.get("mode"), record.get("total_count")
+    )
 
     k, c = config.fp_buckets, config.fp_entries
     fp = np.frombuffer(data, _INT64_WIRE, 3 * k * (c + 1), offset)
-    keys, counts, flags, occupancy, ecnt, bucket_flag = np.split(
-        fp, np.cumsum([k * c, k * c, k * c, k, k])
-    )
-    keys, counts, flags = (part.reshape(k, c) for part in (keys, counts, flags))
-    _check_range(
-        occupancy, 0, c, f"frequent-part occupancy {{value}} outside [0, {c}]"
-    )
-    resident = np.arange(c) < occupancy[:, None]
-    padding = ~resident
-    if keys[padding].any() or counts[padding].any() or flags[padding].any():
-        raise StateCorruptionError(
-            "frequent-part padding slot holds a nonzero value — counter "
-            "corruption"
-        )
-    _check_range(
-        keys[resident],
-        1,
-        _MAX_KEY - 1,
-        f"FP entry key {{value}} outside the decodable domain [1, {_MAX_KEY})",
-    )
-    if not signed:
-        _check_range(
-            counts[resident],
-            0,
-            bound,
-            "FP entry count {value} impossible for an unsigned sketch with "
-            f"total_count {total}",
-        )
-    _check_range(flags, 0, 1, "FP entry flag {value} is not 0 or 1")
-    _check_range(
-        bucket_flag, 0, 1, "frequent-part bucket flag {value} is not 0 or 1"
-    )
-    _check_range(ecnt, 0, INT64_MAX, "frequent-part ecnt {value} is negative")
     offset += fp.nbytes
-
+    buffers = np.split(fp, np.cumsum([k * c, k * c, k * c, k, k]))
+    entry_buffers = (part.reshape(k, c) for part in buffers[:3])
     levels = []
-    for index, (width, bits) in enumerate(
-        zip(config.ef_level_widths, config.ef_level_bits)
-    ):
-        level = np.frombuffer(data, _EF_WIRE_DTYPES[bits], width, offset)
-        offset += level.nbytes
-        cap = (1 << bits) - 1
-        low = -cap if signed else 0
-        _check_range(
-            level,
-            low,
-            cap,
-            f"element-filter level {index} counter {{value}} outside its "
-            f"{bits}-bit range [{low}, {cap}]",
-        )
-        levels.append(level)
-
+    for width, bits in zip(config.ef_level_widths, config.ef_level_bits):
+        levels.append(np.frombuffer(data, _EF_WIRE_DTYPES[bits], width, offset))
+        offset += levels[-1].nbytes
     d, w = config.ifp_rows, config.ifp_width
-    ifp = np.frombuffer(data, _INT64_WIRE, 2 * d * w, offset)
-    ids, icnt = ifp.reshape(2, d, w)
-    _check_range(
-        ids,
-        0,
-        config.prime - 1,
-        "infrequent-part iID residue {value} outside the field "
-        f"[0, {config.prime})",
-    )
-    if not signed:
-        _check_range(
-            icnt,
-            -bound,
-            bound,
-            f"infrequent-part icnt {{value}} exceeds the stream total {total}",
-        )
+    ids, icnt = np.frombuffer(data, _INT64_WIRE, 2 * d * w, offset).reshape(2, d, w)
 
-    sketch = DaVinciSketch(config)
-    sketch.mode = mode
-    sketch.total_count = total
-    for view, section in zip(
-        sketch.fp.bucket_arrays(),
-        (keys, counts, flags, occupancy, ecnt, bucket_flag),
-    ):
-        view[...] = section
-    for view, level in zip(sketch.ef.counter_arrays(), levels):
-        view[...] = level
-    sketch.ifp.ids = ids.tolist()
-    sketch.ifp.counts = icnt.tolist()
-    return sketch
+    sections: Sections = ((*entry_buffers, *buffers[3:]), levels, (ids, icnt))
+    _check_sections(config, signed, total, sections)
+    return _build(config, mode, total, sections)
 
 
 def from_wire(blob: Union[bytes, bytearray, memoryview]) -> DaVinciSketch:

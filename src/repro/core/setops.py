@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from typing import Optional, Union, overload
 
+from repro.common.errors import ConfigurationError
 from repro.common.validation import require_int64
 from repro.core.davinci import (
     MODE_ADDITIVE,
@@ -67,6 +68,8 @@ def union(
     sketch's decodability is probed: a merged infrequent part that no
     longer peels flags the union as degraded (``STRICT`` raises), since
     per-key queries on it fall back to the noisier fast-query estimates.
+    Raises :class:`~repro.common.errors.ConfigurationError` when either
+    input is a signed (difference) sketch.
     """
     result = _union_value(a, b)
     if policy is not None:
@@ -77,6 +80,11 @@ def union(
 
 
 def _union_value(a: DaVinciSketch, b: DaVinciSketch) -> DaVinciSketch:
+    if MODE_SIGNED in (a.mode, b.mode):
+        raise ConfigurationError(
+            "union of a signed (difference) sketch is undefined: its "
+            "negative counts would be read as an additive sketch's"
+        )
     a.check_compatible(b)
     result = a.empty_like()
     result.mode = MODE_ADDITIVE

@@ -32,6 +32,7 @@ from repro.common.errors import ConfigurationError
 from repro.core.config import DaVinciConfig
 from repro.core.davinci import DEFAULT_BATCH_CHUNK, MODE_ADDITIVE, DaVinciSketch
 from repro.core.degrade import DegradationPolicy, DegradedResult
+from repro.core.serialization import from_wire, to_wire
 from repro.core.tasks.heavy import heavy_changers
 
 
@@ -228,7 +229,7 @@ class WindowedDaVinci:
         if self.current.total_count == 0:
             # Nothing live to union on top; clone so callers never hold a
             # reference into the cache.
-            return DaVinciSketch.from_state(cached[1].to_state())
+            return from_wire(to_wire(cached[1]))
         return cached[1].union(self.current)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -13,6 +13,8 @@ from __future__ import annotations
 import json
 import tracemalloc
 import warnings
+from dataclasses import dataclass
+from typing import Any, Callable, Tuple
 
 import pytest
 from hypothesis import given, settings
@@ -47,6 +49,15 @@ def populated(small_config) -> DaVinciSketch:
     sketch = DaVinciSketch(small_config)
     for key in range(1, 150):
         sketch.insert(key, 1 + key % 30)
+    return sketch
+
+
+@pytest.fixture
+def sparse(small_config) -> DaVinciSketch:
+    """A sketch with partly filled FP buckets (room for padding forgeries)."""
+    sketch = DaVinciSketch(small_config)
+    for key in range(1, 21):
+        sketch.insert(key, 3)
     return sketch
 
 
@@ -234,87 +245,43 @@ class TestConfigHardening:
 
 
 class TestDeepValidation:
-    """Impossible-but-well-formed values are corruption, not config errors."""
+    """Impossible-but-well-formed values are corruption, not config errors.
 
-    def _mutated(self, populated, mutate):
-        state = to_state(populated)
-        mutate(state)
-        return sign_state(state)
+    Each case here is a row of :data:`FORGERIES`, audited through
+    ``verify_state`` on the forged v2 state dict.
+    """
 
-    def test_fp_key_outside_domain(self, populated):
-        def mutate(state):
-            for bucket in state["frequent_part"]:
-                if bucket["entries"]:
-                    bucket["entries"][0][0] = 0
-                    return
+    def _rejects(self, sketch, case):
+        forgery = FORGERIES[case]
+        state = _forged_state(_forgery_base(sketch, forgery), forgery)
+        with pytest.raises(StateCorruptionError, match=forgery.match):
+            verify_state(state)
 
-        with pytest.raises(StateCorruptionError, match="domain"):
-            from_state(self._mutated(populated, mutate))
+    def test_fp_key_outside_domain(self, sparse):
+        self._rejects(sparse, "fp_key_outside_domain")
 
-    def test_fp_count_above_stream_total(self, populated):
-        def mutate(state):
-            for bucket in state["frequent_part"]:
-                if bucket["entries"]:
-                    bucket["entries"][0][1] = state["total_count"] + 1
-                    return
+    def test_fp_count_above_stream_total(self, sparse):
+        self._rejects(sparse, "fp_count_above_stream_total")
 
-        with pytest.raises(StateCorruptionError, match="impossible"):
-            from_state(self._mutated(populated, mutate))
+    def test_negative_bucket_ecnt(self, sparse):
+        self._rejects(sparse, "negative_bucket_ecnt")
 
-    def test_negative_bucket_ecnt(self, populated):
-        def mutate(state):
-            state["frequent_part"][0]["ecnt"] = -1
+    def test_ef_counter_above_bit_cap(self, sparse):
+        self._rejects(sparse, "ef_counter_above_bit_cap")
 
-        with pytest.raises(StateCorruptionError, match="negative"):
-            from_state(self._mutated(populated, mutate))
+    def test_negative_ef_counter_outside_signed_mode(self, sparse):
+        self._rejects(sparse, "negative_ef_counter_outside_signed_mode")
 
-    def test_ef_counter_above_bit_cap(self, populated, small_config):
-        cap = (1 << small_config.ef_level_bits[0]) - 1
+    def test_ifp_residue_outside_field(self, sparse):
+        self._rejects(sparse, "ifp_residue_outside_field")
 
-        def mutate(state):
-            state["element_filter"][0][0] = cap + 1
-
-        with pytest.raises(StateCorruptionError, match="range"):
-            from_state(self._mutated(populated, mutate))
-
-    def test_negative_ef_counter_outside_signed_mode(self, populated):
-        def mutate(state):
-            state["element_filter"][0][0] = -1
-
-        with pytest.raises(StateCorruptionError, match="range"):
-            from_state(self._mutated(populated, mutate))
-
-    def test_ifp_residue_outside_field(self, populated, small_config):
-        def mutate(state):
-            state["infrequent_part"]["ids"][0][0] = small_config.prime
-
-        with pytest.raises(StateCorruptionError, match="field"):
-            from_state(self._mutated(populated, mutate))
-
-    def test_ifp_count_above_stream_total(self, populated):
-        def mutate(state):
-            state["infrequent_part"]["counts"][0][0] = (
-                state["total_count"] + 1
-            )
-
-        with pytest.raises(StateCorruptionError, match="exceeds"):
-            from_state(self._mutated(populated, mutate))
+    def test_ifp_count_above_stream_total(self, sparse):
+        self._rejects(sparse, "ifp_count_above_stream_total")
 
     @pytest.mark.parametrize("field", ["count", "ecnt", "total_count"])
-    def test_signed_values_outside_int64(self, populated, field):
+    def test_signed_values_outside_int64(self, sparse, field):
         # a signed sketch bounds no count by its total; int64 still does
-        delta = populated.difference(DaVinciSketch(populated.config))
-        state = to_state(delta)
-        bucket = next(b for b in state["frequent_part"] if b["entries"])
-        if field == "count":
-            bucket["entries"][0][1] = 2**63
-        elif field == "ecnt":
-            bucket["ecnt"] = 2**63
-        else:
-            state["total_count"] = -(2**63) - 1
-        blob = json.dumps(sign_state(state)).encode("utf-8")
-        with pytest.raises(StateCorruptionError, match="int64"):
-            from_wire(blob)
+        self._rejects(sparse, f"signed_{field}_outside_int64")
 
     def test_verify_state_skips_digest(self, populated):
         """verify_state audits structure only; from_state owns the digest."""
@@ -333,6 +300,33 @@ class TestDeepValidation:
             from_state(state)
 
 
+class TestJsonBucketFlags:
+    """A JSON bucket flag is checked like the v3 one, never coerced."""
+
+    def _bucket_flag(self, sketch, flag):
+        state = to_state(sketch)
+        if flag is None:
+            del state["frequent_part"][0]["flag"]
+        else:
+            state["frequent_part"][0]["flag"] = flag
+        return json.dumps(sign_state(state)).encode("utf-8")
+
+    def test_missing_bucket_flag_is_malformed(self, populated):
+        with pytest.raises(ConfigurationError, match="flag") as info:
+            from_wire(self._bucket_flag(populated, None))
+        assert type(info.value) is ConfigurationError
+
+    @pytest.mark.parametrize("flag", [7, [1], "1", 1.0])
+    def test_bucket_flag_outside_zero_one_is_corruption(self, populated, flag):
+        with pytest.raises(StateCorruptionError, match="bucket flag"):
+            from_wire(self._bucket_flag(populated, flag))
+
+    @pytest.mark.parametrize("flag", [0, 1, False, True])
+    def test_zero_one_flags_load(self, populated, flag):
+        sketch = from_wire(self._bucket_flag(populated, flag))
+        assert sketch.fp.bucket_states()[0]["flag"] is bool(flag)
+
+
 def _partly_filled(sketch):
     """The FP views and a bucket holding at least one, not all, entries."""
     views = sketch.fp.bucket_arrays()
@@ -343,91 +337,145 @@ def _partly_filled(sketch):
     return views, bucket
 
 
-def _set_fp(view_index, value, column=0):
-    def mutate(sketch):
-        views, bucket = _partly_filled(sketch)
-        if views[view_index].ndim == 2:
-            views[view_index][bucket, column] = value(sketch)
-        else:
-            views[view_index][bucket] = value(sketch)
+@dataclass(frozen=True)
+class Forgery:
+    """One impossible value: where it goes, what it is, what the loaders
+    must say, and which encodings can carry it.
 
-    return mutate
+    ``target`` is ``("entry", column)`` for the first entry of a partly
+    filled bucket (column 0 key, 1 count, 2 flag), ``("padding", column)``
+    for that bucket's last, empty slot, ``("bucket", field)``,
+    ``("ef",)`` for the first level-0 counter, ``("ifp", "ids"|"counts")``
+    for the first bucket, or ``("total",)``.  ``signed`` forges a
+    difference sketch.
+    """
 
-
-def _set_ef(value):
-    def mutate(sketch):
-        sketch.ef.levels[0][0] = value(sketch)
-
-    return mutate
-
-
-def _set_ifp(field, value):
-    def mutate(sketch):
-        getattr(sketch.ifp, field)[0][0] = value(sketch)
-
-    return mutate
+    target: Tuple[Any, ...]
+    value: Callable[[DaVinciSketch], int]
+    match: str
+    v2: bool = True
+    v3: bool = True
+    signed: bool = False
 
 
-#: one impossible value each, written by to_wire under a valid digest:
-#: the TestDeepValidation cases, then the checks only v3 makes.  FP
-#: counts and ecnt outside int64 have no counterpart: the v3 buffers are
-#: int64 and cannot hold them.
+_BUCKET_VIEWS = {"occupancy": 3, "ecnt": 4, "flag": 5}
+
+
+def _forgery_base(sketch, forgery):
+    if forgery.signed:
+        return sketch.difference(DaVinciSketch(sketch.config))
+    return sketch
+
+
+def _forged_state(sketch, forgery):
+    """The forgery as a re-signed version-2 state dict."""
+    _views, bucket = _partly_filled(sketch)
+    state = to_state(sketch)
+    kind, *where = forgery.target
+    value = forgery.value(sketch)
+    if kind == "entry":
+        state["frequent_part"][bucket]["entries"][0][where[0]] = value
+    elif kind == "bucket":
+        state["frequent_part"][bucket][where[0]] = value
+    elif kind == "ef":
+        state["element_filter"][0][0] = value
+    elif kind == "ifp":
+        state["infrequent_part"][where[0]][0][0] = value
+    else:
+        state["total_count"] = value
+    return sign_state(state)
+
+
+def _forged_wire(sketch, forgery):
+    """The forgery written into a copy of ``sketch`` and signed by to_wire."""
+    sketch = from_wire(to_wire(sketch))
+    views, bucket = _partly_filled(sketch)
+    kind, *where = forgery.target
+    value = forgery.value(sketch)
+    if kind == "entry":
+        views[where[0]][bucket, 0] = value
+    elif kind == "padding":
+        views[where[0]][bucket, -1] = value
+    elif kind == "bucket":
+        views[_BUCKET_VIEWS[where[0]]][bucket] = value
+    elif kind == "ef":
+        sketch.ef.levels[0][0] = value
+    elif kind == "ifp":
+        getattr(sketch.ifp, where[0])[0][0] = value
+    else:
+        sketch.total_count = value
+    return to_wire(sketch)
+
+
+#: the one forged-value table: each value is written under a valid digest
+#: into a v3 blob and, where JSON can express it, a v2 JSON blob, and both
+#: must fail alike.  JSON has no padding slots or occupancy; v3's int64
+#: buffers cannot hold an FP count or ecnt beyond int64.
 FORGERIES = {
-    "fp_key_outside_domain": (_set_fp(0, lambda s: 0), "domain"),
-    "fp_count_above_stream_total": (
-        _set_fp(1, lambda s: s.total_count + 1),
-        "impossible",
+    "fp_key_outside_domain": Forgery(("entry", 0), lambda s: 0, "domain"),
+    "fp_count_above_stream_total": Forgery(
+        ("entry", 1), lambda s: s.total_count + 1, "impossible"
     ),
-    "negative_bucket_ecnt": (_set_fp(4, lambda s: -1), "negative"),
-    "ef_counter_above_bit_cap": (
-        _set_ef(lambda s: s.ef.level_caps[0] + 1),
-        "range",
+    "negative_bucket_ecnt": Forgery(("bucket", "ecnt"), lambda s: -1, "negative"),
+    "ef_counter_above_bit_cap": Forgery(
+        ("ef",), lambda s: s.ef.level_caps[0] + 1, "range"
     ),
-    "negative_ef_counter_outside_signed_mode": (_set_ef(lambda s: -1), "range"),
-    "ifp_residue_outside_field": (
-        _set_ifp("ids", lambda s: s.config.prime),
-        "field",
+    "negative_ef_counter_outside_signed_mode": Forgery(
+        ("ef",), lambda s: -1, "range"
     ),
-    "ifp_count_above_stream_total": (
-        _set_ifp("counts", lambda s: s.total_count + 1),
-        "exceeds",
+    "ifp_residue_outside_field": Forgery(
+        ("ifp", "ids"), lambda s: s.config.prime, "field"
     ),
-    "padding_key": (_set_fp(0, lambda s: 5, column=-1), "padding"),
-    "padding_count": (_set_fp(1, lambda s: 1, column=-1), "padding"),
-    "padding_flag": (_set_fp(2, lambda s: 1, column=-1), "padding"),
-    "entry_flag_not_boolean": (_set_fp(2, lambda s: 2), "flag"),
-    "bucket_flag_not_boolean": (_set_fp(5, lambda s: 2), "flag"),
-    "occupancy_above_capacity": (
-        _set_fp(3, lambda s: s.fp.entries_per_bucket + 1),
+    "ifp_count_above_stream_total": Forgery(
+        ("ifp", "counts"), lambda s: s.total_count + 1, "exceeds"
+    ),
+    "padding_key": Forgery(("padding", 0), lambda s: 5, "padding", v2=False),
+    "padding_count": Forgery(("padding", 1), lambda s: 1, "padding", v2=False),
+    "padding_flag": Forgery(("padding", 2), lambda s: 1, "padding", v2=False),
+    "entry_flag_not_boolean": Forgery(("entry", 2), lambda s: 2, "flag"),
+    "bucket_flag_not_boolean": Forgery(("bucket", "flag"), lambda s: 2, "flag"),
+    "occupancy_above_capacity": Forgery(
+        ("bucket", "occupancy"),
+        lambda s: s.fp.entries_per_bucket + 1,
         "occupancy",
+        v2=False,
     ),
-    "negative_occupancy": (_set_fp(3, lambda s: -1), "occupancy"),
+    "negative_occupancy": Forgery(
+        ("bucket", "occupancy"), lambda s: -1, "occupancy", v2=False
+    ),
+    "signed_count_outside_int64": Forgery(
+        ("entry", 1), lambda s: 2**63, "int64", v3=False, signed=True
+    ),
+    "signed_ecnt_outside_int64": Forgery(
+        ("bucket", "ecnt"), lambda s: 2**63, "int64", v3=False, signed=True
+    ),
+    "signed_total_count_outside_int64": Forgery(
+        ("total",), lambda s: -(2**63) - 1, "int64", signed=True
+    ),
 }
 
 
 class TestForgedWireV3:
-    """A v3 blob with a valid digest and one impossible value is corruption."""
-
-    @pytest.fixture
-    def sparse(self, small_config) -> DaVinciSketch:
-        sketch = DaVinciSketch(small_config)
-        for key in range(1, 21):
-            sketch.insert(key, 3)
-        return sketch
+    """A blob with a valid digest and one impossible value is corruption,
+    with the same error from a v3 blob and a v2 JSON blob."""
 
     @pytest.mark.parametrize("case", sorted(FORGERIES))
     def test_forged_value_is_corruption(self, sparse, case):
-        mutate, match = FORGERIES[case]
-        from_wire(to_wire(sparse))  # intact: loads
-        mutate(sparse)
-        with pytest.raises(StateCorruptionError, match=match):
-            from_wire(to_wire(sparse))
-
-    def test_signed_total_count_outside_int64(self, populated):
-        delta = populated.difference(DaVinciSketch(populated.config))
-        delta.total_count = -(2**63) - 1
-        with pytest.raises(StateCorruptionError, match="int64"):
-            from_wire(to_wire(delta))
+        forgery = FORGERIES[case]
+        base = _forgery_base(sparse, forgery)
+        from_wire(to_wire(base))  # intact: loads
+        blobs = []
+        if forgery.v3:
+            blobs.append(_forged_wire(base, forgery))
+        if forgery.v2:
+            state = _forged_state(base, forgery)
+            blobs.append(json.dumps(state).encode("utf-8"))
+        errors = set()
+        for blob in blobs:
+            with pytest.raises(StateCorruptionError, match=forgery.match) as info:
+                from_wire(blob)
+            errors.add((type(info.value), str(info.value)))
+        assert len(errors) == 1, errors
 
     def test_digest_mismatch_is_corruption(self, populated):
         """The v3 counterpart of a state whose digest does not verify."""
@@ -502,18 +550,7 @@ class TestHostileBlobs:
     @settings(max_examples=60, deadline=None)
     def test_resigned_byte_mutations_raise_only_typed_errors(self, data):
         """Any body edit under a valid digest loads or raises a ReproError."""
-        config = DaVinciConfig(
-            fp_buckets=4,
-            fp_entries=2,
-            ef_level_widths=(16, 8),
-            ef_level_bits=(4, 8),
-            ifp_rows=2,
-            ifp_width=4,
-            filter_threshold=10,
-        )
-        sketch = DaVinciSketch(config)
-        sketch.insert_all([1, 2, 2, 3, 3, 3] * 5 + list(range(4, 40)))
-        blob = bytearray(to_wire(sketch))
+        blob = bytearray(to_wire(_tiny_sketch()))
         body_len = len(blob) - 32
         for _ in range(data.draw(st.integers(1, 4))):
             at = data.draw(st.integers(0, body_len - 1))
@@ -522,6 +559,68 @@ class TestHostileBlobs:
             from_wire(_resign(bytes(blob)))
         except ReproError:
             pass
+
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_resigned_json_value_edits_raise_only_typed_errors(self, data):
+        """Any value edit of a re-signed v2 JSON state loads or raises a
+        ReproError."""
+        state = to_state(_tiny_sketch())
+        del state["digest"]
+        for _ in range(data.draw(st.integers(1, 3))):
+            path = data.draw(st.sampled_from(list(_json_paths(state))))
+            parent = state
+            for step in path[:-1]:
+                parent = parent[step]
+            if isinstance(parent, dict) and data.draw(st.booleans()):
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = data.draw(_JSON_VALUES)
+        try:
+            from_wire(json.dumps(sign_state(state)).encode("utf-8"))
+        except ReproError:
+            pass
+
+
+def _tiny_sketch() -> DaVinciSketch:
+    """A sketch small enough to fuzz, with every part populated."""
+    config = DaVinciConfig(
+        fp_buckets=4,
+        fp_entries=2,
+        ef_level_widths=(16, 8),
+        ef_level_bits=(4, 8),
+        ifp_rows=2,
+        ifp_width=4,
+        filter_threshold=10,
+    )
+    sketch = DaVinciSketch(config)
+    sketch.insert_all([1, 2, 2, 3, 3, 3] * 5 + list(range(4, 40)))
+    return sketch
+
+
+def _json_paths(node, path=()):
+    """The key/index path of every value below ``node``."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _json_paths(value, path + (key,))
+
+
+#: replacement values: scalars across the int64 edges and of every JSON
+#: type, and small containers of them
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**65), 2**65)
+    | st.sampled_from([0, 1, -1, 2, 2**31, 2**32, 2**63 - 1, 2**63, -(2**63)])
+    | st.floats(allow_nan=False)
+    | st.text(max_size=3),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=4,
+)
 
 
 class TestWireV3Exactness:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.errors import IncompatibleSketchError
+from repro.common.errors import ConfigurationError, IncompatibleSketchError
 from repro.core import DaVinciConfig, DaVinciSketch
 from repro.core.davinci import MODE_ADDITIVE, MODE_SIGNED
 from repro.core.setops import difference, union
@@ -37,6 +37,14 @@ class TestUnion:
         union(a, b)
         assert a.query(1) == 5
         assert b.query(1) == 3
+
+    def test_union_of_a_signed_sketch_raises(self, small_config):
+        a, b = build_pair(small_config)
+        a.insert_all([1] * 5 + [2] * 3)
+        signed = difference(b, a)
+        for left, right in ((signed, a), (a, signed), (signed, signed)):
+            with pytest.raises(ConfigurationError, match="signed"):
+                union(left, right)
 
     def test_union_is_commutative_on_queries(self, small_config):
         a, b = build_pair(small_config)

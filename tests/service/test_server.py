@@ -90,6 +90,22 @@ class TestOps:
             )
         assert excinfo.value.status == "BAD_REQUEST"
 
+    def test_push_of_a_signed_sketch_is_a_typed_error(
+        self, server, sketch_factory
+    ):
+        """Folding a difference sketch into an aggregate is refused, and
+        the aggregate keeps its state."""
+        client = make_client(server)
+        plain = sketch_factory([(1, 5), (2, 3)])
+        client.push("agg", plain)
+        signed = setops.difference(sketch_factory([]), plain)
+        with pytest.raises(RemoteError) as excinfo:
+            client.push("agg", signed)
+        assert excinfo.value.status == "BAD_REQUEST"
+        assert "signed" in str(excinfo.value)
+        remote = serialization.from_wire(client.fetch_blob("agg"))
+        assert remote.to_state() == plain.to_state()
+
     def test_health_reports_aggregates(self, server, sketch_factory):
         client = make_client(server)
         client.push("agg", sketch_factory([(1, 1)]))
