@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint typecheck sketchlint lint-concurrency lint-sarif \
+.PHONY: lint typecheck sketchlint lint-sarif \
 	sketchlint-baseline bench-sketchlint test test-debug faults chaos \
 	bench-checkpoint bench-sharded bench-service \
 	bench-kernel benchcheck e2e-smoke coverage check
@@ -15,17 +15,10 @@ lint:
 typecheck:
 	mypy
 
-# domain rules SK001-SK206 over the library and the tooling itself,
+# domain rules SK001-SK105 over the library and the tooling itself,
 # modulo the checked-in baseline (.sketchlint-baseline.json)
 sketchlint:
 	$(PYTHON) -m tools.sketchlint src tools
-
-# the SK2xx concurrency rules alone (lock-order graph, blocking under a
-# lock, unguarded shared writes, fork safety, wait loops, recording
-# under a lock) — must report zero findings, no baseline entries allowed
-lint-concurrency:
-	$(PYTHON) -m tools.sketchlint --no-baseline \
-		--select SK201,SK202,SK203,SK204,SK205,SK206 src tools
 
 # same gate, emitted as a SARIF 2.1.0 log for GitHub code scanning
 lint-sarif:

@@ -24,7 +24,8 @@ it never talks to the network itself.  State transitions invoke the
 registered listeners — the client uses that to emit
 ``service.breaker.transition`` trace events and transition counters, so
 the closed→open→half-open→closed cycle is observable in a metrics
-snapshot (the chaos suite pins exactly that).
+snapshot (the chaos suite pins exactly that).  Listeners run after the
+breaker's lock is released, so they may call back into the breaker.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
 
@@ -88,6 +89,9 @@ class CircuitBreaker:
         self._probes_in_flight = 0
         self._probe_successes = 0
         self._listeners: List[TransitionListener] = []
+        #: transitions made under the lock, for the listeners to see
+        #: once it is released
+        self._fired: List[Tuple[str, str]] = []
         #: lifetime transition counts, keyed by the state entered
         self.transitions: Dict[str, int] = {CLOSED: 0, OPEN: 0, HALF_OPEN: 0}
 
@@ -107,8 +111,7 @@ class CircuitBreaker:
             self._probe_successes = 0
         if new_state == CLOSED:
             self._outcomes.clear()
-        for listener in self._listeners:
-            listener(previous, new_state)
+        self._fired.append((previous, new_state))
 
     def _failure_rate(self) -> float:
         if not self._outcomes:
@@ -118,17 +121,36 @@ class CircuitBreaker:
     # ------------------------------------------------------------------ #
     # public surface
     # ------------------------------------------------------------------ #
+    def _notify(self) -> None:
+        """Run the listeners for queued transitions; call without the lock.
+
+        Every public method calls this after releasing the lock, so a
+        listener may call back into the breaker.  Whichever thread swaps
+        the queue out delivers its transitions, each exactly once.
+        """
+        if not self._fired:
+            return
+        with self._lock:
+            fired, self._fired = self._fired, []
+            listeners = tuple(self._listeners)
+        for previous, new_state in fired:
+            for listener in listeners:
+                listener(previous, new_state)
+
     def subscribe(self, listener: TransitionListener) -> None:
-        """Register a transition listener (called under the lock)."""
+        """Register a transition listener (run after the lock is released)."""
         with self._lock:
             self._listeners.append(listener)
 
     @property
     def state(self) -> str:
         """Current state, with the open→half-open timer applied."""
-        with self._lock:
-            self._maybe_half_open()
-            return self._state
+        try:
+            with self._lock:
+                self._maybe_half_open()
+                return self._state
+        finally:
+            self._notify()
 
     def _maybe_half_open(self) -> None:
         if (
@@ -139,50 +161,62 @@ class CircuitBreaker:
 
     def allow(self) -> bool:
         """May a call go out right now?  (Half-open consumes a probe.)"""
-        with self._lock:
-            self._maybe_half_open()
-            if self._state == CLOSED:
+        try:
+            with self._lock:
+                self._maybe_half_open()
+                if self._state == CLOSED:
+                    return True
+                if self._state == OPEN:
+                    return False
+                # HALF_OPEN: admit up to the probe budget concurrently
+                if self._probes_in_flight >= self.half_open_probes:
+                    return False
+                self._probes_in_flight += 1
                 return True
-            if self._state == OPEN:
-                return False
-            # HALF_OPEN: admit up to the probe budget concurrently
-            if self._probes_in_flight >= self.half_open_probes:
-                return False
-            self._probes_in_flight += 1
-            return True
+        finally:
+            self._notify()
 
     def record_success(self) -> None:
-        with self._lock:
-            if self._state == HALF_OPEN:
-                self._probes_in_flight = max(0, self._probes_in_flight - 1)
-                self._probe_successes += 1
-                if self._probe_successes >= self.half_open_probes:
-                    self._transition(CLOSED)
-                return
-            self._outcomes.append(False)
+        try:
+            with self._lock:
+                if self._state == HALF_OPEN:
+                    self._probes_in_flight = max(0, self._probes_in_flight - 1)
+                    self._probe_successes += 1
+                    if self._probe_successes >= self.half_open_probes:
+                        self._transition(CLOSED)
+                    return
+                self._outcomes.append(False)
+        finally:
+            self._notify()
 
     def record_failure(self) -> None:
-        with self._lock:
-            if self._state == HALF_OPEN:
-                self._probes_in_flight = max(0, self._probes_in_flight - 1)
-                self._transition(OPEN)
-                return
-            if self._state == OPEN:
-                return
-            self._outcomes.append(True)
-            if (
-                len(self._outcomes) >= self.min_samples
-                and self._failure_rate() >= self.failure_threshold
-            ):
-                self._transition(OPEN)
+        try:
+            with self._lock:
+                if self._state == HALF_OPEN:
+                    self._probes_in_flight = max(0, self._probes_in_flight - 1)
+                    self._transition(OPEN)
+                    return
+                if self._state == OPEN:
+                    return
+                self._outcomes.append(True)
+                if (
+                    len(self._outcomes) >= self.min_samples
+                    and self._failure_rate() >= self.failure_threshold
+                ):
+                    self._transition(OPEN)
+        finally:
+            self._notify()
 
     def snapshot(self) -> Dict[str, object]:
         """JSON-ready view: state, window stats, transition counts."""
-        with self._lock:
-            self._maybe_half_open()
-            return {
-                "state": self._state,
-                "window_samples": len(self._outcomes),
-                "failure_rate": self._failure_rate(),
-                "transitions": dict(self.transitions),
-            }
+        try:
+            with self._lock:
+                self._maybe_half_open()
+                return {
+                    "state": self._state,
+                    "window_samples": len(self._outcomes),
+                    "failure_rate": self._failure_rate(),
+                    "transitions": dict(self.transitions),
+                }
+        finally:
+            self._notify()

@@ -37,10 +37,6 @@ def lint_pack(code: str, name: str) -> List:
     return lint_file(FIXTURES / code.lower() / name, [rule_cls()])
 
 
-def pack_path(code: str, name: str) -> Path:
-    return FIXTURES / code.lower() / name
-
-
 @pytest.fixture
 def invariants_on():
     """Arm the runtime sanitizer for one test, restoring the prior state."""

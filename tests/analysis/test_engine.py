@@ -21,7 +21,6 @@ def test_all_rules_have_distinct_codes_and_summaries():
     assert codes == [
         "SK001", "SK002", "SK003", "SK004", "SK005",
         "SK101", "SK102", "SK103", "SK104", "SK105",
-        "SK201", "SK202", "SK203", "SK204", "SK205", "SK206",
     ]
     assert len(set(codes)) == len(codes)
     assert all(cls.summary for cls in ALL_RULES)

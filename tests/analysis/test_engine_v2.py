@@ -222,6 +222,36 @@ def test_cache_with_stale_signature_is_ignored(tmp_path):
     assert rerun.calls == 1
 
 
+def test_rule_pack_version_is_part_of_the_cache_signature(
+    tmp_path, monkeypatch
+):
+    target = tmp_path / "mod.py"
+    target.write_text("x = 1\n", encoding="utf-8")
+    cache_path = tmp_path / "cache.json"
+
+    first = _CountingRule()
+    lint_paths([target], rules=[first], cache=ResultCache(cache_path))
+    assert first.calls == 1
+
+    # unchanged file, unchanged rule pack: the cache short-circuits
+    warm = _CountingRule()
+    lint_paths([target], rules=[warm], cache=ResultCache(cache_path))
+    assert warm.calls == 0
+
+    # a rule-pack upgrade must invalidate every entry even though the
+    # file (and the linter's own source stamps) did not change
+    import tools.sketchlint.rules as rules_module
+
+    monkeypatch.setattr(
+        rules_module,
+        "RULE_PACK_VERSION",
+        rules_module.RULE_PACK_VERSION + "-next",
+    )
+    bumped = _CountingRule()
+    lint_paths([target], rules=[bumped], cache=ResultCache(cache_path))
+    assert bumped.calls == 1
+
+
 # --------------------------------------------------------------------- #
 # baseline
 # --------------------------------------------------------------------- #

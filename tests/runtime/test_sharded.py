@@ -276,6 +276,22 @@ class TestShardedIngestor:
         )
         assert merged.to_state() == reference.to_state()
 
+    def test_spawn_run_matches_the_fork_run(self):
+        """Spawn pickles each worker's ``target=`` and ``args=``, so a
+        thread lock or a bound method of a lock-owning object handed to
+        a worker fails here, where fork would copy it silently."""
+        config = small_config()
+        keys = zipfish_keys(5000)
+        states = []
+        for method in ("fork", "spawn"):
+            with ShardedIngestor(
+                config, 2, chunk_items=CHUNK, batch_items=1024,
+                mp_context=method,
+            ) as ingestor:
+                ingestor.ingest_keys(keys)
+                states.append(ingestor.finalize().to_state())
+        assert states[0] == states[1]
+
     def test_shard_sketches_are_key_disjoint(self):
         config = small_config()
         with ShardedIngestor(

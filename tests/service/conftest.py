@@ -4,6 +4,12 @@ Everything runs on loopback with ephemeral ports and deterministic
 retry schedules (injected RNGs, recorded sleeps), so the suite is
 parallel-safe and timing-insensitive except where a test is *about*
 time (deadlines, breaker cool-downs) — those use generous margins.
+
+Every test here runs under the runtime lock checker
+(:mod:`tests.service.lockcheck`), armed by the autouse
+``lock_checker`` fixture: lock-order cycles, blocking or recording
+under a lock, and unguarded writes from service threads fail the test
+at teardown.
 """
 
 from __future__ import annotations
@@ -14,6 +20,16 @@ import pytest
 
 from repro.core import DaVinciConfig, DaVinciSketch
 from repro.service import SketchServer
+from tests.service.lockcheck import LockChecker
+
+
+@pytest.fixture(autouse=True)
+def lock_checker(monkeypatch: pytest.MonkeyPatch) -> Iterator[LockChecker]:
+    """Watch every lock the service creates during the test."""
+    checker = LockChecker()
+    checker.install(monkeypatch)
+    yield checker
+    checker.verify()
 
 
 @pytest.fixture

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.common.errors import ConfigurationError
@@ -117,6 +119,25 @@ class TestStateMachine:
             HALF_OPEN: 1,
         }
         assert snapshot["state"] == CLOSED
+
+    def test_listener_may_call_back_into_the_breaker(self, clock):
+        """Listeners run after the lock is released: one that reads the
+        breaker sees the new state instead of deadlocking on the lock."""
+        breaker = make_breaker(clock, min_samples=2, failure_threshold=0.5)
+        seen = []
+        breaker.subscribe(
+            lambda prev, new: seen.append((new, breaker.snapshot()["state"]))
+        )
+
+        def fail_twice():
+            breaker.record_failure()
+            breaker.record_failure()
+
+        worker = threading.Thread(target=fail_twice, daemon=True)
+        worker.start()
+        worker.join(timeout=5.0)
+        assert not worker.is_alive()
+        assert seen == [(OPEN, OPEN)]
 
     def test_multi_probe_half_open_needs_every_probe(self, clock):
         breaker = make_breaker(

@@ -68,6 +68,10 @@ class TestOps:
         client.push("right", b)
         merged = client.query("left", "union", other="right")
         assert merged.to_state() == setops.union(a, b).to_state()
+        # the opposite pair order takes the two locks in the same order
+        # (the lock checker fails the test on an order cycle)
+        merged = client.query("right", "union", other="left")
+        assert merged.to_state() == setops.union(b, a).to_state()
 
     def test_missing_aggregate_is_not_found(self, server):
         client = make_client(server)
@@ -233,6 +237,13 @@ class TestRobustness:
             while not server._draining and time.monotonic() < deadline:
                 time.sleep(0.01)
             assert server._draining
+            # wake-ups with the query still in flight must not end the
+            # drain: close() waits until the in-flight count reaches zero
+            for _ in range(10):
+                with server._admission:
+                    server._admission.notify_all()
+                time.sleep(0.03)
+            assert closer.is_alive()
             protocol.send_message(
                 early, {"op": "PUSH", "aggregate": "agg"}, b"x"
             )

@@ -3,8 +3,8 @@
 SK001–SK005 are the original per-file syntactic passes; SK101–SK105 are
 the CFG/dataflow generation (interprocedural contract rules built on
 :mod:`tools.sketchlint.cfg`, :mod:`tools.sketchlint.dataflow` and
-:mod:`tools.sketchlint.symbols`); SK201–SK206 are the concurrency pack
-built on the :mod:`tools.sketchlint.lockgraph` lock-order model.
+:mod:`tools.sketchlint.symbols`).  Lock discipline is checked at run
+time by the service tests' lock checker, not here.
 """
 
 from __future__ import annotations
@@ -22,22 +22,12 @@ from tools.sketchlint.rules.sk102_obs_guard import ObsGuardRule
 from tools.sketchlint.rules.sk103_state_symmetry import StateSymmetryRule
 from tools.sketchlint.rules.sk104_field_flow import FieldFlowRule
 from tools.sketchlint.rules.sk105_policy_threading import PolicyThreadingRule
-from tools.sketchlint.rules.sk201_lock_order import LockOrderCycleRule
-from tools.sketchlint.rules.sk202_blocking_under_lock import (
-    BlockingUnderLockRule,
-)
-from tools.sketchlint.rules.sk203_unguarded_shared_write import (
-    UnguardedSharedWriteRule,
-)
-from tools.sketchlint.rules.sk204_fork_safety import ForkSafetyRule
-from tools.sketchlint.rules.sk205_wait_predicate import ConditionWaitLoopRule
-from tools.sketchlint.rules.sk206_record_under_lock import RecordUnderLockRule
 
 #: the rule-pack version, folded into the result-cache signature so a
 #: rule upgrade invalidates every cached finding even when the package
 #: sources look unchanged (e.g. an installed wheel with frozen mtimes).
 #: Bump on any behavior change to a rule or to the shared models.
-RULE_PACK_VERSION = "3.0.0"
+RULE_PACK_VERSION = "4.0.0"
 
 ALL_RULES: List[Type[Rule]] = [
     FieldArithmeticRule,
@@ -50,12 +40,6 @@ ALL_RULES: List[Type[Rule]] = [
     StateSymmetryRule,
     FieldFlowRule,
     PolicyThreadingRule,
-    LockOrderCycleRule,
-    BlockingUnderLockRule,
-    UnguardedSharedWriteRule,
-    ForkSafetyRule,
-    ConditionWaitLoopRule,
-    RecordUnderLockRule,
 ]
 
 
@@ -78,10 +62,4 @@ __all__ = [
     "StateSymmetryRule",
     "FieldFlowRule",
     "PolicyThreadingRule",
-    "LockOrderCycleRule",
-    "BlockingUnderLockRule",
-    "UnguardedSharedWriteRule",
-    "ForkSafetyRule",
-    "ConditionWaitLoopRule",
-    "RecordUnderLockRule",
 ]

@@ -23,7 +23,7 @@ SARIF_SCHEMA = (
     "Schemata/sarif-schema-2.1.0.json"
 )
 TOOL_NAME = "sketchlint"
-TOOL_VERSION = "3.0.0"
+TOOL_VERSION = "4.0.0"
 TOOL_URI = "https://github.com/example/davinci-sketch-repro"
 
 
