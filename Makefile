@@ -5,7 +5,7 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: lint typecheck sketchlint lint-sarif \
-	sketchlint-baseline bench-sketchlint test test-debug faults chaos \
+	bench-sketchlint test test-debug faults chaos \
 	bench-checkpoint bench-sharded bench-service \
 	bench-kernel benchcheck e2e-smoke coverage check
 
@@ -15,20 +15,15 @@ lint:
 typecheck:
 	mypy
 
-# domain rules SK001-SK105 over the library and the tooling itself,
-# modulo the checked-in baseline (.sketchlint-baseline.json)
+# domain rules SK002, SK101-SK103 and SK105 over the library and the
+# tooling itself; any finding fails the gate
 sketchlint:
-	$(PYTHON) -m tools.sketchlint src tools
+	$(PYTHON) -m tools.sketchlint src tools --no-cache
 
 # same gate, emitted as a SARIF 2.1.0 log for GitHub code scanning
 lint-sarif:
-	$(PYTHON) -m tools.sketchlint src tools --format sarif \
+	$(PYTHON) -m tools.sketchlint src tools --no-cache --format sarif \
 		--output sketchlint.sarif
-
-# refresh the grandfathered-findings baseline; every entry still needs a
-# hand-written justification (the repo-gate test rejects blank ones)
-sketchlint-baseline:
-	$(PYTHON) -m tools.sketchlint src tools --update-baseline
 
 # perf pin: a cold full-repo analysis must stay under 10s (cached < 1s)
 bench-sketchlint:

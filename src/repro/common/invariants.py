@@ -24,16 +24,16 @@ before importing (or call :func:`set_enabled` / :func:`refresh` at runtime)
 to arm the checks.  A failed check raises
 :class:`~repro.common.errors.InvariantViolation`.
 
-The checks intentionally mirror the static rules of ``tools/sketchlint``:
+The checks back contracts that the test suite verifies at run time
+(``docs/STATIC_ANALYSIS.md``, "Rule yield"):
 
-* :func:`check_field_element` is the runtime counterpart of **SK001**
-  (field-arithmetic hygiene) — a write that the linter proves is reduced
-  ``% p`` is re-verified here against the live value;
-* :func:`check` replaces the bare ``assert`` statements that **SK003**
-  (exception discipline) bans — unlike ``assert`` it survives ``python -O``
-  and raises into the package's exception hierarchy;
+* :func:`check_field_element` re-verifies that every ``iID`` write is a
+  residue reduced ``% p``, against the live value;
+* :func:`check` replaces bare ``assert`` statements, which library code
+  may not use — unlike ``assert`` it survives ``python -O`` and raises
+  into the package's exception hierarchy;
 * :func:`check_saturation` and :func:`check_bounded` police the counter
-  ranges that the merge paths guarded by **SK004** rely on.
+  ranges that the merge paths rely on once both operands are compatible.
 """
 
 from __future__ import annotations
@@ -70,15 +70,16 @@ def check(condition: bool, message: str) -> None:
     """Raise :class:`InvariantViolation` unless ``condition`` holds.
 
     The drop-in replacement for ``assert condition, message`` in library
-    code (which SK003 forbids): it cannot be stripped by ``python -O`` and
-    it raises into the :class:`~repro.common.errors.ReproError` hierarchy.
+    code (which the repo gate rejects): it cannot be stripped by
+    ``python -O`` and it raises into the
+    :class:`~repro.common.errors.ReproError` hierarchy.
     """
     if not condition:
         raise InvariantViolation(message)
 
 
 def check_field_element(value: int, prime: int, where: str) -> None:
-    """``value`` must be a reduced residue in ``[0, prime)`` (SK001)."""
+    """``value`` must be a reduced residue in ``[0, prime)``."""
     if not isinstance(value, int) or not 0 <= value < prime:
         raise InvariantViolation(
             f"{where}: field element {value!r} not reduced into [0, {prime})"
@@ -108,7 +109,7 @@ def check_bounded(value: int, low: int, high: int, where: str) -> None:
 
 
 def check_saturation(value: int, cap: int, where: str) -> None:
-    """A saturating counter must never exceed its level cap (SK004 ally)."""
+    """A saturating counter must never exceed its level cap."""
     if value > cap:
         raise InvariantViolation(
             f"{where}: counter {value} exceeds saturation cap {cap}"

@@ -37,8 +37,8 @@ class CUSketch(FrequencySketch):
     def insert(self, key: int, count: int = 1) -> None:
         self.insertions += 1
         self.memory_accesses += self.rows
-        # Hot path: one shared hash pass, explicit min scan, no per-item
-        # comprehension allocation (SK005).
+        # One shared hash pass and an explicit min scan, with no per-item
+        # comprehension allocation.
         positions = self._hashes.indexes(key)
         target = self.counters[0][positions[0]]
         for row in range(1, self.rows):

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import List
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, IncompatibleSketchError
 from repro.common.hashing import hash64
 from repro.sketches.base import CardinalitySketch
 
@@ -86,7 +86,7 @@ class HyperLogLog(CardinalitySketch):
             self.precision != other.precision
             or self._seed != other._seed
         ):
-            raise ConfigurationError("HLLs differ in precision or seed")
+            raise IncompatibleSketchError("HLLs differ in precision or seed")
         result = HyperLogLog(self.precision, self._seed)
         result.registers = [
             max(a, b) for a, b in zip(self.registers, other.registers)

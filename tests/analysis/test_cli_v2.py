@@ -1,10 +1,7 @@
-"""CLI v2 behavior: exit codes, baseline modes, cache flags."""
+"""CLI v2 behavior: exit codes, rule selection, cache flags."""
 
 from __future__ import annotations
 
-import json
-
-from tools.sketchlint.baseline import Baseline
 from tools.sketchlint.cli import main
 
 
@@ -16,7 +13,7 @@ def _clean_file(tmp_path, name="clean.py"):
 
 def _bad_file(tmp_path, name="bad.py"):
     target = tmp_path / name
-    target.write_text("assert True\n", encoding="utf-8")
+    target.write_text("import random\nx = random.random()\n", encoding="utf-8")
     return target
 
 
@@ -29,12 +26,12 @@ def _run(*argv) -> int:
 # --------------------------------------------------------------------- #
 def test_exit_zero_on_clean_tree(tmp_path):
     target = _clean_file(tmp_path)
-    assert _run(target, "--no-cache", "--no-baseline") == 0
+    assert _run(target, "--no-cache") == 0
 
 
 def test_exit_one_on_violations(tmp_path):
     target = _bad_file(tmp_path)
-    assert _run(target, "--no-cache", "--no-baseline") == 1
+    assert _run(target, "--no-cache") == 1
 
 
 def test_exit_two_on_missing_path(tmp_path, capsys):
@@ -57,89 +54,14 @@ def test_exit_two_on_unknown_select_code(tmp_path, capsys):
 def test_exit_two_on_parse_error(tmp_path):
     target = tmp_path / "broken.py"
     target.write_text("def f(:\n", encoding="utf-8")
-    assert _run(target, "--no-cache", "--no-baseline") == 2
+    assert _run(target, "--no-cache") == 2
 
 
 def test_list_rules_exits_zero(capsys):
     assert main(["--list-rules", "ignored.py"]) == 0
     out = capsys.readouterr().out
-    for code in ("SK001", "SK101", "SK102", "SK103", "SK104", "SK105"):
-        assert code in out
-
-
-# --------------------------------------------------------------------- #
-# baseline modes
-# --------------------------------------------------------------------- #
-def test_update_baseline_records_findings_and_exits_zero(tmp_path):
-    target = _bad_file(tmp_path)
-    baseline_path = tmp_path / "baseline.json"
-    assert (
-        _run(
-            target,
-            "--baseline",
-            baseline_path,
-            "--update-baseline",
-            "--no-cache",
-        )
-        == 0
-    )
-    payload = json.loads(baseline_path.read_text(encoding="utf-8"))
-    assert payload["findings"], "the finding must be recorded"
-    assert payload["findings"][0]["content"] == "assert True"
-
-
-def test_baseline_suppresses_recorded_findings(tmp_path, capsys):
-    target = _bad_file(tmp_path)
-    baseline_path = tmp_path / "baseline.json"
-    _run(target, "--baseline", baseline_path, "--update-baseline", "--no-cache")
-    capsys.readouterr()
-
-    code = _run(target, "--baseline", baseline_path, "--no-cache")
-    assert code == 0
-    assert "baselined" in capsys.readouterr().out
-
-
-def test_no_baseline_reports_grandfathered_findings(tmp_path):
-    target = _bad_file(tmp_path)
-    baseline_path = tmp_path / "baseline.json"
-    _run(target, "--baseline", baseline_path, "--update-baseline", "--no-cache")
-
-    assert (
-        _run(target, "--baseline", baseline_path, "--no-baseline", "--no-cache")
-        == 1
-    )
-
-
-def test_new_findings_past_the_baseline_count_still_fail(tmp_path):
-    target = _bad_file(tmp_path)
-    baseline_path = tmp_path / "baseline.json"
-    _run(target, "--baseline", baseline_path, "--update-baseline", "--no-cache")
-
-    target.write_text("assert True\nassert True\n", encoding="utf-8")
-    assert _run(target, "--baseline", baseline_path, "--no-cache") == 1
-
-
-def test_update_baseline_preserves_existing_justifications(tmp_path):
-    target = _bad_file(tmp_path)
-    baseline_path = tmp_path / "baseline.json"
-    _run(target, "--baseline", baseline_path, "--update-baseline", "--no-cache")
-
-    loaded = Baseline.load(baseline_path)
-    (key,) = loaded.entries
-    loaded.entries[key]["justification"] = "accepted legacy assert"
-    loaded.save()
-
-    _run(target, "--baseline", baseline_path, "--update-baseline", "--no-cache")
-    refreshed = Baseline.load(baseline_path)
-    assert refreshed.entries[key]["justification"] == "accepted legacy assert"
-
-
-def test_corrupt_baseline_is_a_usage_error(tmp_path, capsys):
-    target = _bad_file(tmp_path)
-    baseline_path = tmp_path / "baseline.json"
-    baseline_path.write_text("{broken", encoding="utf-8")
-    assert _run(target, "--baseline", baseline_path, "--no-cache") == 2
-    assert "invalid baseline JSON" in capsys.readouterr().err
+    codes = [line.split()[0] for line in out.splitlines()]
+    assert codes == ["SK002", "SK101", "SK102", "SK103", "SK105"]
 
 
 # --------------------------------------------------------------------- #
@@ -148,19 +70,15 @@ def test_corrupt_baseline_is_a_usage_error(tmp_path, capsys):
 def test_cache_path_flag_writes_the_cache_there(tmp_path):
     target = _clean_file(tmp_path)
     cache_path = tmp_path / "cache.json"
-    assert _run(target, "--cache-path", cache_path, "--no-baseline") == 0
+    assert _run(target, "--cache-path", cache_path) == 0
     assert cache_path.exists()
     # second run loads the cache cleanly and agrees
-    assert _run(target, "--cache-path", cache_path, "--no-baseline") == 0
+    assert _run(target, "--cache-path", cache_path) == 0
 
 
 def test_select_restricts_the_run(tmp_path):
     target = _bad_file(tmp_path)
-    # SK002 does not flag bare asserts, so the tree is clean under it
-    assert (
-        _run(target, "--select", "SK002", "--no-cache", "--no-baseline") == 0
-    )
-    # SK003 (exception discipline) does
-    assert (
-        _run(target, "--select", "SK003", "--no-cache", "--no-baseline") == 1
-    )
+    # SK101 (decode-cache invalidation) has nothing to say about a draw
+    assert _run(target, "--select", "SK101", "--no-cache") == 0
+    # SK002 (injected randomness) flags it
+    assert _run(target, "--select", "SK002", "--no-cache") == 1

@@ -18,10 +18,7 @@ from tools.sketchlint.rules import ALL_RULES, rules_by_code
 
 def test_all_rules_have_distinct_codes_and_summaries():
     codes = [cls.code for cls in ALL_RULES]
-    assert codes == [
-        "SK001", "SK002", "SK003", "SK004", "SK005",
-        "SK101", "SK102", "SK103", "SK104", "SK105",
-    ]
+    assert codes == ["SK002", "SK101", "SK102", "SK103", "SK105"]
     assert len(set(codes)) == len(codes)
     assert all(cls.summary for cls in ALL_RULES)
     assert set(rules_by_code()) == set(codes)
@@ -29,25 +26,29 @@ def test_all_rules_have_distinct_codes_and_summaries():
 
 def test_violation_render_is_editor_clickable():
     violation = Violation(
-        code="SK003", message="no asserts", path="src/x.py", line=7, column=4
+        code="SK002", message="seed it", path="src/x.py", line=7, column=4
     )
-    assert violation.render() == "src/x.py:7:5: SK003 no asserts"
+    assert violation.render() == "src/x.py:7:5: SK002 seed it"
+
+
+#: one global-state draw (SK002) on line 2, before any trailing pragma
+DRAW = "import random\nx = random.random()"
 
 
 def test_pragma_suppresses_named_code():
-    source = "assert True  # sketchlint: disable=SK003\n"
+    source = DRAW + "  # sketchlint: disable=SK002\n"
     assert lint_source(source) == []
 
 
 def test_pragma_all_suppresses_everything():
-    source = "assert True  # sketchlint: disable=all\n"
+    source = DRAW + "  # sketchlint: disable=all\n"
     assert lint_source(source) == []
 
 
 def test_pragma_other_code_does_not_suppress():
-    source = "assert True  # sketchlint: disable=SK001\n"
+    source = DRAW + "  # sketchlint: disable=SK101\n"
     violations = lint_source(source)
-    assert [v.code for v in violations] == ["SK003"]
+    assert [v.code for v in violations] == ["SK002"]
 
 
 def test_select_unknown_code_raises(tmp_path: Path):
@@ -57,9 +58,10 @@ def test_select_unknown_code_raises(tmp_path: Path):
 
 def test_select_restricts_to_named_rule(tmp_path: Path):
     bad = tmp_path / "mixed.py"
-    bad.write_text("assert True\nrandom.random()\nimport random\n")
-    report = lint_paths([bad], select=["sk003"])
-    assert [v.code for v in report.violations] == ["SK003"]
+    bad.write_text(DRAW + "\n")
+    assert lint_paths([bad], select=["sk101"]).violations == []
+    report = lint_paths([bad], select=["sk002"])
+    assert [v.code for v in report.violations] == ["SK002"]
 
 
 def test_syntax_error_is_reported_not_raised(tmp_path: Path):

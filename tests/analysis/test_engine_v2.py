@@ -1,4 +1,4 @@
-"""Engine v2 behavior: span pragmas, package rules, cache, baseline."""
+"""Engine v2 behavior: span pragmas, package rules, cache."""
 
 from __future__ import annotations
 
@@ -9,11 +9,9 @@ from typing import Iterator
 
 import pytest
 
-from tools.sketchlint.baseline import Baseline, fingerprint_of
 from tools.sketchlint.cache import ResultCache
 from tools.sketchlint.engine import (
     FileContext,
-    LintReport,
     PackageContext,
     PackageRule,
     Rule,
@@ -251,76 +249,3 @@ def test_rule_pack_version_is_part_of_the_cache_signature(
     lint_paths([target], rules=[bumped], cache=ResultCache(cache_path))
     assert bumped.calls == 1
 
-
-# --------------------------------------------------------------------- #
-# baseline
-# --------------------------------------------------------------------- #
-def _report_for(tmp_path, occurrences: int) -> LintReport:
-    target = tmp_path / "legacy.py"
-    target.write_text("raise ValueError(x)\n" * occurrences, encoding="utf-8")
-    violations = [
-        Violation("SK900", "marker", str(target), line)
-        for line in range(1, occurrences + 1)
-    ]
-    return LintReport(violations=violations, files_checked=1)
-
-
-def test_baseline_apply_suppresses_up_to_the_recorded_count(tmp_path):
-    report = _report_for(tmp_path, occurrences=3)
-    key = fingerprint_of(report.violations[0])
-    baseline = Baseline(
-        tmp_path / "baseline.json",
-        {key: {"count": 2, "justification": "legacy"}},
-    )
-    baseline.apply(report)
-    assert report.baseline_suppressed == 2
-    assert [v.line for v in report.violations] == [3]
-
-
-def test_baseline_fingerprint_survives_line_shifts(tmp_path):
-    target = tmp_path / "legacy.py"
-    target.write_text("# header\nraise ValueError(x)\n", encoding="utf-8")
-    shifted = Violation("SK900", "marker", str(target), 2)
-    original_key = ("SK900", str(target), "raise ValueError(x)")
-    assert fingerprint_of(shifted) == original_key
-
-
-def test_baseline_from_report_roundtrip_preserves_justifications(tmp_path):
-    report = _report_for(tmp_path, occurrences=2)
-    path = tmp_path / "baseline.json"
-    Baseline.from_report(report, path=path).save()
-
-    loaded = Baseline.load(path)
-    (key,) = loaded.entries
-    assert loaded.entries[key]["count"] == 2
-    loaded.entries[key]["justification"] = "reviewed: CLI error convention"
-    loaded.save()
-
-    refreshed = Baseline.from_report(report, path=path)
-    assert (
-        refreshed.entries[key]["justification"]
-        == "reviewed: CLI error convention"
-    )
-
-
-def test_baseline_unjustified_lists_empty_justifications(tmp_path):
-    baseline = Baseline(
-        tmp_path / "baseline.json",
-        {
-            ("SK900", "a.py", "x = 1"): {"count": 1, "justification": "  "},
-            ("SK900", "b.py", "y = 2"): {"count": 1, "justification": "ok"},
-        },
-    )
-    assert baseline.unjustified() == [("SK900", "a.py", "x = 1")]
-
-
-def test_baseline_load_missing_file_is_empty(tmp_path):
-    baseline = Baseline.load(tmp_path / "nope.json")
-    assert baseline.entries == {}
-
-
-def test_baseline_load_rejects_invalid_json(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text("{not json", encoding="utf-8")
-    with pytest.raises(ValueError, match="invalid baseline JSON"):
-        Baseline.load(path)

@@ -7,7 +7,12 @@ import json
 from tools.sketchlint.cli import main
 from tools.sketchlint.engine import LintReport, Violation, lint_paths
 from tools.sketchlint.rules import ALL_RULES
-from tools.sketchlint.sarif import SARIF_SCHEMA, SARIF_VERSION, render_sarif
+from tools.sketchlint.sarif import (
+    SARIF_SCHEMA,
+    SARIF_VERSION,
+    fingerprint_of,
+    render_sarif,
+)
 
 
 def _assert_valid_sarif(log: dict) -> None:
@@ -74,7 +79,7 @@ def test_empty_report_is_valid_sarif():
 
 def test_report_with_findings_round_trips(tmp_path):
     target = tmp_path / "bad.py"
-    target.write_text("assert True\n", encoding="utf-8")
+    target.write_text("import random\nx = random.random()\n", encoding="utf-8")
     report = lint_paths([target])
     assert report.violations, "fixture should trip at least one rule"
 
@@ -89,8 +94,8 @@ def test_all_registered_rules_appear_as_descriptors():
     log = json.loads(render_sarif(LintReport(), _all_rules()))
     ids = {rule["id"] for rule in log["runs"][0]["tool"]["driver"]["rules"]}
     assert {cls.code for cls in ALL_RULES} <= ids
-    # the five v2 interprocedural rules specifically
-    assert {"SK101", "SK102", "SK103", "SK104", "SK105"} <= ids
+    # the four v2 interprocedural rules specifically
+    assert {"SK101", "SK102", "SK103", "SK105"} <= ids
 
 
 def test_fingerprints_are_content_addressed(tmp_path):
@@ -117,6 +122,14 @@ def test_fingerprints_are_content_addressed(tmp_path):
     assert other_print != prints[0], "different path -> different print"
 
 
+def test_fingerprint_survives_line_shifts(tmp_path):
+    target = tmp_path / "legacy.py"
+    target.write_text("# header\nraise ValueError(x)\n", encoding="utf-8")
+    shifted = Violation("SK900", "marker", str(target), 2)
+    original_key = ("SK900", str(target), "raise ValueError(x)")
+    assert fingerprint_of(shifted) == original_key
+
+
 def test_parse_errors_become_tool_notifications(tmp_path):
     target = tmp_path / "broken.py"
     target.write_text("def f(:\n", encoding="utf-8")
@@ -131,7 +144,7 @@ def test_parse_errors_become_tool_notifications(tmp_path):
 
 def test_cli_writes_sarif_to_output_file(tmp_path):
     target = tmp_path / "bad.py"
-    target.write_text("assert True\n", encoding="utf-8")
+    target.write_text("import random\nx = random.random()\n", encoding="utf-8")
     out = tmp_path / "report.sarif"
     exit_code = main(
         [
@@ -141,7 +154,6 @@ def test_cli_writes_sarif_to_output_file(tmp_path):
             "--output",
             str(out),
             "--no-cache",
-            "--no-baseline",
         ]
     )
     assert exit_code == 1

@@ -4,9 +4,6 @@ from __future__ import annotations
 
 from tests.analysis.conftest import lint_pack
 
-from tools.sketchlint.baseline import Baseline
-from tools.sketchlint.engine import LintReport
-
 
 def test_bad_pack_flags_loop_guard_and_unguarded_call():
     violations = lint_pack("sk102", "bad.py")
@@ -26,9 +23,3 @@ def test_good_pack_is_clean():
 def test_pragma_pack_is_suppressed():
     assert lint_pack("sk102", "pragma.py") == []
 
-
-def test_baseline_suppresses_the_bad_pack(tmp_path):
-    report = LintReport(violations=lint_pack("sk102", "bad.py"))
-    Baseline.from_report(report, path=tmp_path / "baseline.json").apply(report)
-    assert report.violations == []
-    assert report.baseline_suppressed == 2

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.errors import ConfigurationError, IncompatibleSketchError
+from repro.common.errors import ConfigurationError
 from repro.core.element_filter import ElementFilter
 from tests.substrate_contracts import (
     TowerConstructionContract,
@@ -85,13 +85,6 @@ class TestLinearity:
         other.add(1, 8)
         delta = filter_.subtracted(other)
         assert delta.query_signed(1) == -5
-
-    def test_incompatible_merge_rejected(self, filter_):
-        other = ElementFilter((128, 32), (4, 8), threshold=10, seed=99)
-        with pytest.raises(IncompatibleSketchError):
-            filter_.merged(other)
-        with pytest.raises(IncompatibleSketchError):
-            filter_.subtracted(other)
 
     def test_merge_leaves_inputs_untouched(self, filter_):
         other = filter_.empty_like()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.errors import ConfigurationError, IncompatibleSketchError
+from repro.common.errors import ConfigurationError
 from repro.core import DaVinciConfig, DaVinciSketch
 from repro.core.davinci import MODE_ADDITIVE, MODE_SIGNED
 from repro.core.setops import difference, union
@@ -69,13 +69,6 @@ class TestUnion:
         errors = [abs(estimate - 3) for estimate in estimates]
         assert sum(errors) / len(errors) < 12.0
 
-    def test_incompatible_rejected(self, small_config):
-        import dataclasses
-
-        other = DaVinciSketch(dataclasses.replace(small_config, seed=99))
-        with pytest.raises(IncompatibleSketchError):
-            union(DaVinciSketch(small_config), other)
-
 
 class TestDifference:
     def test_mode_and_total(self, small_config):
@@ -129,13 +122,6 @@ class TestDifference:
         truth.subtract(Counter(half))
         errors = [abs(delta.query(k) - truth[k]) for k in range(80)]
         assert sum(errors) / len(errors) < 2.0
-
-    def test_incompatible_rejected(self, small_config):
-        import dataclasses
-
-        other = DaVinciSketch(dataclasses.replace(small_config, seed=99))
-        with pytest.raises(IncompatibleSketchError):
-            difference(DaVinciSketch(small_config), other)
 
 
 class TestChaining:

@@ -9,13 +9,17 @@ flags, EF counters and IFP residues included — for every key type,
 weighted or unit counts, chunk sizes from 1 to 65536, and the chunks
 that take the per-item fallback: counts numpy cannot hold as int64
 (numpy unsigned integers), totals at or above 2^52 and a bucket pile-up
-into more than ``_MAX_FP_ROUNDS`` sparse rank rounds.  A chunk with a
+into more than ``_MAX_FP_ROUNDS`` sparse rank rounds.  Keys near 2^32
+with counts up to 2^40 push IFP residues past the prime, on both paths
+and through a union.  A chunk with a
 bool key or a count that is not an integer raises before it changes
 anything.
 
 CI runs this file once more under ``REPRO_DEBUG_INVARIANTS=1``, where
 counts that are not Python ints are rejected up front on both sides.
 """
+
+import random
 
 import numpy
 import pytest
@@ -27,7 +31,7 @@ from repro.common.errors import ConfigurationError, InvariantViolation
 from repro.common.hashing import canonical_key
 from repro.core import DaVinciConfig, DaVinciSketch
 from repro.core.kernel import _MAX_FP_ROUNDS, canonical_keys
-from repro.core.serialization import to_state
+from repro.core.serialization import from_wire, to_state, to_wire
 
 int_keys = st.integers(min_value=1, max_value=60)
 #: every key type canonicalization accepts: ints on both sides of the
@@ -44,6 +48,24 @@ mixed_keys = st.one_of(
 )
 counts = st.integers(min_value=1, max_value=40)
 pair_streams = st.lists(st.tuples(int_keys, counts), min_size=0, max_size=250)
+
+
+def wide_stream(seed: int):
+    """400 keys near the top of the 32-bit domain, counts below 2^40.
+
+    One ``count·key`` passes p = 2^61 - 1 while chunk totals stay below
+    the 2^52 fallback, so an IFP residue left unreduced anywhere shows;
+    400 pairs fill every IFP bucket of ``make_config()``.  Drawn from a
+    seed so that a failure shrinks in a few steps.
+    """
+    rng = random.Random(seed)
+    return [
+        (rng.randrange(2**31, 2**32), rng.randrange(2**29, 2**40))
+        for _ in range(400)
+    ]
+
+
+wide_streams = st.integers(min_value=0, max_value=2**32).map(wide_stream)
 #: chunk sizes 1..65536, with the edges and the default drawn often
 chunk_sizes = st.one_of(
     st.sampled_from([1, 2, 3, 64, 65536]),
@@ -146,7 +168,7 @@ def apply_operations(sketch: DaVinciSketch, ops, bulk: bool) -> None:
 class TestKernelParity:
     """``insert_batch``/``insert_all`` ≡ the per-item oracle."""
 
-    @given(pairs=pair_streams, chunk_size=chunk_sizes)
+    @given(pairs=st.one_of(pair_streams, wide_streams), chunk_size=chunk_sizes)
     @settings(max_examples=80, deadline=None)
     def test_insert_batch_state_identical(self, pairs, chunk_size):
         assert_matches_oracle(make_config(), pairs, chunk_size)
@@ -204,7 +226,11 @@ class TestKernelParity:
         apply_operations(oracle, ops, bulk=False)
         assert to_state(bulk) == to_state(oracle)
 
-    @given(left=pair_streams, right=pair_streams, chunk_size=chunk_sizes)
+    @given(
+        left=st.one_of(pair_streams, wide_streams),
+        right=st.one_of(pair_streams, wide_streams),
+        chunk_size=chunk_sizes,
+    )
     @settings(max_examples=40, deadline=None)
     def test_union_of_array_built_sketches_identical(
         self, left, right, chunk_size
@@ -216,7 +242,10 @@ class TestKernelParity:
             apply_operations(b, [("batch", right, chunk_size)], bulk)
             return a.union(b)
 
-        assert to_state(build(True)) == to_state(build(False))
+        union = build(True)
+        assert to_state(union) == to_state(build(False))
+        # the union adds residues; the wire loader rejects one outside [0, p)
+        assert to_state(from_wire(to_wire(union))) == to_state(union)
 
     @given(
         before=pair_streams,

@@ -41,7 +41,7 @@ class TestHyperLogLog:
         assert a.merge(b).cardinality() == pytest.approx(3000, rel=0.1)
 
     def test_merge_rejects_mismatch(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(IncompatibleSketchError):
             HyperLogLog(10, seed=1).merge(HyperLogLog(11, seed=1))
 
     def test_precision_bounds(self):
@@ -127,10 +127,6 @@ class TestMVSketch:
         assert delta.query(1) == pytest.approx(400, abs=20)
         changed = delta.heavy_hitters(200)
         assert 1 in changed and 2 not in changed
-
-    def test_subtract_shape_check(self):
-        with pytest.raises(IncompatibleSketchError):
-            MVSketch(2, 64, seed=1).subtract(MVSketch(2, 32, seed=1))
 
     def test_memory_model(self):
         sketch = MVSketch(rows=2, width=100)

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from repro.common.errors import ConfigurationError, IncompatibleSketchError
+from repro.common.errors import ConfigurationError
 from repro.common.primes import SMALL_PRIME
 from repro.sketches import FermatSketch, FlowRadar, LossRadar
 from tests.substrate_contracts import FermatDecodeContract, FermatLinearityContract
@@ -94,12 +94,6 @@ class TestFlowRadar:
         stranded_packets = sum(cell.packet_count for cell in delta.cells)
         assert stranded_packets == delta.num_hashes * len(lost)
 
-    def test_merge_shape_check(self):
-        a = FlowRadar(cells=64, filter_bits=512, seed=1)
-        b = FlowRadar(cells=32, filter_bits=512, seed=1)
-        with pytest.raises(IncompatibleSketchError):
-            a.merge(b)
-
     def test_memory_model(self):
         radar = FlowRadar(cells=100, filter_bits=800, seed=1)
         assert radar.memory_bytes() == 100 * 12.0 + 100
@@ -140,7 +134,3 @@ class TestLossRadar:
         a.insert(1, 2)
         b.insert(1, 3)
         assert a.merge(b).decode() == {1: 5}
-
-    def test_incompatible_rejected(self):
-        with pytest.raises(IncompatibleSketchError):
-            LossRadar(cells=64, seed=1).subtract(LossRadar(cells=64, seed=2))

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.common.errors import IncompatibleSketchError
 from repro.sketches import ElasticSketch, TowerSketch
 from tests.substrate_contracts import (
     TowerConstructionContract,
@@ -121,12 +120,6 @@ class TestElasticMerge:
         merged = a.merge(b)
         assert merged.query(1) == pytest.approx(15, abs=2)
         assert merged.query(3) == pytest.approx(4, abs=2)
-
-    def test_merge_rejects_different_shapes(self):
-        a = ElasticSketch(heavy_buckets=32, light_width=128, seed=5)
-        b = ElasticSketch(heavy_buckets=16, light_width=128, seed=5)
-        with pytest.raises(IncompatibleSketchError):
-            a.merge(b)
 
     def test_memory_model(self):
         elastic = ElasticSketch(heavy_buckets=10, light_width=100, seed=1)

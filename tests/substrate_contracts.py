@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.common.errors import ConfigurationError, IncompatibleSketchError
+from repro.common.errors import ConfigurationError
 from repro.common.primes import DEFAULT_PRIME
 
 
@@ -108,13 +108,6 @@ class FermatLinearityContract(_FermatFactory):
         b.insert(1, 6)
         b.insert(3, 9)  # cancels entirely
         assert self.decoded(a.subtracted(b)) == {1: -4}
-
-    def test_merge_rejects_different_seeds(self):
-        a, b = self.make(seed=5), self.make(seed=6)
-        with pytest.raises(IncompatibleSketchError):
-            a.merged(b)
-        with pytest.raises(IncompatibleSketchError):
-            a.subtracted(b)
 
     def test_merge_preserves_inputs(self):
         a, b = self.make(), self.make()

@@ -1,31 +1,31 @@
 """sketchlint — domain-specific static analysis for sketch data structures.
 
-The DaVinci reproduction is three linear/field-arithmetic components whose
-bugs are *silent*: an un-reduced ``iID`` update, a merge of incompatible
-geometries, or a float creeping into a counter produces plausible-but-wrong
-estimates rather than crashes.  Generic linters cannot see these contracts,
-so sketchlint encodes them as AST rules:
+The DaVinci reproduction keeps a few contracts whose violations are
+*silent* — a draw from global random state, a decode cache left stale
+after a mutation, a recorder call that costs time while metrics are
+off — and no generic linter can see them, so sketchlint encodes them as
+AST rules.  Field reduction, merge compatibility and exception
+discipline are checked at run time by the test suite instead
+(``docs/STATIC_ANALYSIS.md``, "Rule yield").
 
 =======  ==============================================================
  code    contract
 =======  ==============================================================
- SK001   field-arithmetic hygiene — writes to ``iID``/field-residue
-         state must be reduced ``% p`` in the same statement
  SK002   no global-state randomness — every ``random.*`` /
          ``np.random.*`` draw must flow through an injected, seeded rng
- SK003   exception discipline — library code raises only ``ReproError``
-         subclasses, no bare ``except:``, no ``assert`` (stripped under
-         ``python -O``; use :mod:`repro.common.invariants` instead)
- SK004   merge safety — ``merge``/``union``/``subtract``/``difference``
-         methods must run a compatibility check before touching counters
- SK005   hot-path purity — per-item ``insert``/``update`` methods must
-         not contain try/except, comprehension allocation, or float
-         literals on counter state
+ SK101   decode-cache invalidation — every state-mutating path out of
+         a public method of a ``_decode_cache`` owner invalidates it
+ SK102   observability guards — recorder calls sit under
+         ``_obs.ENABLED``, hoisted out of per-item loops
+ SK103   state key symmetry — ``to_state``/``from_state`` (and wire)
+         pairs read and write the same keys
+ SK105   policy threading — a ``policy=`` accepted by a facade reaches
+         its task consumer on every path
 =======  ==============================================================
 
-Run it with ``python -m tools.sketchlint src/repro``; it exits non-zero on
-any violation.  Violations can be suppressed per line with a
-``# sketchlint: disable=SK001`` (comma-separated codes, or ``all``)
+Run it with ``python -m tools.sketchlint src tools``; it exits non-zero
+on any violation.  Violations can be suppressed per line with a
+``# sketchlint: disable=SK002`` (comma-separated codes, or ``all``)
 trailing comment.
 """
 

@@ -13,7 +13,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from tools.sketchlint.baseline import DEFAULT_BASELINE_PATH, Baseline
 from tools.sketchlint.cache import ResultCache
 from tools.sketchlint.engine import iter_python_files, lint_paths
 from tools.sketchlint.rules import ALL_RULES
@@ -47,26 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         type=Path,
         help="write the report to FILE instead of stdout",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        type=Path,
-        default=None,
-        help=(
-            "suppress findings recorded in this baseline file "
-            f"(default: {DEFAULT_BASELINE_PATH} when it exists)"
-        ),
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file (report grandfathered findings too)",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline file to cover every current finding, then exit 0",
     )
     parser.add_argument(
         "--no-cache",
@@ -143,23 +122,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"sketchlint: {exc}", file=sys.stderr)
         return 2
 
-    baseline_path = args.baseline or DEFAULT_BASELINE_PATH
-    if args.update_baseline:
-        Baseline.from_report(report, baseline_path).save()
-        print(
-            f"sketchlint: baseline updated — {len(report.violations)} finding(s) "
-            f"recorded in {baseline_path}"
-        )
-        return 0
-
-    if not args.no_baseline and baseline_path.exists():
-        try:
-            baseline = Baseline.load(baseline_path)
-        except ValueError as exc:
-            print(f"sketchlint: {exc}", file=sys.stderr)
-            return 2
-        report = baseline.apply(report)
-
     active_rules = [cls() for cls in ALL_RULES]
     if select is not None:
         wanted = {code.upper() for code in select}
@@ -172,13 +134,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for error in report.parse_errors:
             print(error, file=sys.stderr)
         if not args.quiet:
-            summary = (
+            lines.append(
                 f"sketchlint: {report.files_checked} file(s) checked, "
                 f"{len(report.violations)} violation(s)"
             )
-            if report.baseline_suppressed:
-                summary += f" ({report.baseline_suppressed} baselined)"
-            lines.append(summary)
         text = "\n".join(lines)
         if text or args.output is not None:
             _emit(text, args.output)
@@ -189,4 +148,4 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())  # sketchlint: disable=SK003
+    raise SystemExit(main())

@@ -47,10 +47,10 @@ class ForwardAnalysis(Generic[S]):
     """Base class for forward analyses (subclass and override)."""
 
     def initial(self) -> S:
-        raise NotImplementedError  # sketchlint: disable=SK003
+        raise NotImplementedError
 
     def join(self, states: List[S]) -> S:
-        raise NotImplementedError  # sketchlint: disable=SK003
+        raise NotImplementedError
 
     def transfer(self, node: Node, state: S) -> S:
         """State after executing ``node`` (statement nodes only)."""
@@ -155,8 +155,8 @@ class TagState:
         del updated[name]
         return TagState(updated)
 
-    # Lattice join, not a sketch merge — no counters. sketchlint: disable=SK004
-    def merge(self, other: "TagState") -> "TagState":  # sketchlint: disable=SK004
+    def merge(self, other: "TagState") -> "TagState":
+        """The lattice join: per variable, the union of both tag sets."""
         updated = dict(self._tags)
         for name, tags in other._tags.items():
             updated[name] = updated.get(name, frozenset()) | tags

@@ -1,6 +1,6 @@
 """The sketchlint engine: rule protocol, pragma handling, file walking.
 
-A *rule* is an object with a ``code`` (``SK001`` ...), a one-line
+A *rule* is an object with a ``code`` (``SK002`` ...), a one-line
 ``summary``, and a ``check(tree, context)`` method yielding
 :class:`Violation` instances.  Rules with ``package_level = True``
 (subclasses of :class:`PackageRule`) additionally see the whole batch of
@@ -11,7 +11,7 @@ The engine owns everything rules should not have to care about: file
 discovery, source parsing, per-line suppression pragmas, result caching
 and report aggregation.
 
-Suppression: a trailing comment ``# sketchlint: disable=SK003`` silences
+Suppression: a trailing comment ``# sketchlint: disable=SK002`` silences
 the named codes (comma separated; ``all`` silences every rule) for
 violations reported on that physical line — and, when the pragma sits on
 the *first* line of a multi-line **simple** statement (an assignment or
@@ -122,7 +122,7 @@ class Rule:
     package_level: bool = False
 
     def check(self, tree: ast.AST, context: FileContext) -> Iterator[Violation]:
-        raise NotImplementedError  # sketchlint: disable=SK003
+        raise NotImplementedError
 
     # Helper for subclasses ------------------------------------------------
     def violation(
@@ -163,7 +163,7 @@ class PackageRule(Rule):
         return iter(())
 
     def check_package(self, package: PackageContext) -> Iterator[Violation]:
-        raise NotImplementedError  # sketchlint: disable=SK003
+        raise NotImplementedError
 
 
 @dataclass
@@ -173,8 +173,6 @@ class LintReport:
     violations: List[Violation] = field(default_factory=list)
     files_checked: int = 0
     parse_errors: List[str] = field(default_factory=list)
-    #: findings hidden by the baseline file (grandfathered debt)
-    baseline_suppressed: int = 0
 
     @property
     def ok(self) -> bool:
@@ -183,13 +181,10 @@ class LintReport:
     def render(self) -> str:
         out = [v.render() for v in self.violations]
         out.extend(self.parse_errors)
-        summary = (
+        out.append(
             f"sketchlint: {self.files_checked} file(s) checked, "
             f"{len(self.violations)} violation(s)"
         )
-        if self.baseline_suppressed:
-            summary += f" ({self.baseline_suppressed} baselined)"
-        out.append(summary)
         return "\n".join(out)
 
 
@@ -258,10 +253,7 @@ def _resolve_rules(
         registry = rules_by_code()
         unknown = [code for code in select if code.upper() not in registry]
         if unknown:
-            # Tool-facing API error, not library code. sketchlint: disable=SK003
-            raise ValueError(  # sketchlint: disable=SK003
-                f"unknown rule code(s): {', '.join(unknown)}"
-            )
+            raise ValueError(f"unknown rule code(s): {', '.join(unknown)}")
         return [registry[code.upper()]() for code in select]
     if rules is not None:
         return list(rules)

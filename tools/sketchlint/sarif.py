@@ -4,18 +4,18 @@ One ``run`` per invocation: the tool component lists every registered
 rule (id, summary, full description), each violation becomes a
 ``result`` with a physical location and a content-addressed
 ``partialFingerprints`` entry so GitHub code scanning can track findings
-across commits the same way the baseline does — by (code, path, line
-content) rather than by line number.
+across commits by (code, path, line content) rather than by line number:
+unrelated edits that shift a finding's line keep its fingerprint.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, List, Optional, Sequence
+from pathlib import Path
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from tools.sketchlint.baseline import fingerprint_of
-from tools.sketchlint.engine import LintReport, Rule
+from tools.sketchlint.engine import LintReport, Rule, Violation
 
 SARIF_VERSION = "2.1.0"
 SARIF_SCHEMA = (
@@ -23,8 +23,37 @@ SARIF_SCHEMA = (
     "Schemata/sarif-schema-2.1.0.json"
 )
 TOOL_NAME = "sketchlint"
-TOOL_VERSION = "4.0.0"
+TOOL_VERSION = "5.0.0"
 TOOL_URI = "https://github.com/example/davinci-sketch-repro"
+
+
+Fingerprint = Tuple[str, str, str]  # (code, path, stripped line content)
+
+
+def _line_content(path: str, line: int, cache: Dict[str, List[str]]) -> str:
+    lines = cache.get(path)
+    if lines is None:
+        try:
+            lines = Path(path).read_text(encoding="utf-8").splitlines()
+        except OSError:
+            lines = []
+        cache[path] = lines
+    index = line - 1
+    if 0 <= index < len(lines):
+        return lines[index].strip()
+    return ""
+
+
+def fingerprint_of(
+    violation: Violation, cache: Optional[Dict[str, List[str]]] = None
+) -> Fingerprint:
+    """A finding's ``(code, path, stripped line content)``."""
+    content_cache = cache if cache is not None else {}
+    return (
+        violation.code,
+        violation.path,
+        _line_content(violation.path, violation.line, content_cache),
+    )
 
 
 def _rule_descriptor(rule: Rule) -> Dict[str, Any]:
