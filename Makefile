@@ -4,8 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint typecheck sketchlint lint-sarif \
-	bench-sketchlint test test-debug faults chaos \
+.PHONY: lint typecheck test test-debug faults chaos \
 	bench-checkpoint bench-sharded bench-service \
 	bench-kernel benchcheck e2e-smoke coverage check
 
@@ -14,20 +13,6 @@ lint:
 
 typecheck:
 	mypy
-
-# domain rules SK002, SK101-SK103 and SK105 over the library and the
-# tooling itself; any finding fails the gate
-sketchlint:
-	$(PYTHON) -m tools.sketchlint src tools --no-cache
-
-# same gate, emitted as a SARIF 2.1.0 log for GitHub code scanning
-lint-sarif:
-	$(PYTHON) -m tools.sketchlint src tools --no-cache --format sarif \
-		--output sketchlint.sarif
-
-# perf pin: a cold full-repo analysis must stay under 10s (cached < 1s)
-bench-sketchlint:
-	$(PYTHON) benchmarks/bench_sketchlint.py
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -97,11 +82,6 @@ benchcheck:
 		--baseline BENCH_service.json --max overhead_fraction=0.5
 	$(PYTHON) -m tools.benchcheck BENCH_kernel_fresh.json \
 		--baseline BENCH_kernel.json --min speedup=3.0
-	$(PYTHON) benchmarks/bench_sketchlint.py \
-		--output BENCH_sketchlint_fresh.json
-	$(PYTHON) -m tools.benchcheck BENCH_sketchlint_fresh.json \
-		--baseline BENCH_sketchlint.json \
-		--max cold_seconds=10 --max cached_seconds=1
 
 # the end-to-end benchmark's tests (~97 s): every workload on a small
 # run with its oracles, including the pipeline's byte-identity check of
@@ -116,4 +96,4 @@ coverage:
 		--cov-report=term-missing:skip-covered --cov-report=html \
 		--cov-fail-under=$$($(PYTHON) -c "import tools.covfloor as c; print(c.floor())")
 
-check: lint typecheck sketchlint test
+check: lint typecheck test

@@ -203,7 +203,7 @@ def spread_seeds(seed: int, count: int) -> List[int]:
 
 
 def resolve_rng(seed: int, rng: Optional[random.Random] = None) -> random.Random:
-    """The package's one RNG-injection point (sketchlint rule SK002).
+    """The package's one RNG-injection point.
 
     Randomized sketches (Coco's probabilistic replacement, HeavyKeeper's
     exponential decay) accept an optional injected generator for tests and
@@ -211,7 +211,8 @@ def resolve_rng(seed: int, rng: Optional[random.Random] = None) -> random.Random
     Centralizing the idiom guarantees that
 
     * no sketch ever touches the *global* ``random`` module state (runs
-      stay reproducible regardless of import order or other libraries), and
+      stay reproducible regardless of import order or other libraries;
+      ``tests/analysis/test_source_rules.py`` rejects any such draw), and
     * the fallback generator is always explicitly seeded, with the seed
       mixed through :func:`mix64` so that sketches constructed with
       adjacent seeds do not produce correlated draw sequences.

@@ -25,7 +25,7 @@ to arm the checks.  A failed check raises
 :class:`~repro.common.errors.InvariantViolation`.
 
 The checks back contracts that the test suite verifies at run time
-(``docs/STATIC_ANALYSIS.md``, "Rule yield"):
+(``docs/CONTRACTS.md``):
 
 * :func:`check_field_element` re-verifies that every ``iID`` write is a
   residue reduced ``% p``, against the live value;

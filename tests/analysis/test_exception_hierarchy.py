@@ -7,7 +7,7 @@ namespace (then builtins), so a module-local subclass such as
 A resolved class must derive from ``ReproError``; a raise of a local
 value (``raise error`` on a caught exception) is not a name and is
 skipped.  No module may use a bare ``except:`` either; the companion
-``assert`` check lives in ``test_repo_gate.py``.
+``assert`` check lives in ``test_source_rules.py``.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
-"""Shared fixtures: deterministic small traces and sketch configurations.
+"""Shared fixtures: deterministic small traces and sketch configurations,
+and the autouse recorder trap (:mod:`tests.recordertrap`).
 
 Everything here is deliberately tiny — unit tests should run in
 milliseconds; the scaled paper experiments live in ``benchmarks/``.
@@ -10,11 +11,13 @@ import faulthandler
 import os
 import random
 from collections import Counter
-from typing import Dict, List
+from pathlib import Path
+from typing import Dict, Iterator, List
 
 import pytest
 
 from repro.core import DaVinciConfig, DaVinciSketch
+from tests.recordertrap import RecorderTrap
 
 # Dependency-free hang watchdog for the networked/multiprocess suites:
 # REPRO_TEST_WATCHDOG=<seconds> dumps every thread's traceback and
@@ -26,6 +29,23 @@ if _WATCHDOG_SECONDS:
     faulthandler.dump_traceback_later(
         float(_WATCHDOG_SECONDS), exit=True
     )
+
+
+#: suites where no metric may be recorded while collection is off (the
+#: observability suite drives recorders directly, so it is out)
+RECORDER_TRAPPED = ("core", "properties", "runtime", "service", "sketches")
+
+
+@pytest.fixture(autouse=True)
+def recorder_trap(
+    request: pytest.FixtureRequest, monkeypatch: pytest.MonkeyPatch
+) -> Iterator[RecorderTrap]:
+    """Arm :class:`RecorderTrap` over the suites in :data:`RECORDER_TRAPPED`."""
+    trap = RecorderTrap()
+    if Path(request.path).parent.name in RECORDER_TRAPPED:
+        trap.install(monkeypatch)
+    yield trap
+    trap.verify()
 
 
 @pytest.fixture

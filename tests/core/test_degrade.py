@@ -13,6 +13,7 @@ The contract under a forced peel stall (ISSUE acceptance):
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import pytest
@@ -66,6 +67,24 @@ INPUT_TASKS = [
     ("inner_join", lambda a, b, p: a.inner_join(b, policy=p)),
     ("heavy_changers", lambda a, b, p: heavy_changers(a, b, 20, policy=p)),
 ]
+
+# Facades that probe the decode state of the sketch they return.
+SET_OPERATIONS = ["union", "difference"]
+
+
+def test_every_policy_facade_is_in_a_matrix():
+    """A public method that takes ``policy`` must be driven by
+    :data:`INPUT_TASKS` or :class:`TestSetOperationPolicies`."""
+    covered = {name for name, _runner in INPUT_TASKS} | set(SET_OPERATIONS)
+    missing = [
+        f"{cls.__name__}.{name}"
+        for cls in (DaVinciSketch, WindowedDaVinci)
+        for name, method in inspect.getmembers(cls, inspect.isfunction)
+        if not name.startswith("_")
+        and "policy" in inspect.signature(method).parameters
+        and name not in covered
+    ]
+    assert missing == []
 
 
 def _assert_finite(name, value):
@@ -166,7 +185,7 @@ def _overloaded_pair():
 class TestSetOperationPolicies:
     """Union/difference probe the *result* sketch's decodability."""
 
-    @pytest.mark.parametrize("op", ["union", "difference"])
+    @pytest.mark.parametrize("op", SET_OPERATIONS)
     def test_strict_raises_when_result_stalls(self, op):
         a, b = _overloaded_pair()
         merged = getattr(a, op)(b)
@@ -174,7 +193,7 @@ class TestSetOperationPolicies:
         with pytest.raises(DecodeError):
             getattr(a, op)(b, policy=DegradationPolicy.STRICT)
 
-    @pytest.mark.parametrize("op", ["union", "difference"])
+    @pytest.mark.parametrize("op", SET_OPERATIONS)
     @pytest.mark.parametrize(
         "policy", [DegradationPolicy.DEGRADE, DegradationPolicy.BEST_EFFORT]
     )
@@ -188,7 +207,7 @@ class TestSetOperationPolicies:
         # the degraded result still answers point queries
         assert isinstance(result.value.query(1), int)
 
-    @pytest.mark.parametrize("op", ["union", "difference"])
+    @pytest.mark.parametrize("op", SET_OPERATIONS)
     def test_clean_inputs_are_not_degraded(
         self, populated, companion, op
     ):

@@ -640,3 +640,32 @@ class TestWireV3Exactness:
         sketch.insert_all([1, 2, 3])
         with pytest.raises(ConfigurationError, match="prime"):
             to_wire(sketch)
+
+
+#: the path of every mapping key in a populated state; the keys of a
+#: list's items are read off its first item
+STATE_KEYS = [
+    path
+    for path in _json_paths(to_state(_tiny_sketch()))
+    if isinstance(path[-1], str)
+    and all(step == 0 for step in path if isinstance(step, int))
+]
+
+
+class TestStateKeySymmetry:
+    """Every key ``to_state`` writes is one ``from_state`` needs: a state
+    missing it, re-signed, is rejected with a typed error."""
+
+    @pytest.mark.parametrize(
+        "path", STATE_KEYS, ids=lambda path: "/".join(map(str, path))
+    )
+    def test_state_missing_a_written_key_is_rejected(self, path):
+        state = to_state(_tiny_sketch())
+        parent = state
+        for step in path[:-1]:
+            parent = parent[step]
+        del parent[path[-1]]
+        if path[0] != "digest":  # re-signing would restore the digest
+            sign_state(state)
+        with pytest.raises(ReproError):
+            from_state(state)

@@ -30,6 +30,7 @@ from repro.observability import tracing as _tracing
 from repro.service import breaker as _breaker
 from repro.service import server as _server
 from repro.testing import chaos as _chaos
+from tests.recordertrap import RECORDERS as METRIC_RECORDERS
 
 CHECKED_MODULES = (_server, _breaker, _chaos, _metrics)
 GUARDED_CLASSES = (
@@ -39,14 +40,7 @@ GUARDED_CLASSES = (
     _chaos.ChaosProxy,
 )
 BLOCKING_SOCKET_OPS = ("sendall", "recv", "recv_into", "accept", "connect")
-RECORDERS = (
-    (_tracing.TraceSink, "emit"),
-    (_metrics.Counter, "inc"),
-    (_metrics.Gauge, "set"),
-    (_metrics.Gauge, "inc"),
-    (_metrics.Gauge, "dec"),
-    (_metrics.Histogram, "observe"),
-)
+RECORDERS = ((_tracing.TraceSink, "emit"),) + METRIC_RECORDERS
 _OWN_FILES = {os.path.abspath(__file__), os.path.abspath(threading.__file__)}
 
 
