@@ -45,8 +45,6 @@ from typing import (
     Sequence,
     Tuple,
     TypeVar,
-    Union,
-    overload,
 )
 
 from repro.common import invariants as _inv
@@ -58,7 +56,6 @@ from repro.common.errors import (
 from repro.common.hashing import canonical_key
 from repro.common.validation import require_int64, require_positive
 from repro.core.config import DaVinciConfig
-from repro.core.degrade import DegradationPolicy, DegradedResult, execute
 from repro.core.element_filter import ElementFilter
 from repro.core.frequent_part import FrequentPart
 from repro.core.infrequent_part import DecodeResult, InfrequentPart
@@ -426,31 +423,8 @@ class DaVinciSketch(Sketch):
     # ------------------------------------------------------------------ #
     # frequency query (Algorithm 4)
     # ------------------------------------------------------------------ #
-    @overload
-    def query(self, key: object) -> int: ...
-
-    @overload
-    def query(
-        self, key: object, *, policy: DegradationPolicy
-    ) -> DegradedResult[int]: ...
-
-    def query(
-        self, key: object, *, policy: Optional[DegradationPolicy] = None
-    ) -> Union[int, DegradedResult[int]]:
-        """Estimated (signed, for difference sketches) frequency of ``key``.
-
-        With a :class:`~repro.core.degrade.DegradationPolicy`, the answer
-        is wrapped in a :class:`~repro.core.degrade.DegradedResult` whose
-        flag reports whether this sketch's decode had stalled (a stalled
-        decode routes promoted keys through the noisier fast query).
-        """
-        if policy is not None:
-            return execute(
-                (self,),
-                lambda: self._query_value(self.canonical_key(key)),
-                policy,
-                fallback=lambda: 0,
-            )
+    def query(self, key: object) -> int:
+        """Estimated (signed, for difference sketches) frequency of ``key``."""
         if _obs.ENABLED:
             start = perf_counter()
             value = self._query_value(self.canonical_key(key))
@@ -510,25 +484,10 @@ class DaVinciSketch(Sketch):
     # ------------------------------------------------------------------ #
     # task facade — implementations live in repro.core.tasks
     # ------------------------------------------------------------------ #
-    @overload
-    def heavy_hitters(self, threshold: int) -> Dict[int, int]: ...
-
-    @overload
-    def heavy_hitters(
-        self, threshold: int, *, policy: DegradationPolicy
-    ) -> DegradedResult[Dict[int, int]]: ...
-
-    def heavy_hitters(
-        self, threshold: int, *, policy: Optional[DegradationPolicy] = None
-    ) -> Union[Dict[int, int], DegradedResult[Dict[int, int]]]:
+    def heavy_hitters(self, threshold: int) -> Dict[int, int]:
         """Elements whose estimated |frequency| is at least ``threshold``."""
         from repro.core.tasks.heavy import heavy_hitters
 
-        if policy is not None:
-            return self._timed_task(
-                "heavy_hitters",
-                lambda: heavy_hitters(self, threshold, policy=policy),
-            )
         return self._timed_task(
             "heavy_hitters", lambda: heavy_hitters(self, threshold)
         )
@@ -564,101 +523,33 @@ class DaVinciSketch(Sketch):
 
         return from_state(state)
 
-    @overload
-    def cardinality(self) -> float: ...
-
-    @overload
-    def cardinality(
-        self, *, policy: DegradationPolicy
-    ) -> DegradedResult[float]: ...
-
-    def cardinality(
-        self, *, policy: Optional[DegradationPolicy] = None
-    ) -> Union[float, DegradedResult[float]]:
+    def cardinality(self) -> float:
         """Estimated number of distinct elements."""
         from repro.core.tasks.cardinality import cardinality
 
-        if policy is not None:
-            return self._timed_task(
-                "cardinality", lambda: cardinality(self, policy=policy)
-            )
         return self._timed_task("cardinality", lambda: cardinality(self))
 
-    @overload
     def distribution(
-        self, max_size: Optional[int] = ..., em_level: int = ...
-    ) -> Dict[int, float]: ...
-
-    @overload
-    def distribution(
-        self,
-        max_size: Optional[int] = ...,
-        em_level: int = ...,
-        *,
-        policy: DegradationPolicy,
-    ) -> DegradedResult[Dict[int, float]]: ...
-
-    def distribution(
-        self,
-        max_size: Optional[int] = None,
-        em_level: int = 0,
-        *,
-        policy: Optional[DegradationPolicy] = None,
-    ) -> Union[Dict[int, float], DegradedResult[Dict[int, float]]]:
+        self, max_size: Optional[int] = None, em_level: int = 0
+    ) -> Dict[int, float]:
         """Estimated flow-size distribution ``{size: #elements}``."""
         from repro.core.tasks.distribution import distribution
 
-        if policy is not None:
-            return self._timed_task(
-                "distribution",
-                lambda: distribution(
-                    self, max_size=max_size, em_level=em_level, policy=policy
-                ),
-            )
         return self._timed_task(
             "distribution",
             lambda: distribution(self, max_size=max_size, em_level=em_level),
         )
 
-    @overload
-    def entropy(self) -> float: ...
-
-    @overload
-    def entropy(self, *, policy: DegradationPolicy) -> DegradedResult[float]: ...
-
-    def entropy(
-        self, *, policy: Optional[DegradationPolicy] = None
-    ) -> Union[float, DegradedResult[float]]:
+    def entropy(self) -> float:
         """Estimated (natural-log) entropy of the multiset."""
         from repro.core.tasks.entropy import entropy
 
-        if policy is not None:
-            return self._timed_task(
-                "entropy", lambda: entropy(self, policy=policy)
-            )
         return self._timed_task("entropy", lambda: entropy(self))
 
-    @overload
-    def inner_join(self, other: "DaVinciSketch") -> float: ...
-
-    @overload
-    def inner_join(
-        self, other: "DaVinciSketch", *, policy: DegradationPolicy
-    ) -> DegradedResult[float]: ...
-
-    def inner_join(
-        self,
-        other: "DaVinciSketch",
-        *,
-        policy: Optional[DegradationPolicy] = None,
-    ) -> Union[float, DegradedResult[float]]:
+    def inner_join(self, other: "DaVinciSketch") -> float:
         """Estimated join size Σ_e f(e)·g(e) against ``other``."""
         from repro.core.tasks.innerjoin import inner_join
 
-        if policy is not None:
-            return self._timed_task(
-                "inner_join", lambda: inner_join(self, other, policy=policy)
-            )
         return self._timed_task(
             "inner_join", lambda: inner_join(self, other)
         )
@@ -675,50 +566,16 @@ class DaVinciSketch(Sketch):
             "second_moment", lambda: inner_join(self, self)
         )
 
-    @overload
-    def union(self, other: "DaVinciSketch") -> "DaVinciSketch": ...
-
-    @overload
-    def union(
-        self, other: "DaVinciSketch", *, policy: DegradationPolicy
-    ) -> DegradedResult["DaVinciSketch"]: ...
-
-    def union(
-        self,
-        other: "DaVinciSketch",
-        *,
-        policy: Optional[DegradationPolicy] = None,
-    ) -> Union["DaVinciSketch", DegradedResult["DaVinciSketch"]]:
+    def union(self, other: "DaVinciSketch") -> "DaVinciSketch":
         """The union sketch (Algorithm 3)."""
         from repro.core.setops import union
 
-        if policy is not None:
-            return self._timed_task(
-                "union", lambda: union(self, other, policy=policy)
-            )
         return self._timed_task("union", lambda: union(self, other))
 
-    @overload
-    def difference(self, other: "DaVinciSketch") -> "DaVinciSketch": ...
-
-    @overload
-    def difference(
-        self, other: "DaVinciSketch", *, policy: DegradationPolicy
-    ) -> DegradedResult["DaVinciSketch"]: ...
-
-    def difference(
-        self,
-        other: "DaVinciSketch",
-        *,
-        policy: Optional[DegradationPolicy] = None,
-    ) -> Union["DaVinciSketch", DegradedResult["DaVinciSketch"]]:
+    def difference(self, other: "DaVinciSketch") -> "DaVinciSketch":
         """The signed difference sketch (self − other)."""
         from repro.core.setops import difference
 
-        if policy is not None:
-            return self._timed_task(
-                "difference", lambda: difference(self, other, policy=policy)
-            )
         return self._timed_task(
             "difference", lambda: difference(self, other)
         )

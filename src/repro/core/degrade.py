@@ -27,7 +27,10 @@ package silently fell back; now the caller picks a
     floats are clamped to the fallback.  For dashboards that must render
     *something* under any fault.
 
-Passing ``policy=None`` (the default everywhere) preserves the historical
+:func:`run_task` is the one place the policy is applied: the task
+functions, the set operations and the :class:`DaVinciSketch` facades
+return plain values, and ``run_task(sketch, task, policy=...)`` wraps
+them.  Passing ``policy=None`` (the default) preserves the historical
 behavior: plain values, silent fallbacks.
 """
 
@@ -36,17 +39,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import (
     TYPE_CHECKING,
+    Any,
     Callable,
     Dict,
     Generic,
     Optional,
     Sequence,
+    Tuple,
     TypeVar,
+    Union,
+    cast,
 )
 
-from repro.common.errors import DecodeError
+from repro.common.errors import ConfigurationError, DecodeError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.davinci import DaVinciSketch
@@ -159,3 +167,147 @@ def execute(
             )
         value = repaired
     return DegradedResult(value=value, degraded=degraded, reason=reason)
+
+
+#: tasks over one sketch
+SINGLE_TASKS = (
+    "query",
+    "heavy_hitters",
+    "cardinality",
+    "distribution",
+    "entropy",
+)
+
+#: tasks needing a second sketch (``other=``)
+PAIR_TASKS = ("inner_join", "heavy_changers", "union", "difference")
+
+TASKS = SINGLE_TASKS + PAIR_TASKS
+
+#: tasks whose result is itself a sketch, flagged by its own decode
+SKETCH_TASKS = ("union", "difference")
+
+
+def _drop_bad_mass(histogram: Dict[int, float]) -> Dict[int, float]:
+    """Drop non-finite or negative mass (BEST_EFFORT repair)."""
+    return {
+        size: count
+        for size, count in histogram.items()
+        if math.isfinite(count) and count >= 0.0
+    }
+
+
+#: per value-returning task: the neutral value BEST_EFFORT substitutes
+#: when the task cannot run at all, and its BEST_EFFORT repair
+_NEUTRAL: Dict[str, Tuple[Callable[[], Any], Optional[Callable[[Any], Any]]]] = {
+    "query": (int, None),
+    "heavy_hitters": (dict, None),
+    "heavy_changers": (dict, None),
+    "cardinality": (float, finite_or(0.0)),
+    "distribution": (dict, _drop_bad_mass),
+    "entropy": (float, finite_or(0.0)),
+    "inner_join": (float, finite_or(0.0)),
+}
+
+
+def neutral_fallback(task: str) -> object:
+    """BEST_EFFORT's zero-data answer; raises for sketch-valued tasks."""
+    entry = _NEUTRAL.get(task)
+    if entry is None:
+        raise ConfigurationError(
+            f"task {task!r} has no neutral fallback (its result is a "
+            "sketch); at least one shard must be reachable"
+        )
+    return entry[0]()
+
+
+def check_task(task: object, other: object = None) -> None:
+    """Raise unless ``task`` is a task name and a pair task has ``other``."""
+    if task not in TASKS:
+        raise ConfigurationError(
+            f"unknown task {task!r}; expected one of {list(TASKS)}"
+        )
+    if task in PAIR_TASKS and other is None:
+        raise ConfigurationError(f"task {task!r} needs an 'other' aggregate")
+
+
+def apply_policy(
+    task: str,
+    inputs: Sequence["DaVinciSketch"],
+    compute: Callable[[], T],
+    policy: DegradationPolicy,
+) -> DegradedResult[T]:
+    """:func:`execute` with ``task``'s fallback and repair from the table."""
+    fallback, sanitize = _NEUTRAL[task]
+    return execute(inputs, compute, policy, fallback, sanitize)
+
+
+def _require_int(args: Dict[str, Any], name: str, task: str) -> int:
+    value = args.get(name)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigurationError(
+            f"task {task!r} needs an integer {name!r} argument, got "
+            f"{value!r}"
+        )
+    return value
+
+
+def _optional_max_size(args: Dict[str, Any]) -> Optional[int]:
+    value = args.get("max_size")
+    if value is not None and (
+        not isinstance(value, int) or isinstance(value, bool) or value < 1
+    ):
+        raise ConfigurationError(
+            f"task 'distribution' needs 'max_size' to be null or an integer "
+            f">= 1, got {value!r}"
+        )
+    return value
+
+
+def run_task(
+    sketch: "DaVinciSketch",
+    task: str,
+    *,
+    other: Optional["DaVinciSketch"] = None,
+    policy: Optional[DegradationPolicy] = None,
+    **args: Any,
+) -> Union[object, DegradedResult[Any]]:
+    """Run the named ``task`` on ``sketch`` (and ``other`` for pair tasks).
+
+    With ``policy=None`` this returns the task's plain value; with a
+    policy it returns a :class:`DegradedResult`.  Value tasks are flagged
+    by the decode state of their inputs, ``union`` and ``difference`` by
+    that of the sketch they return.  Arguments: ``key`` (``query``),
+    ``threshold`` (``heavy_hitters``, ``heavy_changers``) and an optional
+    ``max_size`` (``distribution``).
+
+    Each task runs through the :class:`DaVinciSketch` method of the same
+    name (``heavy_changers`` through
+    :func:`repro.core.tasks.heavy.heavy_changers`), looked up at call
+    time, so wrappers installed on those names see every call.
+    """
+    check_task(task, other)
+    partner = cast("DaVinciSketch", other)  # set for every pair task
+    if task == "heavy_changers":
+        from repro.core.tasks import heavy
+
+        threshold = _require_int(args, "threshold", task)
+        # It also checks the difference sketch it derives, so it applies
+        # the policy itself rather than deriving that sketch twice.
+        return heavy.heavy_changers(sketch, partner, threshold, policy=policy)
+    operands: Tuple[Any, ...] = ()
+    if task == "query":
+        operands = (_require_int(args, "key", task),)
+    elif task == "heavy_hitters":
+        operands = (_require_int(args, "threshold", task),)
+    elif task == "distribution":
+        operands = (_optional_max_size(args),)
+    elif task in PAIR_TASKS:
+        operands = (partner,)
+    compute = partial(getattr(sketch, task), *operands)
+    if policy is None:
+        return compute()
+    if task in SKETCH_TASKS:
+        result = compute()
+        return execute((result,), lambda: result, policy, lambda: result)
+    inputs = (sketch, partner) if task == "inner_join" else (sketch,)
+    return apply_policy(task, inputs, compute, policy)

@@ -33,53 +33,21 @@ semantics: positive deltas are "more in A", negative "more in B".
 
 from __future__ import annotations
 
-from typing import Optional, Union, overload
-
 from repro.common.errors import ConfigurationError
 from repro.common.validation import require_int64
 from repro.core.davinci import (
     MODE_ADDITIVE,
     MODE_SIGNED,
-    MODE_STANDARD,
     DaVinciSketch,
 )
-from repro.core.degrade import DegradationPolicy, DegradedResult, execute
 
 
-@overload
-def union(a: DaVinciSketch, b: DaVinciSketch) -> DaVinciSketch: ...
-
-
-@overload
-def union(
-    a: DaVinciSketch, b: DaVinciSketch, *, policy: DegradationPolicy
-) -> DegradedResult[DaVinciSketch]: ...
-
-
-def union(
-    a: DaVinciSketch,
-    b: DaVinciSketch,
-    *,
-    policy: Optional[DegradationPolicy] = None,
-) -> Union[DaVinciSketch, DegradedResult[DaVinciSketch]]:
+def union(a: DaVinciSketch, b: DaVinciSketch) -> DaVinciSketch:
     """Return a DaVinci sketch summarizing the multiset union (Alg. 3).
 
-    With a :class:`~repro.core.degrade.DegradationPolicy`, the *result*
-    sketch's decodability is probed: a merged infrequent part that no
-    longer peels flags the union as degraded (``STRICT`` raises), since
-    per-key queries on it fall back to the noisier fast-query estimates.
     Raises :class:`~repro.common.errors.ConfigurationError` when either
     input is a signed (difference) sketch.
     """
-    result = _union_value(a, b)
-    if policy is not None:
-        return execute(
-            (result,), lambda: result, policy, fallback=lambda: result
-        )
-    return result
-
-
-def _union_value(a: DaVinciSketch, b: DaVinciSketch) -> DaVinciSketch:
     if MODE_SIGNED in (a.mode, b.mode):
         raise ConfigurationError(
             "union of a signed (difference) sketch is undefined: its "
@@ -116,40 +84,13 @@ def _union_value(a: DaVinciSketch, b: DaVinciSketch) -> DaVinciSketch:
     return result
 
 
-@overload
-def difference(a: DaVinciSketch, b: DaVinciSketch) -> DaVinciSketch: ...
-
-
-@overload
-def difference(
-    a: DaVinciSketch, b: DaVinciSketch, *, policy: DegradationPolicy
-) -> DegradedResult[DaVinciSketch]: ...
-
-
-def difference(
-    a: DaVinciSketch,
-    b: DaVinciSketch,
-    *,
-    policy: Optional[DegradationPolicy] = None,
-) -> Union[DaVinciSketch, DegradedResult[DaVinciSketch]]:
+def difference(a: DaVinciSketch, b: DaVinciSketch) -> DaVinciSketch:
     """Return the signed difference sketch ``a − b``.
 
     Supports arbitrary overlap (neither input needs to contain the other):
     querying the result for a key yields ``f_a(key) − f_b(key)``, positive
     when the key is heavier in ``a``.
-
-    With a :class:`~repro.core.degrade.DegradationPolicy`, the result
-    sketch's decodability is probed exactly as in :func:`union`.
     """
-    result = _difference_value(a, b)
-    if policy is not None:
-        return execute(
-            (result,), lambda: result, policy, fallback=lambda: result
-        )
-    return result
-
-
-def _difference_value(a: DaVinciSketch, b: DaVinciSketch) -> DaVinciSketch:
     a.check_compatible(b)
     result = a.empty_like()
     result.mode = MODE_SIGNED

@@ -22,14 +22,7 @@ Our concrete realization exploits the insertion discipline:
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Optional, Sequence, Union, overload
-
-from repro.core.degrade import (
-    DegradationPolicy,
-    DegradedResult,
-    execute,
-    finite_or,
-)
+from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.davinci import DaVinciSketch
@@ -55,43 +48,14 @@ def linear_counting_over(counters: Sequence[int]) -> float:
     return linear_counting_estimate(len(counters), zero)
 
 
-@overload
-def cardinality(sketch: "DaVinciSketch") -> float: ...
-
-
-@overload
-def cardinality(
-    sketch: "DaVinciSketch", *, policy: DegradationPolicy
-) -> DegradedResult[float]: ...
-
-
-def cardinality(
-    sketch: "DaVinciSketch", *, policy: Optional[DegradationPolicy] = None
-) -> Union[float, DegradedResult[float]]:
+def cardinality(sketch: "DaVinciSketch") -> float:
     """Estimated number of distinct elements in the sketch.
 
     For signed (difference) sketches, "cardinality" means the number of
     elements whose counts differ between the two inputs; that is derived
     from the exactly-tracked keys instead of linear counting (the
     subtracted filter's zeros no longer witness emptiness).
-
-    With a :class:`~repro.core.degrade.DegradationPolicy`, the answer is
-    wrapped in a :class:`~repro.core.degrade.DegradedResult` whose flag
-    reports whether the sketch's decode had stalled (see
-    :mod:`repro.core.degrade`).
     """
-    if policy is not None:
-        return execute(
-            (sketch,),
-            lambda: _cardinality_value(sketch),
-            policy,
-            fallback=lambda: 0.0,
-            sanitize=finite_or(0.0),
-        )
-    return _cardinality_value(sketch)
-
-
-def _cardinality_value(sketch: "DaVinciSketch") -> float:
     from repro.core.davinci import MODE_SIGNED
 
     if sketch.mode == MODE_SIGNED:

@@ -27,11 +27,9 @@ simplification of the full partition enumeration, which is exponential).
 
 from __future__ import annotations
 
-import math
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union, overload
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.common.errors import ConfigurationError
-from repro.core.degrade import DegradationPolicy, DegradedResult, execute
 from repro.core.tasks.cardinality import linear_counting_over
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -130,40 +128,11 @@ class CounterArrayEM:
         return [0.0] + [p / norm for p in phi[1:]]
 
 
-def _sanitize_histogram(histogram: Dict[int, float]) -> Dict[int, float]:
-    """Drop non-finite or negative mass (BEST_EFFORT repair)."""
-    return {
-        size: count
-        for size, count in histogram.items()
-        if math.isfinite(count) and count >= 0.0
-    }
-
-
-@overload
-def distribution(
-    sketch: "DaVinciSketch",
-    max_size: Optional[int] = ...,
-    em_level: int = ...,
-) -> Dict[int, float]: ...
-
-
-@overload
-def distribution(
-    sketch: "DaVinciSketch",
-    max_size: Optional[int] = ...,
-    em_level: int = ...,
-    *,
-    policy: DegradationPolicy,
-) -> DegradedResult[Dict[int, float]]: ...
-
-
 def distribution(
     sketch: "DaVinciSketch",
     max_size: Optional[int] = None,
     em_level: int = 0,
-    *,
-    policy: Optional[DegradationPolicy] = None,
-) -> Union[Dict[int, float], DegradedResult[Dict[int, float]]]:
+) -> Dict[int, float]:
     """Estimated flow-size distribution ``{size: #flows}`` of the sketch.
 
     ``em_level`` selects which filter level feeds the EM deconvolution.
@@ -172,27 +141,7 @@ def distribution(
     4-bit cap) preserves total mass better, which is what the entropy task
     cares about — :func:`repro.core.tasks.entropy.entropy` passes the top
     level explicitly.
-
-    With a :class:`~repro.core.degrade.DegradationPolicy`, the histogram
-    is wrapped in a :class:`~repro.core.degrade.DegradedResult` (see
-    :mod:`repro.core.degrade`).
     """
-    if policy is not None:
-        return execute(
-            (sketch,),
-            lambda: _distribution_value(sketch, max_size, em_level),
-            policy,
-            fallback=lambda: {},
-            sanitize=_sanitize_histogram,
-        )
-    return _distribution_value(sketch, max_size, em_level)
-
-
-def _distribution_value(
-    sketch: "DaVinciSketch",
-    max_size: Optional[int] = None,
-    em_level: int = 0,
-) -> Dict[int, float]:
     histogram: Dict[int, float] = {}
 
     fp_keys = sketch.fp.as_dict()

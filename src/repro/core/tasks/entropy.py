@@ -11,14 +11,7 @@ entropy formula".
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, Optional, Union, overload
-
-from repro.core.degrade import (
-    DegradationPolicy,
-    DegradedResult,
-    execute,
-    finite_or,
-)
+from typing import TYPE_CHECKING, Dict
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.davinci import DaVinciSketch
@@ -43,19 +36,7 @@ def entropy_of_distribution(histogram: Dict[int, float], total: float) -> float:
     return result
 
 
-@overload
-def entropy(sketch: "DaVinciSketch") -> float: ...
-
-
-@overload
-def entropy(
-    sketch: "DaVinciSketch", *, policy: DegradationPolicy
-) -> DegradedResult[float]: ...
-
-
-def entropy(
-    sketch: "DaVinciSketch", *, policy: Optional[DegradationPolicy] = None
-) -> Union[float, DegradedResult[float]]:
+def entropy(sketch: "DaVinciSketch") -> float:
     """Estimated entropy of the multiset summarized by ``sketch``.
 
     Uses the distribution estimate with the EM run over the filter's *top*
@@ -63,22 +44,6 @@ def entropy(
     total probability mass — which dominates the entropy sum — is
     preserved, at the cost of per-size resolution the entropy formula does
     not need.
-
-    With a :class:`~repro.core.degrade.DegradationPolicy`, the answer is
-    wrapped in a :class:`~repro.core.degrade.DegradedResult` (see
-    :mod:`repro.core.degrade`).
     """
-    if policy is not None:
-        return execute(
-            (sketch,),
-            lambda: _entropy_value(sketch),
-            policy,
-            fallback=lambda: 0.0,
-            sanitize=finite_or(0.0),
-        )
-    return _entropy_value(sketch)
-
-
-def _entropy_value(sketch: "DaVinciSketch") -> float:
     histogram = sketch.distribution(em_level=-1)
     return entropy_of_distribution(histogram, float(sketch.total_count))

@@ -19,50 +19,16 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Optional, Union, overload
 
 from repro.common.errors import ConfigurationError
-from repro.core.degrade import DegradationPolicy, DegradedResult, execute
+from repro.core.degrade import DegradationPolicy, DegradedResult, apply_policy
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.davinci import DaVinciSketch
 
 
-@overload
-def heavy_hitters(sketch: "DaVinciSketch", threshold: int) -> Dict[int, int]: ...
-
-
-@overload
-def heavy_hitters(
-    sketch: "DaVinciSketch", threshold: int, *, policy: DegradationPolicy
-) -> DegradedResult[Dict[int, int]]: ...
-
-
-def heavy_hitters(
-    sketch: "DaVinciSketch",
-    threshold: int,
-    *,
-    policy: Optional[DegradationPolicy] = None,
-) -> Union[Dict[int, int], DegradedResult[Dict[int, int]]]:
-    """Keys whose estimated |frequency| is at least ``threshold``.
-
-    With a :class:`~repro.core.degrade.DegradationPolicy`, the candidate
-    map is wrapped in a :class:`~repro.core.degrade.DegradedResult` —
-    a stalled decode means borderline candidates living only in the
-    infrequent part may be missing (see :mod:`repro.core.degrade`).
-    """
+def heavy_hitters(sketch: "DaVinciSketch", threshold: int) -> Dict[int, int]:
+    """Keys whose estimated |frequency| is at least ``threshold``."""
     if threshold <= 0:
         raise ConfigurationError("threshold must be positive")
-    if policy is not None:
-        return execute(
-            (sketch,),
-            lambda: _heavy_hitters_value(sketch, threshold),
-            policy,
-            fallback=lambda: {},
-        )
-    return _heavy_hitters_value(sketch, threshold)
-
-
-def _heavy_hitters_value(
-    sketch: "DaVinciSketch", threshold: int
-) -> Dict[int, int]:
     return {
         key: estimate
         for key, estimate in sketch.known_keys().items()
@@ -108,11 +74,11 @@ def heavy_changers(
         raise ConfigurationError("threshold must be positive")
     delta = window_a.difference(window_b)
     if policy is not None:
-        return execute(
+        return apply_policy(
+            "heavy_changers",
             (window_a, window_b, delta),
             lambda: _heavy_changers_value(window_a, window_b, delta, threshold),
             policy,
-            fallback=lambda: {},
         )
     return _heavy_changers_value(window_a, window_b, delta, threshold)
 

@@ -27,14 +27,7 @@ capability) sidesteps this entirely.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Set, Union, overload
-
-from repro.core.degrade import (
-    DegradationPolicy,
-    DegradedResult,
-    execute,
-    finite_or,
-)
+from typing import TYPE_CHECKING, Set
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.davinci import DaVinciSketch
@@ -80,41 +73,8 @@ def _filter_dot_product(a: "DaVinciSketch", b: "DaVinciSketch") -> float:
     return max(0.0, corrected)
 
 
-@overload
-def inner_join(a: "DaVinciSketch", b: "DaVinciSketch") -> float: ...
-
-
-@overload
-def inner_join(
-    a: "DaVinciSketch", b: "DaVinciSketch", *, policy: DegradationPolicy
-) -> DegradedResult[float]: ...
-
-
-def inner_join(
-    a: "DaVinciSketch",
-    b: "DaVinciSketch",
-    *,
-    policy: Optional[DegradationPolicy] = None,
-) -> Union[float, DegradedResult[float]]:
-    """Estimate ``Σ_e f(e)·g(e)`` between two standard-mode sketches.
-
-    With a :class:`~repro.core.degrade.DegradationPolicy`, both inputs'
-    decode completeness is checked and the answer is wrapped in a
-    :class:`~repro.core.degrade.DegradedResult` (see
-    :mod:`repro.core.degrade`).
-    """
-    if policy is not None:
-        return execute(
-            (a, b),
-            lambda: _inner_join_value(a, b),
-            policy,
-            fallback=lambda: 0.0,
-            sanitize=finite_or(0.0),
-        )
-    return _inner_join_value(a, b)
-
-
-def _inner_join_value(a: "DaVinciSketch", b: "DaVinciSketch") -> float:
+def inner_join(a: "DaVinciSketch", b: "DaVinciSketch") -> float:
+    """Estimate ``Σ_e f(e)·g(e)`` between two standard-mode sketches."""
     a.check_compatible(b)
 
     keys: Set[int] = set(a.fp.as_dict())

@@ -26,12 +26,11 @@ is well-defined.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional, Tuple, Union, overload
+from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.core.config import DaVinciConfig
 from repro.core.davinci import DEFAULT_BATCH_CHUNK, MODE_ADDITIVE, DaVinciSketch
-from repro.core.degrade import DegradationPolicy, DegradedResult
 from repro.core.serialization import from_wire, to_wire
 from repro.core.tasks.heavy import heavy_changers
 
@@ -173,31 +172,13 @@ class WindowedDaVinci:
         """The window before the newest closed one."""
         return self.closed[-2] if len(self.closed) >= 2 else None
 
-    @overload
-    def heavy_changers(self, threshold: int) -> Dict[int, int]: ...
-
-    @overload
-    def heavy_changers(
-        self, threshold: int, *, policy: DegradationPolicy
-    ) -> DegradedResult[Dict[int, int]]: ...
-
-    def heavy_changers(
-        self, threshold: int, *, policy: Optional[DegradationPolicy] = None
-    ) -> Union[Dict[int, int], DegradedResult[Dict[int, int]]]:
+    def heavy_changers(self, threshold: int) -> Dict[int, int]:
         """Keys whose count changed by >= ``threshold`` across the two most
-        recent closed windows (positive = grew).
-
-        With a :class:`~repro.core.degrade.DegradationPolicy`, the change
-        map is wrapped in a :class:`~repro.core.degrade.DegradedResult`
-        (fewer than two closed windows yields a clean empty result).
-        """
+        recent closed windows (positive = grew); empty before two windows
+        have closed."""
         newest, older = self.latest(), self.previous()
         if newest is None or older is None:
-            if policy is not None:
-                return DegradedResult({}, degraded=False, reason=None)
             return {}
-        if policy is not None:
-            return heavy_changers(newest, older, threshold, policy=policy)
         return heavy_changers(newest, older, threshold)
 
     def merged_view(self) -> DaVinciSketch:

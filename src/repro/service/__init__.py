@@ -6,7 +6,8 @@ The building blocks, bottom-up:
 * :mod:`repro.service.protocol` — length-prefixed CRC-framed messages;
 * :mod:`repro.service.retry` — attempt budgets with decorrelated jitter;
 * :mod:`repro.service.breaker` — per-endpoint circuit breaking;
-* :mod:`repro.service.tasks` — the nine task consumers by wire name;
+* :mod:`repro.service.tasks` — the nine task names and their JSON
+  encoding;
 * :mod:`repro.service.server` — :class:`SketchServer`, named aggregates
   behind bounded admission, read deadlines and idempotent PUSH;
 * :mod:`repro.service.client` — :class:`AggregationClient`, one

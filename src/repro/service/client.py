@@ -390,10 +390,7 @@ class AggregationClient:
         the server's answer.  Sketch-valued tasks (union/difference)
         return a decoded :class:`DaVinciSketch`.
         """
-        if task not in tasks.TASKS:
-            raise ConfigurationError(
-                f"unknown task {task!r}; expected one of {list(tasks.TASKS)}"
-            )
+        tasks.check_task(task, other)
         header: Dict[str, Any] = {
             "op": "QUERY",
             "aggregate": aggregate,

@@ -151,14 +151,7 @@ class ClusterQuerier:
         Mirrors :meth:`AggregationClient.query`'s return contract:
         plain value with ``policy=None``, ``DegradedResult`` otherwise.
         """
-        if task not in tasks.TASKS:
-            raise ConfigurationError(
-                f"unknown task {task!r}; expected one of {list(tasks.TASKS)}"
-            )
-        if task in tasks.PAIR_TASKS and other is None:
-            raise ConfigurationError(
-                f"task {task!r} needs an 'other' aggregate"
-            )
+        tasks.check_task(task, other)
         deadline = Deadline(deadline_seconds)
         reasons: List[str] = []
 

@@ -600,13 +600,12 @@ class SketchServer:
     ) -> Tuple[Dict[str, Any], bytes]:
         name = self._aggregate_name(header)
         task = header.get("task")
-        if not isinstance(task, str):
-            raise ConfigurationError("QUERY needs a 'task' name")
+        other_name = header.get("other")
+        tasks.check_task(task, other_name)
         policy = tasks.parse_policy(header.get("policy"))
         args = header.get("args") or {}
         if not isinstance(args, dict):
             raise ConfigurationError("'args' must be an object")
-        other_name = header.get("other")
         if other_name is not None and not isinstance(other_name, str):
             raise ConfigurationError("'other' must be an aggregate name")
 
@@ -618,11 +617,7 @@ class SketchServer:
             }, b""
         other_entry: Optional[_Aggregate] = None
         if task in tasks.PAIR_TASKS:
-            if other_name is None:
-                raise ConfigurationError(
-                    f"task {task!r} needs an 'other' aggregate"
-                )
-            other_entry = self._get(other_name)
+            other_entry = self._get(str(other_name))
             if other_entry is None or other_entry.sketch is None:
                 return {
                     "status": "NOT_FOUND",

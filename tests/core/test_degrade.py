@@ -8,7 +8,9 @@ The contract under a forced peel stall (ISSUE acceptance):
 * ``BEST_EFFORT`` — every task returns, never raises, and never emits
   NaN/inf (or negative mass where mass is meant).
 
-``policy=None`` keeps the historical plain-value behavior.
+``policy=None`` keeps the historical plain-value behavior.  Every task is
+driven through :func:`~repro.core.degrade.run_task`, the one place the
+policy is applied.
 """
 
 from __future__ import annotations
@@ -20,14 +22,15 @@ import pytest
 
 from repro.common.errors import DecodeError
 from repro.core.config import DaVinciConfig
+from repro.core import degrade
 from repro.core.davinci import DaVinciSketch
 from repro.core.degrade import (
     DegradationPolicy,
     DegradedResult,
     execute,
     finite_or,
+    run_task,
 )
-from repro.core.tasks.heavy import heavy_changers
 from repro.core.windowed import WindowedDaVinci
 from repro.testing import forced_peel_stall
 
@@ -56,35 +59,48 @@ def companion(small_config) -> DaVinciSketch:
     return sketch
 
 
-# Tasks driven by the decode state of their *input* sketches.  Each entry
-# is (name, runner(stalled_sketch, companion, policy)).
+#: arguments a task needs besides its sketches
+TASK_ARGS = {
+    "query": {"key": 5},
+    "heavy_hitters": {"threshold": 20},
+    "heavy_changers": {"threshold": 20},
+}
+
+
+def _runner(task):
+    """``runner(stalled_sketch, companion, policy)`` through run_task."""
+    return lambda a, b, p: run_task(
+        a,
+        task,
+        other=b if task in degrade.PAIR_TASKS else None,
+        policy=p,
+        **TASK_ARGS.get(task, {}),
+    )
+
+
+# Generated from the task list, so a new task cannot skip the matrix.
+# Tasks driven by the decode state of their *input* sketches:
 INPUT_TASKS = [
-    ("query", lambda a, b, p: a.query(5, policy=p)),
-    ("heavy_hitters", lambda a, b, p: a.heavy_hitters(20, policy=p)),
-    ("cardinality", lambda a, b, p: a.cardinality(policy=p)),
-    ("distribution", lambda a, b, p: a.distribution(policy=p)),
-    ("entropy", lambda a, b, p: a.entropy(policy=p)),
-    ("inner_join", lambda a, b, p: a.inner_join(b, policy=p)),
-    ("heavy_changers", lambda a, b, p: heavy_changers(a, b, 20, policy=p)),
+    (task, _runner(task))
+    for task in degrade.TASKS
+    if task not in degrade.SKETCH_TASKS
 ]
 
-# Facades that probe the decode state of the sketch they return.
-SET_OPERATIONS = ["union", "difference"]
+# Tasks that probe the decode state of the sketch they return:
+SET_OPERATIONS = list(degrade.SKETCH_TASKS)
 
 
-def test_every_policy_facade_is_in_a_matrix():
-    """A public method that takes ``policy`` must be driven by
-    :data:`INPUT_TASKS` or :class:`TestSetOperationPolicies`."""
-    covered = {name for name, _runner in INPUT_TASKS} | set(SET_OPERATIONS)
-    missing = [
+def test_no_public_method_takes_a_policy():
+    """The policy is applied by ``run_task`` alone: the facades return
+    plain values, so none of them can drop or mis-thread a policy."""
+    takers = [
         f"{cls.__name__}.{name}"
         for cls in (DaVinciSketch, WindowedDaVinci)
         for name, method in inspect.getmembers(cls, inspect.isfunction)
         if not name.startswith("_")
         and "policy" in inspect.signature(method).parameters
-        and name not in covered
     ]
-    assert missing == []
+    assert takers == []
 
 
 def _assert_finite(name, value):
@@ -147,6 +163,18 @@ class TestInputTaskMatrix:
             assert all(mass >= 0.0 for mass in result.value.values())
             assert all(size >= 1 for size in result.value)
 
+    @pytest.mark.parametrize("name", ["inner_join", "heavy_changers"])
+    def test_a_stalled_partner_flags_a_pair_task(
+        self, populated, companion, name
+    ):
+        runner = _runner(name)
+        with forced_peel_stall(companion):
+            with pytest.raises(DecodeError):
+                runner(populated, companion, DegradationPolicy.STRICT)
+            result = runner(populated, companion, DegradationPolicy.DEGRADE)
+        assert result.degraded is True
+        assert "sketch[1]" in result.reason
+
     @pytest.mark.parametrize("name,runner", INPUT_TASKS)
     def test_policy_none_preserves_plain_returns(
         self, populated, companion, name, runner
@@ -157,9 +185,8 @@ class TestInputTaskMatrix:
         assert wrapped.unwrap() == plain
 
 
-def _overloaded_pair():
-    """Two compatible sketches whose union/difference genuinely stall."""
-    config = DaVinciConfig(
+def _tiny_config():
+    return DaVinciConfig(
         fp_buckets=2,
         fp_entries=2,
         ef_level_widths=(16, 8),
@@ -170,16 +197,24 @@ def _overloaded_pair():
         filter_threshold=4,
         seed=9,
     )
-    a = DaVinciSketch(config)
+
+
+def _tiny(keys):
+    sketch = DaVinciSketch(_tiny_config())
+    for key in keys:
+        sketch.insert(key, 9)
+    return sketch
+
+
+def _overloaded_pair():
+    """Two compatible sketches whose union/difference genuinely stall."""
+    a = DaVinciSketch(_tiny_config())
     key = 1
     while a.decode_result().complete:
         a.insert(key, 9)
         key += 1
         assert key < 500, "could not overload the tiny IFP"
-    b = DaVinciSketch(config)
-    for other in range(300, 340):
-        b.insert(other, 9)
-    return a, b
+    return a, _tiny(range(300, 340))
 
 
 class TestSetOperationPolicies:
@@ -191,7 +226,18 @@ class TestSetOperationPolicies:
         merged = getattr(a, op)(b)
         assert not merged.decode_result().complete  # precondition
         with pytest.raises(DecodeError):
-            getattr(a, op)(b, policy=DegradationPolicy.STRICT)
+            run_task(a, op, other=b, policy=DegradationPolicy.STRICT)
+
+    @pytest.mark.parametrize("op", SET_OPERATIONS)
+    def test_a_stalled_result_of_clean_inputs_is_flagged(self, op):
+        a, b = _tiny(range(1, 8)), _tiny(range(300, 305))
+        assert a.decode_result().complete  # precondition
+        assert b.decode_result().complete
+        with pytest.raises(DecodeError):
+            run_task(a, op, other=b, policy=DegradationPolicy.STRICT)
+        result = run_task(a, op, other=b, policy=DegradationPolicy.DEGRADE)
+        assert result.degraded is True
+        assert "sketch[0]" in result.reason
 
     @pytest.mark.parametrize("op", SET_OPERATIONS)
     @pytest.mark.parametrize(
@@ -199,7 +245,7 @@ class TestSetOperationPolicies:
     )
     def test_lenient_policies_flag_the_result(self, op, policy):
         a, b = _overloaded_pair()
-        result = getattr(a, op)(b, policy=policy)
+        result = run_task(a, op, other=b, policy=policy)
         assert isinstance(result, DegradedResult)
         assert result.degraded is True
         assert result.reason and "residual" in result.reason
@@ -211,8 +257,8 @@ class TestSetOperationPolicies:
     def test_clean_inputs_are_not_degraded(
         self, populated, companion, op
     ):
-        result = getattr(populated, op)(
-            companion, policy=DegradationPolicy.STRICT
+        result = run_task(
+            populated, op, other=companion, policy=DegradationPolicy.STRICT
         )
         assert result.degraded is False
         plain = getattr(populated, op)(companion)
@@ -222,10 +268,7 @@ class TestSetOperationPolicies:
 class TestWindowedPolicies:
     def test_too_few_windows_is_clean_empty(self, small_config):
         windowed = WindowedDaVinci(small_config, window_size=100)
-        result = windowed.heavy_changers(
-            10, policy=DegradationPolicy.STRICT
-        )
-        assert result == DegradedResult({}, degraded=False, reason=None)
+        assert windowed.latest() is None
         assert windowed.heavy_changers(10) == {}
 
     def test_stalled_window_degrades(self, small_config):
@@ -237,13 +280,24 @@ class TestWindowedPolicies:
             windowed.insert(key, 25)
         windowed.rotate()
         assert windowed.previous() is not None
-        newest = windowed.latest()
+        newest, previous = windowed.latest(), windowed.previous()
+
+        def changers(policy):
+            return run_task(
+                newest,
+                "heavy_changers",
+                other=previous,
+                threshold=10,
+                policy=policy,
+            )
+
+        clean = changers(DegradationPolicy.STRICT)
+        assert clean.degraded is False
+        assert clean.value == windowed.heavy_changers(10)
         with forced_peel_stall(newest):
             with pytest.raises(DecodeError):
-                windowed.heavy_changers(10, policy=DegradationPolicy.STRICT)
-            result = windowed.heavy_changers(
-                10, policy=DegradationPolicy.DEGRADE
-            )
+                changers(DegradationPolicy.STRICT)
+            result = changers(DegradationPolicy.DEGRADE)
         assert result.degraded is True
         assert result.reason
 

@@ -93,6 +93,29 @@ class TestOps:
                 "QUERY", {"op": "QUERY", "aggregate": "agg", "task": "nope"}
             )
         assert excinfo.value.status == "BAD_REQUEST"
+        # a raw frame skips the client's check; the server makes the same
+        with pytest.raises(RemoteError) as excinfo:
+            client._call(
+                "QUERY", {"op": "QUERY", "aggregate": "agg", "task": "union"}
+            )
+        assert excinfo.value.status == "BAD_REQUEST"
+        assert "needs an 'other' aggregate" in str(excinfo.value)
+
+    @pytest.mark.parametrize("max_size", ["x", True, 1.5, 0, [1]])
+    def test_hostile_max_size_is_bad_request(
+        self, server, sketch_factory, max_size
+    ):
+        """A bad ``max_size`` is refused, and the handler lives on to
+        answer the next query on the same connection."""
+        client = make_client(server)
+        sketch = sketch_factory([(1, 3), (2, 1)])
+        client.push("agg", sketch)
+        with pytest.raises(RemoteError) as excinfo:
+            client.query("agg", "distribution", max_size=max_size)
+        assert excinfo.value.status == "BAD_REQUEST"
+        assert "max_size" in str(excinfo.value)
+        answer = client.query("agg", "distribution", max_size=2)
+        assert answer == sketch.distribution(max_size=2) == {1: 1.0}
 
     def test_push_of_a_signed_sketch_is_a_typed_error(
         self, server, sketch_factory
