@@ -62,10 +62,7 @@ def time_sharded(
 ) -> Tuple[float, DaVinciSketch]:
     start = time.perf_counter()
     with ShardedIngestor(
-        config,
-        args.shards,
-        chunk_items=args.chunk_items,
-        batch_items=args.batch_items,
+        config, args.shards, chunk_items=args.chunk_items
     ) as ingestor:
         ingestor.ingest_keys(trace)
         merged = ingestor.finalize()
@@ -158,7 +155,6 @@ def run(args: argparse.Namespace) -> Dict[str, object]:
             "memory_kb": args.memory_kb,
             "shards": args.shards,
             "chunk_items": args.chunk_items,
-            "batch_items": args.batch_items,
             "baseline_chunk_items": args.baseline_chunk_items,
             "repeats": args.repeats,
         },
@@ -209,13 +205,7 @@ def main(argv: List[str]) -> int:
         "--chunk-items",
         type=int,
         default=262_144,
-        help="per-shard insert_batch chunk (the byte-identity unit)",
-    )
-    parser.add_argument(
-        "--batch-items",
-        type=int,
-        default=262_144,
-        help="pairs per IPC message to the workers",
+        help="per-shard insert_batch chunk and IPC message (the byte-identity unit)",
     )
     parser.add_argument(
         "--baseline-chunk-items",

@@ -100,6 +100,19 @@ def _integer_count(count: object) -> int:
         ) from None
 
 
+def checked_count(count: object) -> int:
+    """``count`` as a Python int in ``[1, 2^63)``, else the sketch's error.
+
+    The rule :meth:`DaVinciSketch.insert` applies to one count; front
+    ends that hand counts to a sketch later (another process, a journal)
+    apply it first, so the sketch never refuses what they accepted.
+    """
+    if type(count) is not int:
+        count = _integer_count(count)
+    require_positive("count", count)
+    return require_int64("count", count)
+
+
 class UnitPairs:
     """``(key, 1)`` for every key of ``keys``, without the tuples.
 
@@ -269,10 +282,7 @@ class DaVinciSketch(Sketch):
         key = self.canonical_key(key)
         if _inv.ENABLED:
             _inv.check_counter_int(count, "DaVinciSketch.insert count")
-        if type(count) is not int:
-            count = _integer_count(count)
-        require_positive("count", count)
-        require_int64("count", count)
+        count = checked_count(count)
         self.total_count = require_int64("total_count", self.total_count + count)
         self.insertions += 1
         self._decode_cache = None

@@ -18,7 +18,10 @@ The ingestor owns a directory with two files:
     after the ``crc`` field — encoder-agnostic by construction — and
     **fsynced before the chunk touches the sketch**, so a chunk either
     reached stable storage in full, or (a torn final line) was never
-    applied anywhere and the caller re-sends it.
+    applied anywhere and the caller re-sends it.  A chunk is first
+    checked against what the sketch would refuse (a count outside
+    ``[1, 2^63)``, a ``total_count`` leaving int64), so the journal
+    never holds a record that replay cannot apply.
 
 ``checkpoint.json``
     The newest durable sketch snapshot::
@@ -76,6 +79,7 @@ from typing import (
 )
 
 from repro.common.errors import CheckpointError, ConfigurationError
+from repro.common.validation import INT64_MAX, require_int64
 from repro.core import serialization
 from repro.core.config import DaVinciConfig
 from repro.core.davinci import DaVinciSketch
@@ -100,6 +104,11 @@ _CHECKPOINT_FORMAT = 2
 
 #: the previous format, still recovered: the sketch as a v2 state dict
 _JSON_STATE_CHECKPOINT_FORMAT = 1
+
+#: digest of checkpointed sketches: the checkpoint file carries its own
+#: CRC and is not a transport format, so the cheaper algorithm fits the
+#: write rate
+_CHECKPOINT_DIGEST = "crc32"
 
 IngestKey = Union[int, str, bytes]
 CrashHook = Callable[[str], None]
@@ -185,10 +194,27 @@ def _encode_key(key: object) -> str:
 
 
 def _bad_count(count: object) -> int:
-    """Raise for a non-positive or non-int count (comprehension helper)."""
+    """Raise for a count the journal cannot hold (see :func:`split_pairs`)."""
     raise ConfigurationError(
-        f"ingest count must be a positive integer, got {count!r}"
+        f"ingest count must be an int in [1, 2^63), got {count!r}"
     )
+
+
+def split_pairs(
+    pairs: List[Tuple[object, int]], check: Callable[[object], int]
+) -> Tuple[List[object], Optional[List[int]]]:
+    """The ``(keys, counts)`` columns of ``pairs``; ``counts`` is ``None``
+    when every count is 1.
+
+    A count that is not an ``int`` in ``[1, 2^63)`` goes to ``check``,
+    which returns it as one or raises, before either column exists.
+    """
+    keys = [key for key, _count in pairs]
+    counts = [
+        count if type(count) is int and 0 < count <= INT64_MAX else check(count)
+        for _key, count in pairs
+    ]
+    return keys, None if counts.count(1) == len(counts) else counts
 
 
 def _decode_key(raw: object) -> IngestKey:
@@ -248,10 +274,6 @@ class CheckpointingIngestor:
         chunks amortize the per-record fsync (the dominant durability
         cost) at the price of a larger volatile buffer to re-send after
         a crash.
-    digest_algo:
-        Digest for checkpointed states (``crc32`` default here — the
-        checkpoint file carries its own CRC and is not a transport
-        format, so the cheaper algorithm fits the write rate).
     clock:
         Monotonic time source for the seconds trigger (injectable).
     crash_hook:
@@ -279,7 +301,6 @@ class CheckpointingIngestor:
         checkpoint_every_items: Optional[int] = 262144,
         checkpoint_every_seconds: Optional[float] = None,
         journal_chunk_items: int = 16384,
-        digest_algo: str = "crc32",
         clock: Callable[[], float] = time.monotonic,
         crash_hook: Optional[CrashHook] = None,
         metrics_registry: Optional[MetricsRegistry] = None,
@@ -297,17 +318,11 @@ class CheckpointingIngestor:
             )
         if journal_chunk_items < 1:
             raise ConfigurationError("journal_chunk_items must be >= 1")
-        if digest_algo not in serialization.DIGEST_ALGOS:
-            raise ConfigurationError(
-                f"unknown digest algorithm {digest_algo!r}; expected one of "
-                f"{serialization.DIGEST_ALGOS}"
-            )
         self.config = config
         self.directory = os.fspath(directory)
         self.checkpoint_every_items = checkpoint_every_items
         self.checkpoint_every_seconds = checkpoint_every_seconds
         self.journal_chunk_items = journal_chunk_items
-        self.digest_algo = digest_algo
         self._clock = clock
         self._crash_hook = crash_hook
         self._obs_registry = metrics_registry
@@ -539,71 +554,56 @@ class CheckpointingIngestor:
         on.  Call :meth:`flush` at end of stream to commit the partial
         tail.  A crash loses only the unjournaled buffer, which
         :attr:`items_ingested` never counted: resume from
-        ``stream[items_ingested:]``.
+        ``stream[items_ingested:]``.  Each count must be an ``int`` in
+        ``[1, 2^63)``; a slice holding any other raises with none of it
+        buffered.
         """
-        self._require_open()
-        accepted = 0
-        chunk_items = self.journal_chunk_items
-        iterator = iter(pairs)
-        while True:
-            pending = self._pending_keys
-            taken = list(islice(iterator, chunk_items - len(pending)))
-            if not taken:
-                break
-            accepted += len(taken)
-            counts = self._pending_counts
-            if counts is None:
-                counts = self._pending_counts = [1] * len(pending)
-            pending.extend(key for key, _count in taken)
-            counts.extend(
-                count if type(count) is int and count >= 1 else _bad_count(
-                    count
-                )
-                for _key, count in taken
-            )
-            if len(pending) >= chunk_items:
-                self._pending_keys = []
-                self._pending_counts = None
-                self._commit(pending, counts)
-                if self._checkpoint_due():
-                    self.checkpoint()
-        return accepted
+        return self._ingest(pairs, weighted=True)
 
     def ingest_keys(self, keys: Iterable[object]) -> int:
         """Accept single occurrences (``count=1`` per key).
 
-        This is the hot path: keys flow straight into a keys-only buffer
-        (no pair tuples, no counts list), and a full chunk arriving on an
-        empty buffer is committed without any intermediate copy.
+        :meth:`ingest` without the counts column: no pair tuples and no
+        counts list unless weighted pairs already share the buffer.
+        """
+        return self._ingest(keys, weighted=False)
+
+    def _ingest(self, items: Iterable[Any], weighted: bool) -> int:
+        """The buffering loop behind :meth:`ingest` and :meth:`ingest_keys`.
+
+        Each pass takes what the buffer lacks of a full chunk; a full
+        chunk arriving on an empty buffer is committed without a copy.
         """
         self._require_open()
         accepted = 0
         chunk_items = self.journal_chunk_items
-        iterator = iter(keys)
+        iterator = iter(items)
         while True:
             pending = self._pending_keys
             taken = list(islice(iterator, chunk_items - len(pending)))
             if not taken:
-                break
+                return accepted
+            counts: Optional[List[int]] = None
+            if weighted:
+                taken, counts = split_pairs(taken, _bad_count)
             accepted += len(taken)
-            if not pending and len(taken) == chunk_items:
-                # empty buffer + full chunk: commit without any copy
-                # (an empty key buffer never has a counts list)
-                chunk_keys: List[object] = taken
-                chunk_counts: Optional[List[int]] = None
-            else:
+            if pending or len(taken) < chunk_items:
+                held = self._pending_counts
+                if counts is not None and held is None:
+                    held = self._pending_counts = [1] * len(pending)
                 pending.extend(taken)
-                if self._pending_counts is not None:
-                    self._pending_counts.extend(repeat(1, len(taken)))
+                if held is not None:
+                    held.extend(
+                        counts if counts is not None else repeat(1, len(taken))
+                    )
                 if len(pending) < chunk_items:
                     continue
-                chunk_keys, chunk_counts = pending, self._pending_counts
+                taken, counts = pending, held
                 self._pending_keys = []
-            self._pending_counts = None
-            self._commit(chunk_keys, chunk_counts)
+                self._pending_counts = None
+            self._commit(taken, counts)
             if self._checkpoint_due():
                 self.checkpoint()
-        return accepted
 
     def flush(self) -> None:
         """Commit the buffered partial chunk (journal, fsync, apply).
@@ -638,8 +638,12 @@ class CheckpointingIngestor:
         (detected with one C-speed ``set(map(type, …))`` scan — ``bool``
         has its own type, so it cannot slip through) is journaled with no
         key transform at all; mixed chunks fall back to a comprehension
-        that tags non-int keys via :func:`_encode_key`.
+        that tags non-int keys via :func:`_encode_key`.  A chunk that
+        would take ``total_count`` out of int64 raises before anything is
+        journaled, as the sketch itself would refuse it.
         """
+        units = len(keys) if counts is None else sum(counts)
+        require_int64("total_count", self.sketch.total_count + units)
         if set(map(type, keys)) == {int}:
             encoded: List[Union[int, str]] = keys  # type: ignore[assignment]
         else:
@@ -720,7 +724,7 @@ class CheckpointingIngestor:
             "format": _CHECKPOINT_FORMAT,
             "items_ingested": self.items_ingested,
             "sketch": base64.b64encode(
-                serialization.to_wire(self.sketch, self.digest_algo)
+                serialization.to_wire(self.sketch, _CHECKPOINT_DIGEST)
             ).decode("ascii"),
         }
         # Single dump + CRC splice, same construction as journal lines.

@@ -16,23 +16,25 @@ single queryable sketch.  This module owns that pipeline:
 
 :class:`ShardedIngestor`
     The process facade.  It canonicalizes and routes each
-    ``batch_items`` slice of the input in one vectorized pass
+    ``chunk_items`` slice of the input in one vectorized pass
     (:func:`~repro.core.kernel.canonical_keys`, then the router's mix
     over the whole array), buffers the canonical keys per shard as
-    packed uint64 arrays, ships them to worker processes over bounded
-    queues (a full queue blocks the producer — natural backpressure),
-    and on
-    :meth:`~ShardedIngestor.finalize` collects each worker's sketch as a
-    digest-verified wire-v3 blob and folds the shards through
-    :func:`repro.core.setops.union` in a binary merge tree.
+    packed uint64 arrays, ships each shard's stream to its worker
+    process as messages of exactly ``chunk_items`` keys over a bounded
+    queue (a full queue blocks the producer — natural backpressure),
+    and on :meth:`~ShardedIngestor.finalize` sends each shard's short
+    tail, collects each worker's sketch as a digest-verified wire-v3
+    blob and folds the shards through :func:`repro.core.setops.union`
+    in a binary merge tree.
 
 Byte-identity contract
 ----------------------
-Workers apply their shard's substream in ``chunk_items``-aligned chunks
-counted from the start of the *shard's* stream (the same absolute
-alignment :class:`~repro.runtime.ingestor.CheckpointingIngestor` uses),
-so the finalized shard states — and therefore the merged result — are
-byte-identical to a sequential
+A message is one whole chunk of the *shard's* stream, counted from its
+start (the same absolute alignment
+:class:`~repro.runtime.ingestor.CheckpointingIngestor` uses), and a
+worker applies it with one ``insert_all``/``insert_batch`` call, or one
+journal record when durable.  So the finalized shard states — and
+therefore the merged result — are byte-identical to a sequential
 ``insert_batch(partition, chunk_size=chunk_items)`` over each partition
 followed by the same union fold.  Since the shards are key-disjoint by
 construction, the union fold itself is associative up to ``to_state()``
@@ -44,11 +46,12 @@ Failure semantics
 Worker death is detected while feeding (blocked ``put``) and while
 collecting states.  With ``durable_root`` set, every shard runs inside a
 :class:`~repro.runtime.ingestor.CheckpointingIngestor`; the parent keeps
-an in-memory replay buffer of dispatched batches and prunes it as
+an in-memory replay buffer of dispatched messages and prunes it as
 workers acknowledge their durable watermark (``items_ingested``), so a
 killed worker can be respawned (up to ``max_restarts`` times per shard),
-recover from its shard directory and have exactly the unacknowledged
-tail re-sent — the journal's chunk alignment makes the recovered shard
+recover from its shard directory and have every unacknowledged message
+re-sent whole — each message is one journal record, so the recovered
+watermark always falls between messages and the recovered shard is
 byte-identical to an uninterrupted one.  Without ``durable_root`` there
 is nothing to replay from and any worker death raises
 :class:`~repro.common.errors.ShardFailureError` (fail-fast).  Shutdown
@@ -82,13 +85,13 @@ from repro.common.errors import (
 from repro.common.hashing import canonical_key
 from repro.core import serialization, setops
 from repro.core.config import DaVinciConfig
-from repro.core.davinci import DEFAULT_BATCH_CHUNK, DaVinciSketch
+from repro.core.davinci import DEFAULT_BATCH_CHUNK, DaVinciSketch, checked_count
 from repro.core.kernel import canonical_keys, np
 from repro.observability import instruments as _obs_instruments
 from repro.observability import metrics as _obs
 from repro.observability.instruments import ShardedMetrics
 from repro.observability.metrics import MetricsRegistry
-from repro.runtime.ingestor import CheckpointingIngestor
+from repro.runtime.ingestor import CheckpointingIngestor, split_pairs
 
 __all__ = ["ShardRouter", "ShardedIngestor", "merge_tree"]
 
@@ -192,15 +195,13 @@ def _shard_worker(
     chunk_items: int,
     durable_dir: Optional[str],
     checkpoint_every_items: Optional[int],
-    digest_algo: str,
 ) -> None:
     """One shard's process body: apply batches, report the final state.
 
-    Runs until a ``finalize`` or ``stop`` message arrives.  Batches are
-    applied in ``chunk_items``-aligned chunks counted from the start of
-    the shard substream — via :class:`CheckpointingIngestor` (which
-    journals with the same alignment) when durable, via direct
-    ``insert_batch`` buffering otherwise — so both paths produce
+    Runs until a ``finalize`` or ``stop`` message arrives.  Each batch is
+    one chunk of the shard substream, applied as one journal record
+    through :class:`CheckpointingIngestor` when durable and as one
+    ``insert_all``/``insert_batch`` call otherwise, so both paths produce
     byte-identical states for the same substream.
     """
     ingestor: Optional[CheckpointingIngestor] = None
@@ -216,8 +217,6 @@ def _shard_worker(
     else:
         sketch = DaVinciSketch(config)
         result_queue.put(("ready", shard_id, 0))
-    pending_keys: List[int] = []
-    pending_counts: Optional[List[int]] = None
     applied = 0
 
     while True:
@@ -230,53 +229,24 @@ def _shard_worker(
                     ingestor.ingest_keys(keys)
                 else:
                     ingestor.ingest(zip(keys, counts))
+                # only the tail is short; journal it as its own record
+                ingestor.flush()
                 result_queue.put(("ack", shard_id, ingestor.items_ingested))
-                continue
-            # Non-durable: replicate the ingestor's absolute chunk
-            # alignment with a plain buffer.
-            if counts is not None and pending_counts is None:
-                pending_counts = [1] * len(pending_keys)
-            pending_keys.extend(keys)
-            if pending_counts is not None:
-                pending_counts.extend(
-                    counts if counts is not None else repeat(1, len(keys))
-                )
-            while len(pending_keys) >= chunk_items:
-                chunk_keys = pending_keys[:chunk_items]
-                del pending_keys[:chunk_items]
-                if pending_counts is not None:
-                    chunk_counts = pending_counts[:chunk_items]
-                    del pending_counts[:chunk_items]
-                    sketch.insert_batch(
-                        zip(chunk_keys, chunk_counts), chunk_size=chunk_items
-                    )
-                else:
-                    sketch.insert_all(chunk_keys, chunk_size=chunk_items)
-                applied += chunk_items
+            elif counts is None:
+                sketch.insert_all(keys, chunk_size=chunk_items)
+            else:
+                sketch.insert_batch(zip(keys, counts), chunk_size=chunk_items)
+            applied += len(keys)
         elif kind == "finalize":
             if ingestor is not None:
-                ingestor.flush()
                 ingestor.checkpoint()
                 applied = ingestor.items_ingested
                 ingestor.close()
-            elif pending_keys:
-                if pending_counts is not None:
-                    sketch.insert_batch(
-                        zip(pending_keys, pending_counts),
-                        chunk_size=chunk_items,
-                    )
-                else:
-                    sketch.insert_all(pending_keys, chunk_size=chunk_items)
-                applied += len(pending_keys)
-            blob = serialization.to_wire(sketch, digest_algo)
+            blob = serialization.to_wire(sketch)
             result_queue.put(("state", shard_id, bytes(blob), applied))
             return
         else:  # "stop" — abandon without reporting
             if ingestor is not None:
-                # No flush: a partial tail record would break the
-                # journal's chunk alignment for a later recovery.  The
-                # buffered items were never acknowledged, so nothing is
-                # silently lost — they are simply not durable.
                 ingestor.close()
             return
 
@@ -305,8 +275,8 @@ class _ShardHandle:
         self.items_sent = 0
         #: durable watermark acknowledged by the worker
         self.acked_items = 0
-        #: un-acknowledged batches as (start_position, keys, counts); the
-        #: keys stay the packed uint64 array that was sent (8 B per key)
+        #: un-acknowledged messages as (start_position, keys, counts);
+        #: the keys stay the packed uint64 array that was sent (8 B/key)
         self.replay: List[Tuple[int, Any, Optional[List[int]]]] = []
         self.restarts = 0
         self.finalized_sent = False
@@ -326,18 +296,14 @@ class ShardedIngestor:
         Worker process count (>= 1).
     chunk_items:
         Per-shard ingestion chunk size — the batched fast path's
-        aggregation window and, for durable shards, the journal record
-        granularity.  Part of the byte-identity contract: the sequential
-        reference fold must use the same value.  Larger chunks aggregate
-        more duplicate keys per ``insert_batch`` call (higher
-        throughput, coarser eviction schedule — the same trade-off
-        documented for ``DaVinciSketch.insert_batch``).
-    batch_items:
-        Keys canonicalized and routed per vectorized pass, and the
-        buffered keys per shard that trigger a queue message.  Purely a
-        throughput knob (amortizes numpy calls, pickling and queue
-        overhead); unlike ``chunk_items`` it never affects the result
-        bytes.
+        aggregation window, the keys per queue message and, for durable
+        shards, the journal record granularity; also the keys
+        canonicalized and routed per vectorized pass.  Part of the
+        byte-identity contract: the sequential reference fold must use
+        the same value.  Larger chunks aggregate more duplicate keys per
+        ``insert_batch`` call (higher throughput, coarser eviction
+        schedule — the same trade-off documented for
+        ``DaVinciSketch.insert_batch``).
     queue_depth:
         Bound of each worker's task queue, in messages.  A full queue
         blocks :meth:`ingest` — backpressure instead of unbounded
@@ -366,9 +332,6 @@ class ShardedIngestor:
         :class:`~repro.common.errors.ShardTimeoutError` is raised
         instead of blocking forever.  ``None`` (default) keeps the
         historical block-until-drain behavior.
-    digest_algo:
-        Digest for the per-shard wire blobs (verified by ``from_wire``
-        on collection).
     mp_context:
         ``multiprocessing`` start-method name or context object.
         Defaults to ``"fork"`` where available (cheap worker start; the
@@ -391,21 +354,17 @@ class ShardedIngestor:
         num_shards: int = 4,
         *,
         chunk_items: int = DEFAULT_BATCH_CHUNK,
-        batch_items: int = 1 << 16,
         queue_depth: int = 4,
         durable_root: Optional[Union[str, os.PathLike]] = None,
         checkpoint_every_items: Optional[int] = 262144,
         max_restarts: int = 1,
         join_timeout: float = 30.0,
         stall_timeout: Optional[float] = None,
-        digest_algo: str = "sha256",
         mp_context: Optional[Union[str, Any]] = None,
         metrics_registry: Optional[MetricsRegistry] = None,
     ) -> None:
         if chunk_items < 1:
             raise ConfigurationError("chunk_items must be >= 1")
-        if batch_items < 1:
-            raise ConfigurationError("batch_items must be >= 1")
         if queue_depth < 1:
             raise ConfigurationError("queue_depth must be >= 1")
         if max_restarts < 0:
@@ -416,16 +375,10 @@ class ShardedIngestor:
             raise ConfigurationError(
                 "stall_timeout must be positive when set"
             )
-        if digest_algo not in serialization.DIGEST_ALGOS:
-            raise ConfigurationError(
-                f"unknown digest algorithm {digest_algo!r}; expected one of "
-                f"{serialization.DIGEST_ALGOS}"
-            )
         self.config = config
         self.router = ShardRouter(num_shards)
         self.num_shards = self.router.num_shards
         self.chunk_items = int(chunk_items)
-        self.batch_items = int(batch_items)
         self.queue_depth = int(queue_depth)
         self.durable_root = (
             os.fspath(durable_root) if durable_root is not None else None
@@ -436,7 +389,6 @@ class ShardedIngestor:
         self.stall_timeout = (
             float(stall_timeout) if stall_timeout is not None else None
         )
-        self.digest_algo = digest_algo
         self._obs_registry = metrics_registry
 
         if isinstance(mp_context, str) or mp_context is None:
@@ -462,9 +414,10 @@ class ShardedIngestor:
 
         self._result_queue = self._ctx.Queue()
         self._shards = [_ShardHandle(i) for i in range(self.num_shards)]
-        #: parent-side routing buffers: per-shard canonical keys as a
-        #: list of uint64 arrays in stream order, plus an optional
-        #: parallel counts list (None while every count is 1)
+        #: parent-side routing buffers, each under one chunk: per-shard
+        #: canonical keys as a list of uint64 arrays in stream order,
+        #: plus an optional parallel counts list (None while every count
+        #: is 1)
         self._buffer_keys: List[List[Any]] = [
             [] for _ in range(self.num_shards)
         ]
@@ -513,7 +466,6 @@ class ShardedIngestor:
                 self.chunk_items,
                 self._shard_dir(handle.index),
                 self.checkpoint_every_items,
-                self.digest_algo,
             ),
             daemon=True,
         )
@@ -601,24 +553,17 @@ class ShardedIngestor:
         self._await_ready({handle.index})
         # The replacement recovered from the shard checkpoint directory;
         # its `ready` watermark tells us where its durable state ends.
-        # Re-send every dispatched batch past that point, preserving the
-        # original chunk alignment (watermarks are journal-record — i.e.
-        # chunk — aligned, because workers only flush at finalize).
+        # Every message is one journal record, so the watermark falls
+        # between messages: re-send whole every one past it.
         watermark = handle.acked_items
-        handle.replay = [
+        resend = [
             entry
             for entry in handle.replay
             if entry[0] + len(entry[1]) > watermark
         ]
-        resend = handle.replay
         handle.replay = []
         handle.items_sent = watermark
-        for start, keys, counts in resend:
-            if start < watermark:
-                skip = watermark - start
-                keys = keys[skip:]
-                counts = counts[skip:] if counts is not None else None
-                start = watermark
+        for _start, keys, counts in resend:
             self._send_batch(handle, keys, counts)
         if handle.finalized_sent:
             handle.finalized_sent = False
@@ -632,8 +577,10 @@ class ShardedIngestor:
     ) -> None:
         if self.durable_root is not None and self.max_restarts > 0:
             handle.replay.append((handle.items_sent, keys, counts))
-        self._put(handle, ("batch", keys, counts))
+        # Advanced before the put: a death detected inside it re-sends
+        # this message from the replay and resets the position itself.
         handle.items_sent += len(keys)
+        self._put(handle, ("batch", keys, counts))
         if _obs.ENABLED:
             bundle = self._observe()
             bundle.shard_items.labels(str(handle.index)).inc(len(keys))
@@ -709,34 +656,34 @@ class ShardedIngestor:
 
     def ingest_keys(self, keys: Iterable[object]) -> int:
         """Route single occurrences; returns the number of keys consumed."""
-        self._require_open()
-        iterator = iter(keys)
-        consumed = 0
-        while True:
-            batch = list(islice(iterator, self.batch_items))
-            if not batch:
-                break
-            self._route(canonical_keys(batch), None)
-            consumed += len(batch)
-            self.items_routed += len(batch)
-        return consumed
+        return self._ingest(keys, weighted=False)
 
     def ingest(self, pairs: Iterable[Tuple[object, int]]) -> int:
-        """Route weighted ``(key, count)`` pairs; returns pairs consumed."""
+        """Route weighted ``(key, count)`` pairs; returns pairs consumed.
+
+        Each count must pass the rule :meth:`DaVinciSketch.insert`
+        applies (an integer in ``[1, 2^63)``); a slice holding any other
+        raises the sketch's ``ConfigurationError`` before any of its keys
+        is routed.
+        """
+        return self._ingest(pairs, weighted=True)
+
+    def _ingest(self, items: Iterable[Any], weighted: bool) -> int:
+        """Canonicalize and route ``items`` one ``chunk_items`` slice at a
+        time (the loop behind :meth:`ingest` and :meth:`ingest_keys`)."""
         self._require_open()
-        iterator = iter(pairs)
+        iterator = iter(items)
         consumed = 0
         while True:
-            batch = list(islice(iterator, self.batch_items))
+            batch = list(islice(iterator, self.chunk_items))
             if not batch:
-                break
-            counts: Optional[List[int]] = [count for _key, count in batch]
-            if all(count == 1 for count in counts):
-                counts = None
-            self._route(canonical_keys([key for key, _count in batch]), counts)
+                return consumed
+            counts: Optional[List[int]] = None
+            if weighted:
+                batch, counts = split_pairs(batch, checked_count)
+            self._route(canonical_keys(batch), counts)
             consumed += len(batch)
             self.items_routed += len(batch)
-        return consumed
 
     def _route(self, canonical: Any, counts: Optional[List[int]]) -> None:
         """Append one canonicalized batch to the shard buffers.
@@ -770,19 +717,33 @@ class ShardedIngestor:
                 counts if counts is not None else repeat(1, len(keys))
             )
         pieces.append(keys)
-        if held + len(keys) >= self.batch_items:
-            self._dispatch(shard)
+        if held + len(keys) >= self.chunk_items:
+            self._dispatch(shard, tail=False)
 
-    def _dispatch(self, shard: int) -> None:
+    def _dispatch(self, shard: int, tail: bool = True) -> None:
+        """Send ``shard``'s buffered keys as whole chunks, the short
+        remainder too when ``tail`` (end of stream)."""
         pieces = self._buffer_keys[shard]
         if not pieces:
             return
         keys = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
         counts = self._buffer_counts[shard]
-        self._buffer_keys[shard] = []
-        self._buffer_counts[shard] = None
+        chunk = self.chunk_items
+        end = len(keys) if tail else len(keys) - len(keys) % chunk
+        # Copied: a view would keep the sent chunks alive with it.
+        rest = keys[end:].copy()
+        self._buffer_keys[shard] = [rest] if len(rest) else []
+        self._buffer_counts[shard] = (
+            counts[end:] if counts is not None and len(rest) else None
+        )
         self._drain_results()
-        self._send_batch(self._shards[shard], keys, counts)
+        handle = self._shards[shard]
+        for start in range(0, end, chunk):
+            self._send_batch(
+                handle,
+                keys[start : start + chunk],
+                counts[start : start + chunk] if counts is not None else None,
+            )
 
     # ------------------------------------------------------------------ #
     # finalize / merge

@@ -39,7 +39,6 @@ from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 from repro.common.errors import (
     CircuitOpenError,
-    ConfigurationError,
     DeadlineExceededError,
     RemoteError,
     RetryExhaustedError,
@@ -77,8 +76,6 @@ class AggregationClient:
     client_id:
         Stable identity for PUSH idempotency; ``None`` derives one from
         the jitter RNG (deterministic under an injected ``rng``).
-    digest_algo:
-        Digest used when serializing sketches for PUSH.
     rng:
         Optional injected jitter RNG (``resolve_rng`` convention).
     sleep:
@@ -97,7 +94,6 @@ class AggregationClient:
         retry_policy: RetryPolicy = DEFAULT_RETRY_POLICY,
         breaker: Optional[CircuitBreaker] = None,
         client_id: Optional[str] = None,
-        digest_algo: str = "sha256",
         rng: Optional[random.Random] = None,
         sleep: Callable[[float], None] = time.sleep,
         metrics_registry: Optional[MetricsRegistry] = None,
@@ -105,11 +101,6 @@ class AggregationClient:
         connect_host: Optional[str] = None,
         connect_port: Optional[int] = None,
     ) -> None:
-        if digest_algo not in serialization.DIGEST_ALGOS:
-            raise ConfigurationError(
-                f"unknown digest algorithm {digest_algo!r}; expected one "
-                f"of {serialization.DIGEST_ALGOS}"
-            )
         self.host = host
         self.port = int(port)
         self._dial = (
@@ -118,7 +109,6 @@ class AggregationClient:
         )
         self.retry_policy = retry_policy
         self.breaker = breaker if breaker is not None else CircuitBreaker()
-        self.digest_algo = digest_algo
         self._rng = retry_policy.rng(rng)
         self._sleep = sleep
         self.client_id = (
@@ -358,7 +348,7 @@ class AggregationClient:
         if isinstance(sketch, (bytes, bytearray, memoryview)):
             blob = bytes(sketch)
         else:
-            blob = bytes(serialization.to_wire(sketch, self.digest_algo))
+            blob = bytes(serialization.to_wire(sketch))
         if seq is None:
             seq = next(self._seq)
         header = {

@@ -129,8 +129,6 @@ class SketchServer:
         force-closing connections.
     max_frame_bytes:
         Upper bound on accepted frame payloads.
-    digest_algo:
-        Digest for blobs the server emits (FETCH, sketch-valued QUERY).
     metrics_registry:
         Optional private registry; ``None`` uses the process default.
     trace:
@@ -146,7 +144,6 @@ class SketchServer:
         read_deadline_seconds: float = 30.0,
         drain_timeout_seconds: float = 10.0,
         max_frame_bytes: int = protocol.MAX_FRAME_BYTES,
-        digest_algo: str = "sha256",
         metrics_registry: Optional[MetricsRegistry] = None,
         trace: Optional[TraceSink] = None,
     ) -> None:
@@ -160,16 +157,10 @@ class SketchServer:
             raise ConfigurationError(
                 "drain_timeout_seconds must be positive"
             )
-        if digest_algo not in serialization.DIGEST_ALGOS:
-            raise ConfigurationError(
-                f"unknown digest algorithm {digest_algo!r}; expected one "
-                f"of {serialization.DIGEST_ALGOS}"
-            )
         self.max_inflight = int(max_inflight)
         self.read_deadline_seconds = float(read_deadline_seconds)
         self.drain_timeout_seconds = float(drain_timeout_seconds)
         self.max_frame_bytes = int(max_frame_bytes)
-        self.digest_algo = digest_algo
         self._obs_registry = metrics_registry
         self._obs_metrics: Optional[ServiceServerMetrics] = None
         self._trace = trace
@@ -329,7 +320,7 @@ class SketchServer:
             if entry.sketch is None:
                 return None
             return bytes(
-                serialization.to_wire(entry.sketch, self.digest_algo)
+                serialization.to_wire(entry.sketch)
             )
 
     # ------------------------------------------------------------------ #
@@ -652,7 +643,7 @@ class SketchServer:
         if task in tasks.SKETCH_TASKS:
             assert_sketch = value  # a DaVinciSketch by construction
             return response, bytes(
-                serialization.to_wire(assert_sketch, self.digest_algo)
+                serialization.to_wire(assert_sketch)
             )
         response["value"] = tasks.encode_value(task, value)
         return response, b""
@@ -669,7 +660,7 @@ class SketchServer:
             }, b""
         with entry.lock:
             blob = bytes(
-                serialization.to_wire(entry.sketch, self.digest_algo)
+                serialization.to_wire(entry.sketch)
             )
             applied = entry.applied
         return {"status": "OK", "applied": applied}, blob

@@ -433,13 +433,40 @@ class TestLifecycleAndValidation:
         ingestor.close()
 
     @pytest.mark.parametrize(
+        "pairs",
+        [[(1, 2**62), (2, 2**62)], [(1, 2**70), (2, 1)]],
+        ids=["total-count-leaves-int64", "count-leaves-int64"],
+    )
+    def test_chunk_the_sketch_refuses_is_never_journaled(
+        self, small_config, tmp_path, pairs
+    ):
+        directory = tmp_path / "d"
+        journal = directory / JOURNAL_FILENAME
+        ingestor = CheckpointingIngestor(
+            small_config, directory, journal_chunk_items=2
+        )
+        with pytest.raises(ConfigurationError, match=r"int64|2\^63"):
+            ingestor.ingest(pairs)
+        assert journal.read_bytes() == b""
+        assert (ingestor.applied_seq, ingestor.items_ingested) == (0, 0)
+        ingestor.ingest([(3, 2), (4, 1)])
+        assert ingestor.applied_seq == 1
+        state = ingestor.sketch.to_state()
+        ingestor.close()
+        reopened = CheckpointingIngestor(
+            small_config, directory, journal_chunk_items=2
+        )
+        assert (reopened.applied_seq, reopened.items_ingested) == (1, 2)
+        assert reopened.sketch.to_state() == state
+        reopened.close()
+
+    @pytest.mark.parametrize(
         "kwargs",
         [
             dict(checkpoint_every_items=0),
             dict(checkpoint_every_seconds=0),
             dict(checkpoint_every_seconds=-1.0),
             dict(journal_chunk_items=0),
-            dict(digest_algo="md5"),
         ],
     )
     def test_rejects_invalid_construction(self, small_config, tmp_path, kwargs):
@@ -456,16 +483,4 @@ class TestLifecycleAndValidation:
         reopened = CheckpointingIngestor(small_config, directory, **FAST)
         assert reopened.items_ingested == 200
         assert reopened.sketch.total_count == 200
-        reopened.close()
-
-    def test_sha256_checkpoints_also_recover(self, small_config, tmp_path):
-        directory = tmp_path / "d"
-        pairs = _pairs(512)
-        state = _run_to_completion(
-            small_config, directory, pairs, digest_algo="sha256", **FAST
-        )
-        reopened = CheckpointingIngestor(
-            small_config, directory, digest_algo="sha256", **FAST
-        )
-        assert reopened.sketch.to_state() == state
         reopened.close()

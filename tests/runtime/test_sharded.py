@@ -13,7 +13,9 @@ import random
 import re
 import signal
 import time
+from itertools import repeat
 
+import numpy as np
 import pytest
 
 from repro.common.errors import ConfigurationError, ShardFailureError
@@ -128,7 +130,7 @@ class TestShardedIngestor:
         config = small_config()
         keys = zipfish_keys(40_000)
         with ShardedIngestor(
-            config, 4, chunk_items=CHUNK, batch_items=4096
+            config, 4, chunk_items=CHUNK
         ) as ingestor:
             ingestor.ingest_keys(keys)
             merged = ingestor.finalize()
@@ -154,7 +156,7 @@ class TestShardedIngestor:
             pairs.append((key, rng.randint(1, 5)))
         router = ShardRouter(3)
         with ShardedIngestor(
-            config, 3, chunk_items=CHUNK, batch_items=1024
+            config, 3, chunk_items=CHUNK
         ) as ingestor:
             ingestor.ingest(pairs)
             merged = ingestor.finalize()
@@ -171,7 +173,7 @@ class TestShardedIngestor:
         pairs = [(k, 3) for k in zipfish_keys(500, seed=5)]
         keys = zipfish_keys(700, seed=6)
         with ShardedIngestor(
-            config, 2, chunk_items=CHUNK, batch_items=8192
+            config, 2, chunk_items=CHUNK
         ) as ingestor:
             ingestor.ingest(pairs)
             ingestor.ingest_keys(keys)
@@ -205,7 +207,7 @@ class TestShardedIngestor:
         rng.shuffle(mixed)
         router = ShardRouter(4)
         sent = [[] for _ in range(4)]
-        with ShardedIngestor(small_config(), 4, batch_items=500) as ingestor:
+        with ShardedIngestor(small_config(), 4) as ingestor:
             ingestor._send_batch = lambda handle, keys, counts: sent[
                 handle.index
             ].append((keys, counts))
@@ -245,9 +247,74 @@ class TestShardedIngestor:
                     ingestor.ingest([(b"b", 2), (bad, 1)])
             assert not any(sent)
 
+    @pytest.mark.parametrize("weighted", [False, True], ids=["keys", "pairs"])
+    def test_messages_are_whole_chunks_plus_one_finalize_tail(self, weighted):
+        # Whatever slices the caller passes, every message a shard gets
+        # is one chunk of its stream; only finalize sends a shorter one.
+        chunk = 64
+        rng = random.Random(17)
+        keys = zipfish_keys(5000, seed=17)
+        counts = [rng.randint(1, 3) if weighted else 1 for _ in keys]
+        sent = [[] for _ in range(3)]
+        with ShardedIngestor(small_config(), 3, chunk_items=chunk) as ingestor:
+            ingestor._send_batch = lambda handle, keys, counts: sent[
+                handle.index
+            ].append((keys, counts))
+            for start in range(0, len(keys), 777):
+                part = slice(start, start + 777)
+                if weighted:
+                    ingestor.ingest(zip(keys[part], counts[part]))
+                else:
+                    ingestor.ingest_keys(keys[part])
+            assert all(
+                len(batch_keys) == chunk
+                for messages in sent
+                for batch_keys, _counts in messages
+            )
+            ingestor.finalize()
+        expected = ShardRouter(3).partition_pairs(zip(keys, counts))
+        for messages, substream in zip(sent, expected):
+            whole, tail = divmod(len(substream), chunk)
+            assert [len(batch_keys) for batch_keys, _ in messages] == (
+                [chunk] * whole + ([tail] if tail else [])
+            )
+            got = []
+            for batch_keys, batch_counts in messages:
+                assert (batch_counts is None) is not weighted
+                got.extend(
+                    zip(batch_keys.tolist(), batch_counts or repeat(1))
+                )
+            assert got == substream
+
+    @pytest.mark.parametrize("durable", [False, True], ids=["memory", "durable"])
+    @pytest.mark.parametrize("bad", [0, -2, 2.5, "x", 2**63])
+    def test_refuses_a_count_no_shard_can_apply(self, tmp_path, durable, bad):
+        # The parent applies the sketch's count rule before routing, so
+        # no worker dies on it; accepted counts travel as Python ints,
+        # which durable workers can journal (numpy ints they could not).
+        with pytest.raises(ConfigurationError) as scalar:
+            DaVinciSketch(small_config()).insert(1, bad)
+        config = small_config()
+        pairs = [(k, np.int64(2)) for k in zipfish_keys(3000)]
+        with ShardedIngestor(
+            config,
+            2,
+            chunk_items=CHUNK,
+            durable_root=str(tmp_path) if durable else None,
+        ) as ingestor:
+            message = re.escape(str(scalar.value))
+            with pytest.raises(ConfigurationError, match=message):
+                ingestor.ingest([(2, 1), (1, bad)])
+            assert ingestor.items_routed == 0
+            ingestor.ingest(pairs)
+            merged = ingestor.finalize()
+            assert [handle.restarts for handle in ingestor._shards] == [0, 0]
+        reference, _ = reference_fold(config, ShardRouter(2), pairs, CHUNK)
+        assert merged.to_state() == reference.to_state()
+
     def test_finalize_is_idempotent(self):
         with ShardedIngestor(
-            small_config(), 2, chunk_items=CHUNK, batch_items=1024
+            small_config(), 2, chunk_items=CHUNK
         ) as ingestor:
             ingestor.ingest_keys(zipfish_keys(3000))
             first = ingestor.finalize()
@@ -255,7 +322,7 @@ class TestShardedIngestor:
 
     def test_close_is_idempotent_and_blocks_further_ingest(self):
         ingestor = ShardedIngestor(
-            small_config(), 2, chunk_items=CHUNK, batch_items=1024
+            small_config(), 2, chunk_items=CHUNK
         )
         ingestor.ingest_keys(zipfish_keys(1000))
         ingestor.close()
@@ -267,7 +334,7 @@ class TestShardedIngestor:
         config = small_config()
         keys = zipfish_keys(5000)
         with ShardedIngestor(
-            config, 1, chunk_items=CHUNK, batch_items=512
+            config, 1, chunk_items=CHUNK
         ) as ingestor:
             ingestor.ingest_keys(keys)
             merged = ingestor.finalize()
@@ -285,7 +352,7 @@ class TestShardedIngestor:
         states = []
         for method in ("fork", "spawn"):
             with ShardedIngestor(
-                config, 2, chunk_items=CHUNK, batch_items=1024,
+                config, 2, chunk_items=CHUNK,
                 mp_context=method,
             ) as ingestor:
                 ingestor.ingest_keys(keys)
@@ -295,7 +362,7 @@ class TestShardedIngestor:
     def test_shard_sketches_are_key_disjoint(self):
         config = small_config()
         with ShardedIngestor(
-            config, 4, chunk_items=CHUNK, batch_items=2048
+            config, 4, chunk_items=CHUNK
         ) as ingestor:
             ingestor.ingest_keys(zipfish_keys(20_000))
             ingestor.finalize()
@@ -309,11 +376,9 @@ class TestShardedIngestor:
         config = small_config()
         for kwargs in (
             {"chunk_items": 0},
-            {"batch_items": 0},
             {"queue_depth": 0},
             {"max_restarts": -1},
             {"join_timeout": 0},
-            {"digest_algo": "md5"},
         ):
             with pytest.raises(ConfigurationError):
                 ShardedIngestor(config, 2, **kwargs)
@@ -335,15 +400,14 @@ class TestFaults:
         self, tmp_path, make_keys
     ):
         """The acceptance fault test: SIGKILL one worker mid-run; the
-        respawn recovers from the shard checkpoint, the parent replays
-        the unacknowledged tail (packed key arrays, sliced at the
-        recovered watermark), and the merged state is byte-identical to
-        an uninterrupted run."""
+        respawn recovers from the shard checkpoint, the parent re-sends
+        every unacknowledged message whole (each message is one journal
+        record, so a replay can no longer start inside a message), and
+        the merged state is byte-identical to an uninterrupted run."""
         config = small_config()
         keys = make_keys(24_000)
         common = dict(
             chunk_items=CHUNK,
-            batch_items=2048,
             checkpoint_every_items=4096,
         )
 
@@ -362,8 +426,8 @@ class TestFaults:
         ) as ingestor:
             half = len(keys) // 2
             ingestor.ingest_keys(keys[:half])
-            # Let shard 1 journal part of its first batch, so the replay
-            # after the kill starts inside a batch and slices its array.
+            # Let shard 1 journal some of its messages, so the replay
+            # after the kill starts past a recovered watermark.
             deadline = time.monotonic() + 10.0
             while (
                 ingestor._shards[1].acked_items == 0
@@ -390,7 +454,6 @@ class TestFaults:
             config,
             2,
             chunk_items=CHUNK,
-            batch_items=2048,
             durable_root=str(tmp_path),
             checkpoint_every_items=2048,
             max_restarts=1,
@@ -408,7 +471,7 @@ class TestFaults:
 
     def test_non_durable_death_fails_fast(self):
         ingestor = ShardedIngestor(
-            small_config(), 2, chunk_items=CHUNK, batch_items=256
+            small_config(), 2, chunk_items=CHUNK
         )
         try:
             self._kill_worker(ingestor, 0)
@@ -425,7 +488,6 @@ class TestFaults:
             small_config(),
             2,
             chunk_items=CHUNK,
-            batch_items=512,
             durable_root=str(tmp_path),
             max_restarts=0,
         )
@@ -451,7 +513,6 @@ class TestShardedMetrics:
                 small_config(),
                 2,
                 chunk_items=CHUNK,
-                batch_items=512,
                 metrics_registry=registry,
             ) as ingestor:
                 ingestor.ingest_keys(zipfish_keys(4000))

@@ -44,7 +44,7 @@ class TestShardedArrayKernelIdentity:
         config = small_config()
         keys = trace()
         with ShardedIngestor(
-            config, 4, chunk_items=CHUNK, batch_items=4096
+            config, 4, chunk_items=CHUNK
         ) as ingestor:
             ingestor.ingest_keys(keys)
             merged = ingestor.finalize()

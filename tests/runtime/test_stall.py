@@ -27,7 +27,7 @@ def test_stopped_worker_raises_shard_timeout(small_config):
     ingestor = ShardedIngestor(
         small_config,
         1,
-        batch_items=4,
+        chunk_items=4,
         queue_depth=1,
         stall_timeout=0.6,
     )
@@ -56,7 +56,7 @@ def test_live_worker_never_trips_the_stall_bound(small_config):
     ingestor = ShardedIngestor(
         small_config,
         1,
-        batch_items=4,
+        chunk_items=4,
         queue_depth=1,
         stall_timeout=5.0,
     )
