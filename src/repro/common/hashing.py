@@ -16,14 +16,24 @@ Four callables cover every need in the package:
   ``[0, width)`` bucket indices.
 * :class:`SignFamily` — ``d`` independent ±1 sign functions (the ζ/φ
   functions of the paper's Algorithm 2 and Lemma 1).
+
+The hash families have numpy batch forms equal to them key for key
+(:meth:`HashFamily.index_arrays`, :meth:`SignFamily.sign_arrays`), which
+the bulk paths use.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, NoReturn, Optional, Sequence, Union
+from typing import Any, List, NoReturn, Optional, Sequence, Union
+
+import numpy
 
 from repro.common.errors import ConfigurationError
+
+#: module-level alias typed ``Any`` (numpy's own annotations are not part
+#: of the strict typing gate)
+np: Any = numpy
 
 _MASK64 = (1 << 64) - 1
 
@@ -107,6 +117,35 @@ def canonical_key(key: object) -> int:
     return hash64(key_to_int(key), CANONICAL_SEED) % (CANONICAL_DOMAIN - 1) + 1
 
 
+def _premix(seed: int) -> int:
+    """The cached inner mix of ``hash64``: ``mix64(seed·γ + γ)``."""
+    return mix64(seed * _GAMMA + _GAMMA)
+
+
+def _finalize(x: Any) -> Any:
+    """The splitmix64 avalanche over a uint64 array (wraps mod 2^64)."""
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(_MIX1)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(_MIX2)
+    return x ^ (x >> np.uint64(31))
+
+
+def hash_mod(keys_u64: Any, premix: int, width: int) -> Any:
+    """``hash64(key, seed) % width`` over a uint64 key array (int64 out).
+
+    ``hash64(key, seed) == mix64(key ^ premix)`` with ``premix`` the
+    seed's cached inner mix (:func:`_premix`), so only the splitmix64
+    finalizer runs per key.
+    """
+    mixed = _finalize(keys_u64 ^ np.uint64(premix))
+    return (mixed % np.uint64(width)).astype(np.int64)
+
+
+def signs_of(keys_u64: Any, premix: int) -> Any:
+    """``SignFamily`` ±1 signs over a uint64 key array (int64 out)."""
+    bits = _finalize(keys_u64 ^ np.uint64(premix)) & np.uint64(1)
+    return bits.astype(np.int64) * 2 - 1
+
+
 class HashFamily:
     """``rows`` independent hash functions onto ``[0, width)``.
 
@@ -142,9 +181,7 @@ class HashFamily:
         # Decorrelate rows by hashing (seed, row) into per-row seeds.
         self._seeds = [hash64(row + 1, seed) for row in range(rows)]
         # hash64(key, s) == mix64(key ^ mix64(s·γ + γ)); cache the inner mix
-        self._premixed = [
-            mix64(s * _GAMMA + _GAMMA) for s in self._seeds
-        ]
+        self._premixed = [_premix(s) for s in self._seeds]
 
     def index(self, row: int, key: int) -> int:
         """Bucket index of ``key`` in ``row``."""
@@ -163,6 +200,15 @@ class HashFamily:
             x = ((x ^ (x >> 27)) * _MIX2) & _MASK64
             out.append((x ^ (x >> 31)) % width)
         return out
+
+    def index_arrays(self, keys: Any) -> List[Any]:
+        """:meth:`index` of every key of an int64 array, one int64 array
+        per row."""
+        keys_u64 = keys.astype(np.uint64)
+        return [
+            hash_mod(keys_u64, premixed, width)
+            for premixed, width in zip(self._premixed, self.widths)
+        ]
 
 
 class SignFamily:
@@ -183,6 +229,12 @@ class SignFamily:
     def signs(self, key: int) -> List[int]:
         """Signs of ``key`` for every row."""
         return [1 if hash64(key, s) & 1 else -1 for s in self._seeds]
+
+    def sign_arrays(self, keys: Any) -> List[Any]:
+        """:meth:`sign` of every key of an int64 array, one int64 array
+        per row."""
+        keys_u64 = keys.astype(np.uint64)
+        return [signs_of(keys_u64, _premix(seed)) for seed in self._seeds]
 
 
 def fingerprint(key: int, bits: int, seed: int = 77) -> int:

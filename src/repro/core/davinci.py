@@ -59,7 +59,7 @@ from repro.core.config import DaVinciConfig
 from repro.core.element_filter import ElementFilter
 from repro.core.frequent_part import FrequentPart
 from repro.core.infrequent_part import DecodeResult, InfrequentPart
-from repro.core.kernel import KERNEL_ARRAY, KERNEL_OBJECT, ingest_chunk
+from repro.core.kernel import KERNEL_ARRAY, KERNEL_OBJECT, ingest_chunk, np
 from repro.observability import instruments as _obs_instruments
 from repro.observability import metrics as _obs
 from repro.observability.instruments import DaVinciMetrics
@@ -491,6 +491,48 @@ class DaVinciSketch(Sketch):
         ef_part = self.ef.query_signed(key)
         return fp_count + ef_part + ifp_part
 
+    def query_many(self, keys: Iterable[object]) -> List[int]:
+        """``[self.query(key) for key in keys]`` in one array pass.
+
+        Each key is canonicalized by :meth:`canonical_key`, as
+        :meth:`query` does; the three shares of every key then come from
+        :meth:`_query_parts`.  The scalar :meth:`query` stays the
+        point-read path.
+        """
+        canonical = np.fromiter(map(self.canonical_key, keys), dtype=np.int64)
+        fp, ef, ifp = self._query_parts(canonical, self.mode)
+        return (fp.astype(object) + ef + ifp).tolist()
+
+    def _query_parts(self, keys: Any, mode: str) -> Tuple[Any, Any, Any]:
+        """Algorithm 4's ``(FP, EF, IFP)`` shares of the int64 ``keys``
+        as read in ``mode``; each key's sum is :meth:`_query_value`'s.
+
+        The FP and EF shares are int64 arrays, the IFP share an object
+        array of ints: decoded counts from one dict lookup each, and a
+        batched ``fast_query`` for promoted keys left undecoded.  A
+        standard sketch's unflagged residents read no lower part.
+        """
+        standard = mode == MODE_STANDARD
+        fp, _present, lower = self.fp.lookup_many(keys)
+        ef = self.ef.query_many(keys, signed=mode == MODE_SIGNED)
+        ifp = np.zeros(len(keys), dtype=object)
+        at = np.flatnonzero(lower) if standard else np.arange(len(keys))
+        if len(at):
+            result = self.decode_result()
+            found = [result.counts.get(key) for key in keys[at].tolist()]
+            decoded = np.array([value is not None for value in found], dtype=bool)
+            ifp[at[decoded]] = [value for value in found if value is not None]
+            promoted = ef[at] >= self.ef.threshold
+            if standard or (mode == MODE_ADDITIVE and not result.complete):
+                undecoded = at[~decoded & promoted]
+                estimates = self.ifp.fast_query_many(keys[undecoded])
+                ifp[undecoded] = [max(0, value) for value in estimates]
+            if standard:
+                ef[at] = np.where(decoded | promoted, self.ef.threshold, ef[at])
+        if standard:
+            ef[~lower] = 0
+        return fp, ef, ifp
+
     # ------------------------------------------------------------------ #
     # task facade — implementations live in repro.core.tasks
     # ------------------------------------------------------------------ #
@@ -608,12 +650,12 @@ class DaVinciSketch(Sketch):
     def known_keys(self) -> Dict[int, int]:
         """Exactly-tracked keys: FP residents plus decoded IFP elements.
 
-        Values are full frequency estimates via :meth:`query`.  Used by the
-        heavy-hitter scan and the inner-join decomposition.
+        Values are full frequency estimates via :meth:`query_many`.  Used
+        by the heavy-hitter scan and signed cardinality.
         """
         keys = set(self.fp.as_dict())
         keys.update(self.decode_counts())
-        return {key: self.query(key) for key in keys}
+        return dict(zip(keys, self.query_many(list(keys))))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

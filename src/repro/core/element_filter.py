@@ -24,13 +24,12 @@ counter (the signed generalization of the CM minimum).
 
 from __future__ import annotations
 
-from array import array
 from typing import Any, Optional, Sequence, Tuple
 
 from repro.common import invariants as _inv
 from repro.common.errors import ConfigurationError, IncompatibleSketchError
 from repro.common.validation import require_positive
-from repro.core.kernel import _MAX_EF_ROUNDS, first_occurrences, hash_mod, np
+from repro.core.kernel import _MAX_EF_ROUNDS, first_occurrences, np
 from repro.observability import instruments as _obs_instruments
 from repro.observability import metrics as _obs
 from repro.observability.instruments import ElementFilterMetrics
@@ -159,11 +158,7 @@ class ElementFilter(TowerSketch):
         caps = self.level_caps
         threshold = self.threshold
         levels = self.counter_arrays()
-        keys_u64 = keys.astype(np.uint64)
-        positions = [
-            hash_mod(keys_u64, premix, width)
-            for premix, width in zip(self._hashes._premixed, self.level_widths)
-        ]
+        positions = self._hashes.index_arrays(keys)
         observing = _obs.ENABLED
         absorbed_total = 0
         crossings = 0
@@ -262,10 +257,3 @@ class ElementFilter(TowerSketch):
         return ElementFilter(
             self.level_widths, self.level_bits, self.threshold, seed=self._seed
         )
-
-    # ------------------------------------------------------------------ #
-    # introspection used by the task estimators
-    # ------------------------------------------------------------------ #
-    def base_level(self) -> "array[int]":
-        """Level-0 counters (used by linear counting and the EM estimator)."""
-        return self.levels[0]

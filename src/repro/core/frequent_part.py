@@ -36,15 +36,12 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.common import invariants as _inv
 from repro.common.errors import ConfigurationError, IncompatibleSketchError
-from repro.common.hashing import _MASK64, hash64, mix64
+from repro.common.hashing import _MASK64, _premix, hash64, hash_mod, mix64, np
 from repro.common.validation import INT64_MAX, INT64_MIN, require_positive
 from repro.core.kernel import (
     _EXACT_LIMIT,
     _MAX_FP_ROUNDS,
     _MIN_ROUND_PAIRS,
-    _premix,
-    hash_mod,
-    np,
     stable_order,
 )
 from repro.observability import instruments as _obs_instruments
@@ -395,6 +392,18 @@ class FrequentPart:
             return 0, False, True
         return self._counts[slot], True, self._flags[slot] == 1
 
+    def lookup_many(self, keys: Any) -> Tuple[Any, Any, Any]:
+        """:meth:`lookup` of each of the int64 ``keys``, as arrays."""
+        keys2d, counts2d, flags2d, occupancy, _ecnt, _flag = self.bucket_arrays()
+        buckets = hash_mod(keys.astype(np.uint64), self._premixed, self.num_buckets)
+        hits = (keys2d[buckets] == keys[:, None]) & (
+            np.arange(self.entries_per_bucket) < occupancy[buckets, None]
+        )
+        present = hits.any(axis=1)
+        slots = hits.argmax(axis=1)
+        counts = np.where(present, counts2d[buckets, slots], 0)
+        return counts, present, ~present | (flags2d[buckets, slots] == 1)
+
     def _find(self, start: int, end: int, key: int) -> int:
         """The slot in ``[start, end)`` holding ``key``, or -1 (a slice:
         ``array.index`` takes no bounds before Python 3.10)."""
@@ -476,7 +485,7 @@ class FrequentPart:
 
     def combined(
         self, other: "FrequentPart", sign: int
-    ) -> Tuple["FrequentPart", List[Tuple[int, int]]]:
+    ) -> Tuple["FrequentPart", Any, Any]:
         """Bucket-wise merge of ``self`` and ``sign ×`` ``other``.
 
         Per bucket the entries of both inputs are summed by key, zero sums
@@ -484,52 +493,68 @@ class FrequentPart:
         stay in the result, conservatively flagged: either input may hold
         more of the key's mass in its lower parts.  The result's ``ecnt``
         is the sum of the inputs', its flag their OR, also set when the
-        bucket had leftovers.  Returns the result and the leftovers, in
-        bucket order, for the caller to demote.  Raises
-        :class:`~repro.common.errors.ConfigurationError` when a count or
-        ``ecnt`` would leave int64.
+        bucket had leftovers.  Returns the result and the leftovers' keys
+        and counts as int64 arrays, in bucket order, for the caller to
+        demote.  Raises :class:`~repro.common.errors.ConfigurationError`,
+        before writing anything, when a count or ``ecnt`` would leave int64.
         """
         self.check_compatible(other)
         c = self.entries_per_bucket
-        my_keys, my_counts, _flags = self._entries()
-        their_keys, their_counts, _flags = other._entries()
-        keys: List[int] = []
-        counts: List[int] = []
-        occupancy: List[int] = []
-        flag: List[bool] = []
-        leftovers: List[Tuple[int, int]] = []
-        my_end = their_end = 0
-        for my_used, their_used, my_flag, their_flag in zip(
-            self._occupancy, other._occupancy, self._flag, other._flag
-        ):
-            mine = slice(my_end, my_end + my_used)
-            theirs = slice(their_end, their_end + their_used)
-            my_end += my_used
-            their_end += their_used
-            # keys are unique within a bucket
-            merged = dict(zip(my_keys[mine], my_counts[mine]))
-            for key, count in zip(their_keys[theirs], their_counts[theirs]):
-                merged[key] = merged.get(key, 0) + sign * count
-            entries = [(key, count) for key, count in merged.items() if count]
-            entries.sort(key=lambda kv: (-abs(kv[1]), kv[0]))
-            keep, rest = entries[:c], entries[c:]
-            keys.extend(key for key, _count in keep)
-            counts.extend(count for _key, count in keep)
-            occupancy.append(len(keep))
-            flag.append(bool(my_flag or their_flag or rest))
-            leftovers.extend(rest)
-        ecnt = [a + b for a, b in zip(self._ecnt, other._ecnt)]
+        slots = np.arange(c)
+        my_keys, my_counts, _flags, my_occupancy, my_ecnt, my_flag = self.bucket_arrays()
+        keys, counts, _flags, occupancy, ecnt, flag = other.bucket_arrays()
+        mine = slots < my_occupancy[:, None]
+        theirs = slots < occupancy[:, None]
+        if sign < 0:
+            if (counts[theirs] == INT64_MIN).any():
+                raise ConfigurationError(_LEAVES_INT64)
+            counts = -counts
+        # match[b, i, j]: my slot i and their slot j of bucket b hold one key
+        match = (my_keys[:, :, None] == keys[:, None, :]) & mine[:, :, None]
+        match &= theirs[:, None, :]
+        summed = _exact_sum(
+            np.concatenate(
+                (my_counts[:, :, None], np.where(match, counts[:, None, :], 0)),
+                axis=2,
+            ),
+            axis=2,
+        )
+        ecnt = _exact_sum(np.stack((my_ecnt, ecnt)), axis=0)
+        # per bucket: my entries with their matches summed, then their
+        # unmatched ones; ranked by (-|count|, key), empties last
+        keys = np.concatenate((my_keys, keys), axis=1)
+        counts = np.concatenate((summed, counts), axis=1)
+        live = np.concatenate((mine, theirs & ~match.any(axis=1)), axis=1)
+        live &= counts != 0
+        # -|INT64_MIN| wraps to INT64_MIN, which still sorts first
+        order = np.lexsort((keys, -np.abs(counts), ~live), axis=1)
+        keys, counts = (np.take_along_axis(v, order, axis=1) for v in (keys, counts))
+        entries = live.sum(axis=1)
         result = self.empty_like()
-        keys2d, counts2d, flags2d, *per_bucket = result.bucket_arrays()
-        resident = np.arange(c) < np.array(occupancy)[:, None]
-        try:
-            keys2d[resident] = keys
-            counts2d[resident] = counts
-            for view, column in zip(per_bucket, (occupancy, ecnt, flag)):
-                view[:] = column
-        except OverflowError:
-            raise ConfigurationError(
-                "a frequent-part count or ecnt leaves the int64 range"
-            ) from None
-        flags2d[resident] = 1
-        return result, leftovers
+        out_keys, out_counts, out_flags, out_occupancy, out_ecnt, out_flag = (
+            result.bucket_arrays()
+        )
+        out_occupancy[:] = np.minimum(entries, c)
+        kept = slots < out_occupancy[:, None]
+        out_keys[kept] = keys[:, :c][kept]
+        out_counts[kept] = counts[:, :c][kept]
+        out_flags[kept] = 1
+        out_ecnt[:] = ecnt
+        out_flag[:] = my_flag | flag | (entries > c)
+        rest = slots < (entries - c)[:, None]
+        return result, keys[:, c:][rest], counts[:, c:][rest]
+
+
+_LEAVES_INT64 = "a frequent-part count or ecnt leaves the int64 range"
+
+
+def _exact_sum(values: Any, axis: int) -> Any:
+    """``values.sum(axis)`` over int64, raising
+    :class:`~repro.common.errors.ConfigurationError` where a sum leaves
+    int64 instead of wrapping: the 32-bit halves are summed apart."""
+    high = (values >> 32).sum(axis=axis)
+    low = (values & 0xFFFFFFFF).sum(axis=axis)
+    high += low >> 32
+    if ((high < -(1 << 31)) | (high >= 1 << 31)).any():
+        raise ConfigurationError(_LEAVES_INT64)
+    return (high << 32) | (low & 0xFFFFFFFF)

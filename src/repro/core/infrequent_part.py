@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import operator
 from collections import deque
-from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, TypeVar
 
 from repro.common import invariants as _inv
 from repro.common.errors import (
@@ -48,7 +48,6 @@ from repro.common.errors import (
 from repro.common.hashing import HashFamily, SignFamily
 from repro.common.primes import DEFAULT_PRIME, mod_inverse, validate_prime
 from repro.common.validation import require_positive
-from repro.core.kernel import _premix, hash_mod, np, signs_of
 from repro.observability import instruments as _obs_instruments
 from repro.observability import metrics as _obs
 from repro.observability.instruments import InfrequentPartMetrics
@@ -81,6 +80,16 @@ def _occupied(ids: List[List[int]], counts: List[List[int]]) -> int:
         for iid, icnt in zip(id_row, count_row)
         if icnt != 0 or iid != 0
     )
+
+
+def _median(values: Iterable[int]) -> int:
+    """The median of ints; the floored mean of the middle two for an even
+    count."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2 == 1:
+        return ordered[mid]
+    return (ordered[mid - 1] + ordered[mid]) // 2
 
 
 def _unsigned(row: int, key: int) -> int:
@@ -384,15 +393,8 @@ class InfrequentPart(CountingFermat):
         if len(keys):
             self._check_key(int(keys.min()))
             self._check_key(int(keys.max()))
-        keys_u64 = keys.astype(np.uint64)
-        positions = [
-            hash_mod(keys_u64, premix, self.width).tolist()
-            for premix in self._hashes._premixed
-        ]
-        signs = [
-            signs_of(keys_u64, _premix(seed)).tolist()
-            for seed in self._signs._seeds
-        ]
+        positions = [row.tolist() for row in self._hashes.index_arrays(keys)]
+        signs = [row.tolist() for row in self._signs.sign_arrays(keys)]
         keys_list = keys.tolist()
         counts_list = counts.tolist()
         p = self.prime
@@ -405,22 +407,33 @@ class InfrequentPart(CountingFermat):
                 ids[j] = (ids[j] + count * key) % p
                 icnts[j] += sign * count
         if _obs.ENABLED:
-            self._record_inserts(len(keys_list), sum(counts_list))
+            # as per-pair inserts count them: a negative count adds no units
+            self._record_inserts(
+                len(keys_list), sum(count for count in counts_list if count > 0)
+            )
 
     # ------------------------------------------------------------------ #
     # fast (non-inverting) query — Count-Sketch style
     # ------------------------------------------------------------------ #
     def fast_query(self, key: int) -> int:
         """Median over rows of ``ζᵢ(key) · icnt`` (unbiased, Lemma 1)."""
-        estimates = sorted(
+        return _median(
             self._signs.sign(row, key)
             * self.counts[row][self._hashes.index(row, key)]
             for row in range(self.rows)
         )
-        mid = len(estimates) // 2
-        if len(estimates) % 2 == 1:
-            return estimates[mid]
-        return (estimates[mid - 1] + estimates[mid]) // 2
+
+    def fast_query_many(self, keys: Any) -> List[int]:
+        """:meth:`fast_query` of each of the int64 ``keys``."""
+        rows = [
+            [sign * icnts[j] for j, sign in zip(at.tolist(), signs.tolist())]
+            for icnts, at, signs in zip(
+                self.counts,
+                self._hashes.index_arrays(keys),
+                self._signs.sign_arrays(keys),
+            )
+        ]
+        return [_median(estimates) for estimates in zip(*rows)]
 
     # ------------------------------------------------------------------ #
     # full decode (Algorithm 5)

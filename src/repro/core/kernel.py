@@ -48,14 +48,14 @@ import numpy
 
 from repro.common import invariants as _inv
 from repro.common.hashing import (
-    _GAMMA,
     _MASK64,
     _MIX1,
     _MIX2,
     CANONICAL_DOMAIN,
     CANONICAL_SEED,
     FNV_OFFSET,
-    mix64,
+    _finalize,
+    _premix,
     reject_key,
 )
 
@@ -94,18 +94,6 @@ _MAX_EF_ROUNDS = 64
 #: hashed, one byte position costs more as numpy calls than as a scalar
 #: loop over those keys' remaining bytes.
 _SCALAR_TAIL = 32
-
-
-def _premix(seed: int) -> int:
-    """The cached inner mix of ``hash64``: ``mix64(seed·γ + γ)``."""
-    return mix64(seed * _GAMMA + _GAMMA)
-
-
-def _finalize(x: Any) -> Any:
-    """The splitmix64 avalanche over a uint64 array (wraps mod 2^64)."""
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(_MIX1)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(_MIX2)
-    return x ^ (x >> np.uint64(31))
 
 
 def _fingerprint(raw: Any) -> Any:
@@ -221,23 +209,6 @@ def canonical_keys(keys: Iterable[object]) -> Any:
     if blobs:
         out[blob_at] = _fingerprint(_mix_bytes(blobs))
     return out
-
-
-def hash_mod(keys_u64: Any, premix: int, width: int) -> Any:
-    """``hash64(key, seed) % width`` over a uint64 key array (int64 out).
-
-    ``hash64(key, seed) == mix64(key ^ premix)`` with ``premix`` the
-    seed's cached inner mix (:func:`_premix`), so only the splitmix64
-    finalizer runs per key.
-    """
-    mixed = _finalize(keys_u64 ^ np.uint64(premix))
-    return (mixed % np.uint64(width)).astype(np.int64)
-
-
-def signs_of(keys_u64: Any, premix: int) -> Any:
-    """``SignFamily`` ±1 signs over a uint64 key array (int64 out)."""
-    bits = _finalize(keys_u64 ^ np.uint64(premix)) & np.uint64(1)
-    return bits.astype(np.int64) * 2 - 1
 
 
 def stable_order(values: Any, bound: int) -> Any:

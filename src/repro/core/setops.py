@@ -40,6 +40,7 @@ from repro.core.davinci import (
     MODE_SIGNED,
     DaVinciSketch,
 )
+from repro.core.kernel import np
 
 
 def union(a: DaVinciSketch, b: DaVinciSketch) -> DaVinciSketch:
@@ -66,20 +67,19 @@ def union(a: DaVinciSketch, b: DaVinciSketch) -> DaVinciSketch:
     result.ifp = a.ifp.merged(b.ifp)
 
     threshold = result.ef.threshold
-    result.fp, leftovers = a.fp.combined(b.fp, sign=1)
-    for key, count in leftovers:
-        # State-independent demotion split.  ``offer`` would absorb
-        # ``T - current_estimate``, which depends on the filter's state
-        # at merge time and therefore on how a multi-way union is
-        # grouped; splitting at the threshold itself keeps the filter
-        # read for a demoted key at >= T (it re-promotes on sight),
-        # conserves the additive-query mass exactly, and makes the
-        # union of key-disjoint sketches byte-associative — the
-        # property the sharded merge tree relies on.
-        absorbed = min(count, threshold)
-        result.ef.add(key, absorbed)
-        if count > absorbed:
-            result.ifp.insert(key, count - absorbed)
+    result.fp, keys, counts = a.fp.combined(b.fp, sign=1)
+    # State-independent demotion split.  ``offer`` would absorb
+    # ``T - current_estimate``, which depends on the filter's state at
+    # merge time and therefore on how a multi-way union is grouped;
+    # splitting at the threshold itself keeps the filter read for a
+    # demoted key at >= T (it re-promotes on sight), conserves the
+    # additive-query mass exactly, and makes the union of key-disjoint
+    # sketches byte-associative — the property the sharded merge tree
+    # relies on.
+    absorbed = np.minimum(counts, threshold)
+    result.ef.add_batch(keys, absorbed)
+    over = counts > absorbed
+    result.ifp.insert_batch(keys[over], counts[over] - absorbed[over])
     result._decode_cache = None
     return result
 
@@ -101,10 +101,9 @@ def difference(a: DaVinciSketch, b: DaVinciSketch) -> DaVinciSketch:
     result.ef = a.ef.subtracted(b.ef)
     result.ifp = a.ifp.subtracted(b.ifp)
 
-    result.fp, leftovers = a.fp.combined(b.fp, sign=-1)
-    for key, count in leftovers:
-        # Signed counts bypass the filter's (unsigned) threshold
-        # pipeline and are encoded exactly into the infrequent part.
-        result.ifp.insert(key, count)
+    # Signed leftovers bypass the filter's (unsigned) threshold pipeline
+    # and are encoded exactly into the infrequent part.
+    result.fp, keys, counts = a.fp.combined(b.fp, sign=-1)
+    result.ifp.insert_batch(keys, counts)
     result._decode_cache = None
     return result

@@ -24,6 +24,8 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Sequence
 
+from repro.core.kernel import np
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.davinci import DaVinciSketch
 
@@ -43,8 +45,15 @@ def linear_counting_estimate(num_counters: int, num_zero: int) -> float:
 
 
 def linear_counting_over(counters: Sequence[int]) -> float:
-    """Linear counting applied to a raw counter array (zeros = empty)."""
-    zero = sum(1 for value in counters if value == 0)
+    """Linear counting applied to a raw counter array (zeros = empty).
+
+    Zeros are counted in C: ``count(0)`` on a list, ``np.count_nonzero``
+    on a numpy array (converting a list would cost more than it saves).
+    """
+    if isinstance(counters, np.ndarray):
+        zero = len(counters) - int(np.count_nonzero(counters))
+    else:
+        zero = counters.count(0)
     return linear_counting_estimate(len(counters), zero)
 
 
@@ -63,9 +72,7 @@ def cardinality(sketch: "DaVinciSketch") -> float:
             sum(1 for _, est in sketch.known_keys().items() if est != 0)
         )
 
-    base = sketch.ef.base_level()
-    lower_parts = linear_counting_over(base)
-    fp_only = sum(
-        1 for key, _ in sketch.fp.items() if sketch.ef.query(key) == 0
-    )
+    lower_parts = linear_counting_over(sketch.ef.counter_arrays()[0])
+    fp_keys = np.array(list(sketch.fp.as_dict()), dtype=np.int64)
+    fp_only = len(fp_keys) - int(np.count_nonzero(sketch.ef.query_many(fp_keys)))
     return lower_parts + fp_only

@@ -30,6 +30,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.common.errors import ConfigurationError
+from repro.core.kernel import np
 from repro.core.tasks.cardinality import linear_counting_over
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -143,18 +144,12 @@ def distribution(
     level explicitly.
     """
     histogram: Dict[int, float] = {}
-
     fp_keys = sketch.fp.as_dict()
-    for key in fp_keys:
-        estimate = sketch.query(key)
-        if estimate > 0:
-            histogram[estimate] = histogram.get(estimate, 0.0) + 1.0
-
     decoded = sketch.decode_counts()
-    for key in decoded:
-        if key in fp_keys:
-            continue  # already queried above (its IFP share included)
-        estimate = sketch.query(key)
+    # residents, then decoded keys not resident (their IFP share is
+    # already in a resident's query)
+    keys = list(fp_keys) + [key for key in decoded if key not in fp_keys]
+    for estimate in sketch.query_many(keys):
         if estimate > 0:
             histogram[estimate] = histogram.get(estimate, 0.0) + 1.0
 
@@ -177,27 +172,35 @@ def _filter_resident_distribution(
 ) -> Dict[int, float]:
     """EM over one filter level's counters, after debiting known mass."""
     level = level % sketch.ef.num_levels
-    base = list(sketch.ef.levels[level])
+    counters = sketch.ef.counter_arrays()[level]
     threshold = sketch.ef.threshold
     cap = sketch.ef.level_caps[level]
 
-    def index_of(key: int) -> int:
-        return sketch.ef._hashes.index(level, key)
-
-    # Debit the <= T units every promoted (decoded) element left behind.
-    for key in decoded:
-        j = index_of(key)
-        base[j] = max(0, base[j] - threshold)
-
-    # Debit filter mass of frequent-part alumni (flagged entries only —
-    # unflagged entries never visited the filter).
-    for key, _count in sketch.fp.flagged_items():
-        if key in decoded:
-            continue
-        residue = sketch.ef.query(key)
-        if 0 < residue < cap:
-            j = index_of(key)
-            base[j] = max(0, base[j] - min(residue, threshold))
+    # Debit the <= T units every promoted (decoded) element left behind,
+    # and the filter mass of frequent-part alumni (flagged entries only —
+    # unflagged entries never visited the filter).  Each debit clamps at
+    # 0, so a counter's debits sum before one clamp.
+    decoded_keys = np.array(list(decoded), dtype=np.int64)
+    alumni = np.array(
+        [key for key, _count in sketch.fp.flagged_items() if key not in decoded],
+        dtype=np.int64,
+    )
+    residue = sketch.ef.query_many(alumni)
+    kept = (0 < residue) & (residue < cap)
+    debits = np.concatenate(
+        (
+            np.full(len(decoded_keys), threshold, dtype=np.int64),
+            np.minimum(residue[kept], threshold),
+        )
+    )
+    debited_keys = np.concatenate((decoded_keys, alumni[kept]))
+    at, inverse = np.unique(
+        sketch.ef._hashes.index_arrays(debited_keys)[level], return_inverse=True
+    )
+    debited = np.zeros(len(at), dtype=np.int64)
+    np.add.at(debited, inverse, debits)
+    base = counters.copy()
+    base[at] = np.maximum(0, counters[at] - debited)
 
     em = CounterArrayEM(max_value=cap - 1)
-    return em.estimate(base)
+    return em.estimate(base.tolist())

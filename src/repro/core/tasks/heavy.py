@@ -94,14 +94,15 @@ def _heavy_changers_value(
     candidates.update(window_a.fp.as_dict())
     candidates.update(window_b.fp.as_dict())
 
-    changes: Dict[int, int] = {}
-    for key in candidates:
-        # The difference sketch discovers the candidates; each candidate's
-        # change is then re-estimated from the windows' own (Algorithm-4)
-        # point queries, which are immune to the two artifacts of counter
-        # subtraction — saturated small counters and unpeeled infrequent
-        # buckets — that would otherwise report phantom changes.
-        estimate = window_a.query(key) - window_b.query(key)
-        if abs(estimate) >= threshold:
-            changes[key] = estimate
-    return changes
+    # The difference sketch discovers the candidates; each candidate's
+    # change is then re-estimated from the windows' own (Algorithm-4)
+    # point queries, which are immune to the two artifacts of counter
+    # subtraction — saturated small counters and unpeeled infrequent
+    # buckets — that would otherwise report phantom changes.
+    keys = list(candidates)
+    changes = zip(keys, window_a.query_many(keys), window_b.query_many(keys))
+    return {
+        key: before - after
+        for key, before, after in changes
+        if abs(before - after) >= threshold
+    }

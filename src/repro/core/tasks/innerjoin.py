@@ -27,70 +27,56 @@ capability) sidesteps this entirely.
 
 from __future__ import annotations
 
+import operator
 from typing import TYPE_CHECKING, Set
+
+from repro.core.kernel import np
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.davinci import DaVinciSketch
 
 
-def _keyed_part(sketch: "DaVinciSketch", key: int) -> int:
-    """``f_F(key) + f_I(key)``: the exactly-tracked share of a key."""
-    fp_count, _, _ = sketch.fp.lookup(key)
-    decoded = sketch.decode_counts()
-    ifp = decoded.get(key)
-    if ifp is None:
-        ifp = 0
-        if not sketch.decode_result().complete and sketch.ef.is_promoted(key):
-            ifp = max(0, sketch.ifp.fast_query(key))
-    return fp_count + ifp
-
-
-def _filter_share(sketch: "DaVinciSketch", key: int) -> int:
-    """``f_E(key)``: the share of a key's mass held by the element filter.
-
-    A promoted key deposited exactly ``T`` units before overflowing; a
-    non-promoted key's entire mass is its filter estimate.
-    """
-    estimate = sketch.ef.query(key)
-    return min(estimate, sketch.ef.threshold)
-
-
 def _filter_dot_product(a: "DaVinciSketch", b: "DaVinciSketch") -> float:
-    """Collision-corrected J_EE estimate from the level-0 arrays."""
-    left = a.ef.base_level()
-    right = b.ef.base_level()
+    """Collision-corrected J_EE estimate from the level-0 arrays.
+
+    The sums are exact ints rounded once to floats, which equals a float
+    running sum while every partial sum stays below 2^53.
+    """
+    left, right = a.ef.counter_arrays()[0], b.ef.counter_arrays()[0]
     width = len(left)
+    largest = [max(int(side.max()), -int(side.min()), 1) for side in (left, right)]
+    if largest[0] * largest[1] * width < 1 << 63:
+        raw = float(int(left @ right))
+    else:  # an int64 dot product could wrap
+        raw = float(sum(map(operator.mul, left.tolist(), right.tolist())))
     if width <= 1:
-        return float(sum(x * y for x, y in zip(left, right)))
-    raw = 0.0
-    sum_left = 0.0
-    sum_right = 0.0
-    for x, y in zip(left, right):
-        raw += x * y
-        sum_left += x
-        sum_right += y
+        return raw
+    sum_left, sum_right = float(int(left.sum())), float(int(right.sum()))
     corrected = (width * raw - sum_left * sum_right) / (width - 1)
     return max(0.0, corrected)
 
 
 def inner_join(a: "DaVinciSketch", b: "DaVinciSketch") -> float:
     """Estimate ``Σ_e f(e)·g(e)`` between two standard-mode sketches."""
+    from repro.core.davinci import MODE_ADDITIVE
+
     a.check_compatible(b)
 
     keys: Set[int] = set(a.fp.as_dict())
     keys.update(a.decode_counts())
     keys.update(b.fp.as_dict())
     keys.update(b.decode_counts())
+    canonical = np.array(list(keys), dtype=np.int64)
 
-    keyed_cross = 0.0
-    for key in keys:
-        f_keyed = _keyed_part(a, key)
-        g_keyed = _keyed_part(b, key)
-        f_filter = _filter_share(a, key)
-        g_filter = _filter_share(b, key)
-        # J_KK + J_KE + J_EK for this key; J_EE is handled by the arrays.
-        keyed_cross += (
-            f_keyed * g_keyed + f_keyed * g_filter + f_filter * g_keyed
-        )
-
-    return keyed_cross + _filter_dot_product(a, b)
+    # Per key ``f_K = f_F + f_I`` (the additive read's IFP share) and
+    # ``f_E = min(EF estimate, T)``: a promoted key deposited exactly
+    # ``T`` units before overflowing, a non-promoted key's whole mass is
+    # its filter estimate.
+    shares = []
+    for sketch in (a, b):
+        fp, ef, ifp = sketch._query_parts(canonical, MODE_ADDITIVE)
+        shares.append((fp.astype(object) + ifp, np.minimum(ef, sketch.ef.threshold)))
+    (f_keyed, f_filter), (g_keyed, g_filter) = shares
+    # J_KK + J_KE + J_EK per key, in exact ints; J_EE is the arrays'.
+    keyed_cross = (f_keyed * g_keyed + f_keyed * g_filter + f_filter * g_keyed).sum()
+    return float(keyed_cross) + _filter_dot_product(a, b)

@@ -83,6 +83,7 @@ from repro.common.errors import (
     ShardTimeoutError,
 )
 from repro.common.hashing import canonical_key
+from repro.common.validation import require_int64
 from repro.core import serialization, setops
 from repro.core.config import DaVinciConfig
 from repro.core.davinci import DEFAULT_BATCH_CHUNK, DaVinciSketch, checked_count
@@ -213,10 +214,10 @@ def _shard_worker(
             checkpoint_every_items=checkpoint_every_items,
         )
         sketch = ingestor.sketch
-        result_queue.put(("ready", shard_id, ingestor.items_ingested))
     else:
         sketch = DaVinciSketch(config)
-        result_queue.put(("ready", shard_id, 0))
+    watermark = ingestor.items_ingested if ingestor is not None else 0
+    result_queue.put(("ready", shard_id, watermark, sketch.total_count))
     applied = 0
 
     while True:
@@ -426,7 +427,9 @@ class ShardedIngestor:
         ]
         for handle in self._shards:
             self._spawn(handle)
-        self._await_ready(set(range(self.num_shards)))
+        #: units (summed counts) routed so far, recovered ones included:
+        #: the merged sketch's ``total_count``, kept within int64 here
+        self.units_routed = self._await_ready(set(range(self.num_shards)))
         for handle in self._shards:
             # A durable root with prior state recovers each shard to its
             # journaled watermark; stream positions continue from there.
@@ -471,8 +474,10 @@ class ShardedIngestor:
         )
         handle.process.start()
 
-    def _await_ready(self, pending: "set[int]") -> None:
-        """Block until every shard in ``pending`` reported ``ready``."""
+    def _await_ready(self, pending: "set[int]") -> int:
+        """Block until every shard in ``pending`` reported ``ready``;
+        return the units their recovered sketches hold."""
+        recovered = 0
         deadline = time.monotonic() + self.join_timeout
         while pending:
             remaining = deadline - time.monotonic()
@@ -497,11 +502,13 @@ class ShardedIngestor:
                         )
                 continue
             if message[0] == "ready":
-                index, watermark = message[1], message[2]
+                _kind, index, watermark, units = message
                 self._shards[index].acked_items = watermark
+                recovered += units
                 pending.discard(index)
             else:
                 self._on_result(message)
+        return recovered
 
     def _on_result(self, message: Tuple[Any, ...]) -> None:
         """Apply one out-of-band worker report (ack or final state)."""
@@ -662,9 +669,10 @@ class ShardedIngestor:
         """Route weighted ``(key, count)`` pairs; returns pairs consumed.
 
         Each count must pass the rule :meth:`DaVinciSketch.insert`
-        applies (an integer in ``[1, 2^63)``); a slice holding any other
-        raises the sketch's ``ConfigurationError`` before any of its keys
-        is routed.
+        applies (an integer in ``[1, 2^63)``), and the units routed must
+        stay within int64 (the bound on every shard's and the merged
+        sketch's ``total_count``); a slice breaking either raises the
+        sketch's ``ConfigurationError`` before any of its keys is routed.
         """
         return self._ingest(pairs, weighted=True)
 
@@ -681,7 +689,12 @@ class ShardedIngestor:
             counts: Optional[List[int]] = None
             if weighted:
                 batch, counts = split_pairs(batch, checked_count)
-            self._route(canonical_keys(batch), counts)
+            canonical = canonical_keys(batch)
+            units = len(batch) if counts is None else sum(counts)
+            self.units_routed = require_int64(
+                "total_count", self.units_routed + units
+            )
+            self._route(canonical, counts)
             consumed += len(batch)
             self.items_routed += len(batch)
 

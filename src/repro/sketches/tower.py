@@ -87,6 +87,24 @@ class TowerSketch(FrequencySketch):
             if _inv.ENABLED:
                 _inv.check_saturation(counters[j], cap, "tower level counter")
 
+    def add_batch(self, keys: Any, counts: Any) -> None:
+        """:meth:`add` once per pair of the int64 ``keys``/``counts``.
+
+        For counters in ``[0, cap]`` and non-negative counts, a counter's
+        saturating adds sum before they saturate, in any order: each
+        level sums the adds per touched counter and clips once.
+        """
+        for level, positions, cap in zip(
+            self.counter_arrays(), self._hashes.index_arrays(keys), self.level_caps
+        ):
+            at, inverse = np.unique(positions, return_inverse=True)
+            added = np.zeros(len(at), dtype=np.int64)
+            np.add.at(added, inverse, np.minimum(counts, cap))
+            values = level[at]
+            level[at] = np.where(values < cap, np.minimum(values + added, cap), values)
+            if _inv.ENABLED and len(at):
+                _inv.check_saturation(int(level[at].max()), cap, "tower level counter")
+
     def query(self, key: int) -> int:
         """Minimum over unsaturated mapped counters (saturated => +inf).
 
@@ -102,6 +120,26 @@ class TowerSketch(FrequencySketch):
             if best is None or value < best:
                 best = value
         return best if best is not None else max(self.level_caps)
+
+    def query_many(self, keys: Any, signed: bool = False) -> Any:
+        """:meth:`query` of each of the int64 ``keys``, as an int64 array.
+
+        ``signed`` reads a subtracted tower instead: the mapped value of
+        least magnitude below its cap, the first level winning a tie
+        (``ElementFilter.query_signed``).
+        """
+        best = np.zeros(len(keys), dtype=np.int64)
+        found = np.zeros(len(keys), dtype=bool)
+        for level, at, cap in zip(
+            self.counter_arrays(), self._hashes.index_arrays(keys), self.level_caps
+        ):
+            value = level[at]
+            size = np.abs(value) if signed else value
+            usable = size < cap
+            better = usable & ~(found & (size >= (np.abs(best) if signed else best)))
+            best = np.where(better, value, best)
+            found |= usable
+        return np.where(found, best, max(self.level_caps))
 
     def counter_arrays(self) -> List[Any]:
         """The level counters as int64 numpy arrays viewing ``levels``.

@@ -1,5 +1,8 @@
 """Unit tests for the element filter (TowerSketch + promotion threshold)."""
 
+import random
+
+import numpy as np
 import pytest
 
 from repro.common.errors import ConfigurationError
@@ -62,6 +65,37 @@ class TestOffer:
         assert not filter_.is_promoted(3)
         filter_.offer(3, 50)
         assert filter_.is_promoted(3)
+
+
+class TestBatchForms:
+    """``add_batch`` and ``query_many`` equal ``add`` and ``query`` /
+    ``query_signed`` key for key."""
+
+    def test_add_batch_saturates_like_add(self):
+        rng = random.Random(4)
+        batched, per_item = (ElementFilter((16, 4), (4, 8), 10, seed=3) for _ in "ab")
+        keys = [rng.randrange(1, 2**32) for _ in range(300)]
+        counts = [rng.randrange(0, 12) for _ in keys]
+        batched.add_batch(np.array(keys), np.array(counts))
+        for key, count in zip(keys, counts):
+            per_item.add(key, count)
+        assert batched.levels == per_item.levels
+        assert batched.levels[0].count(15) > 0  # some counters saturated
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_query_many_on_signed_counters_with_ties(self, seed):
+        # counters in a narrow signed band, so levels often tie in
+        # magnitude with opposite signs and some pass their cap
+        rng = random.Random(seed)
+        ef = ElementFilter((8, 4, 2), (2, 4, 8), threshold=2, seed=seed)
+        for level in ef.levels:
+            for j in range(len(level)):
+                level[j] = rng.randrange(-5, 6)
+        keys = list(range(1, 200))
+        array = np.array(keys)
+        assert ef.query_many(array).tolist() == [ef.query(k) for k in keys]
+        signed = ef.query_many(array, signed=True).tolist()
+        assert signed == [ef.query_signed(k) for k in keys]
 
 
 class TestLinearity:

@@ -1,5 +1,7 @@
 """Unit tests for union and difference of DaVinci sketches."""
 
+import pickle
+
 import pytest
 
 from repro.common.errors import ConfigurationError
@@ -141,3 +143,58 @@ class TestChaining:
         changes = delta.heavy_hitters(30)
         assert 7 in changes
         assert 8 not in changes
+
+
+def set_fp_count(sketch, key, count):
+    """Overwrite the resident count of ``key`` in place."""
+    keys, counts, *_rest = sketch.fp.bucket_arrays()
+    bucket = sketch.fp.bucket_index(key)
+    counts[bucket, list(keys[bucket]).index(key)] = count
+
+
+class TestInt64Overflow:
+    """A frequent-part count or ``ecnt`` sum past int64 raises the typed
+    error before anything is written, and both operands stay as they were."""
+
+    def assert_raises(self, operation, a, b):
+        before = pickle.dumps(a), pickle.dumps(b)
+        with pytest.raises(ConfigurationError, match="leaves the int64 range"):
+            operation(a, b)
+        assert (pickle.dumps(a), pickle.dumps(b)) == before
+
+    def test_union_count_sum(self, small_config):
+        # only an edited state gets here: a loaded unsigned sketch's counts
+        # are bounded by its total_count, whose sum is checked first
+        a, b = build_pair(small_config)
+        for sketch in (a, b):
+            sketch.insert(1, 5)
+            set_fp_count(sketch, 1, 2**62)
+        self.assert_raises(union, a, b)
+
+    def test_difference_count_sum(self, small_config):
+        x, y = build_pair(small_config)
+        x.insert(2, 2**62)
+        y.insert(1, 2**62 + 1)
+        signed = difference(x, y)  # key 1 at -(2^62 + 1), total -1
+        z = DaVinciSketch(small_config)
+        z.insert(1, 2**62)
+        self.assert_raises(difference, signed, z)
+
+    def test_difference_negating_int64_min(self, small_config):
+        x = DaVinciSketch(small_config)
+        for count in (2**62, 2**62):
+            y = DaVinciSketch(small_config)
+            y.insert(1, count)
+            x = difference(x, y)  # key 1 at -2^63, total -2^63
+        z = DaVinciSketch(small_config)
+        z.insert(2, 1)
+        signed = difference(DaVinciSketch(small_config), z)  # total -1
+        self.assert_raises(difference, signed, x)
+
+    @pytest.mark.parametrize("operation", [union, difference])
+    def test_ecnt_sum(self, small_config, operation):
+        a, b = build_pair(small_config)
+        for sketch in (a, b):
+            sketch.insert(1, 5)
+            sketch.fp._ecnt[3] = 2**62
+        self.assert_raises(operation, a, b)

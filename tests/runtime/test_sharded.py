@@ -312,6 +312,36 @@ class TestShardedIngestor:
         reference, _ = reference_fold(config, ShardRouter(2), pairs, CHUNK)
         assert merged.to_state() == reference.to_state()
 
+    @pytest.mark.parametrize("durable", [False, True], ids=["memory", "durable"])
+    def test_refuses_a_slice_whose_units_leave_int64(self, tmp_path, durable):
+        # Each count passes the sketch's rule, but their sum would take
+        # the shard's (and the merged) total_count out of int64.
+        root = str(tmp_path) if durable else None
+        with ShardedIngestor(
+            small_config(), 1, chunk_items=4, durable_root=root
+        ) as ingestor:
+            ingestor.ingest([(3, 5)])
+            with pytest.raises(ConfigurationError, match="total_count"):
+                ingestor.ingest([(1, 2**62), (2, 2**62)])
+            assert ingestor.items_routed == 1
+            merged = ingestor.finalize()
+            assert ingestor._shards[0].restarts == 0
+        assert (merged.total_count, merged.query(3)) == (5, 5)
+
+    def test_counts_recovered_units_against_int64(self, tmp_path):
+        with ShardedIngestor(
+            small_config(), 1, chunk_items=4, durable_root=str(tmp_path)
+        ) as ingestor:
+            ingestor.ingest([(1, 2**62)])
+            ingestor.finalize()
+        with ShardedIngestor(
+            small_config(), 1, chunk_items=4, durable_root=str(tmp_path)
+        ) as ingestor:
+            assert ingestor.units_routed == 2**62
+            with pytest.raises(ConfigurationError, match="total_count"):
+                ingestor.ingest([(2, 2**62)])
+            assert ingestor.finalize().total_count == 2**62
+
     def test_finalize_is_idempotent(self):
         with ShardedIngestor(
             small_config(), 2, chunk_items=CHUNK

@@ -1,0 +1,164 @@
+"""Per-item and per-key references for the array paths of Algorithms 3
+and 4.
+
+:func:`repro.core.setops.union` and :func:`~repro.core.setops.difference`
+merge the frequent parts as arrays and demote the leftovers in batches.
+:func:`union` and :func:`difference` here are the plain recipe they must
+equal by ``to_state()``: per FP bucket, the entries of both inputs are
+summed by key in a dict, zero sums dropped and the rest ranked by
+``(-|count|, key)``; the top ``c`` stay, conservatively flagged, and each
+leftover is demoted on its own — ``min(count, T)`` through
+``TowerSketch.add`` and the rest through ``InfrequentPart.insert`` for a
+union, the whole signed count through ``InfrequentPart.insert`` for a
+difference.
+
+The tasks read many keys at once through ``query_many`` and reduce the
+filter's counters as arrays; :func:`distribution` and :func:`inner_join`
+here read one key at a time through the scalar ``query``, ``lookup`` and
+filter ``query`` and walk the counters in Python, and the array tasks
+must return exactly their answers.
+"""
+
+from typing import Dict, List, Tuple
+
+import numpy as np
+
+from repro.common.validation import require_int64
+from repro.core.davinci import MODE_ADDITIVE, MODE_SIGNED, DaVinciSketch
+from repro.core.frequent_part import FrequentPart
+from repro.core.tasks.distribution import CounterArrayEM
+
+
+def combined(
+    mine: FrequentPart, theirs: FrequentPart, sign: int
+) -> Tuple[FrequentPart, List[Tuple[int, int]]]:
+    """The bucket-by-bucket merge of ``mine`` and ``sign ×`` ``theirs``."""
+    c = mine.entries_per_bucket
+    my_keys, my_counts, _flags = mine._entries()
+    their_keys, their_counts, _flags = theirs._entries()
+    keys: List[int] = []
+    counts: List[int] = []
+    occupancy: List[int] = []
+    flag: List[bool] = []
+    leftovers: List[Tuple[int, int]] = []
+    my_end = their_end = 0
+    for my_used, their_used, my_flag, their_flag in zip(
+        mine._occupancy, theirs._occupancy, mine._flag, theirs._flag
+    ):
+        merged = dict(
+            zip(my_keys[my_end : my_end + my_used], my_counts[my_end : my_end + my_used])
+        )
+        for key, count in zip(
+            their_keys[their_end : their_end + their_used],
+            their_counts[their_end : their_end + their_used],
+        ):
+            merged[key] = merged.get(key, 0) + sign * count
+        my_end += my_used
+        their_end += their_used
+        entries = [(key, count) for key, count in merged.items() if count]
+        entries.sort(key=lambda kv: (-abs(kv[1]), kv[0]))
+        keep, rest = entries[:c], entries[c:]
+        keys.extend(key for key, _count in keep)
+        counts.extend(count for _key, count in keep)
+        occupancy.append(len(keep))
+        flag.append(bool(my_flag or their_flag or rest))
+        leftovers.extend(rest)
+    result = mine.empty_like()
+    keys2d, counts2d, flags2d, *per_bucket = result.bucket_arrays()
+    resident = np.arange(c) < np.array(occupancy)[:, None]
+    keys2d[resident] = keys
+    counts2d[resident] = counts
+    flags2d[resident] = 1
+    ecnt = [a + b for a, b in zip(mine._ecnt, theirs._ecnt)]
+    for view, column in zip(per_bucket, (occupancy, ecnt, flag)):
+        view[:] = column
+    return result, leftovers
+
+
+def union(a: DaVinciSketch, b: DaVinciSketch) -> DaVinciSketch:
+    """Algorithm 3's union with one ``add``/``insert`` per leftover."""
+    result = a.empty_like()
+    result.mode = MODE_ADDITIVE
+    result.total_count = require_int64("total", a.total_count + b.total_count)
+    result.ef = a.ef.merged(b.ef)
+    result.ifp = a.ifp.merged(b.ifp)
+    threshold = result.ef.threshold
+    result.fp, leftovers = combined(a.fp, b.fp, sign=1)
+    for key, count in leftovers:
+        absorbed = min(count, threshold)
+        result.ef.add(key, absorbed)
+        if count > absorbed:
+            result.ifp.insert(key, count - absorbed)
+    return result
+
+
+def difference(a: DaVinciSketch, b: DaVinciSketch) -> DaVinciSketch:
+    """The signed difference with one ``insert`` per leftover."""
+    result = a.empty_like()
+    result.mode = MODE_SIGNED
+    result.total_count = require_int64("total", a.total_count - b.total_count)
+    result.ef = a.ef.subtracted(b.ef)
+    result.ifp = a.ifp.subtracted(b.ifp)
+    result.fp, leftovers = combined(a.fp, b.fp, sign=-1)
+    for key, count in leftovers:
+        result.ifp.insert(key, count)
+    return result
+
+
+def distribution(sketch: DaVinciSketch, em_level: int = 0) -> Dict[int, float]:
+    """The flow-size histogram, one ``query`` and one debit per key."""
+    histogram: Dict[int, float] = {}
+    fp_keys = sketch.fp.as_dict()
+    decoded = sketch.decode_counts()
+    for key in list(fp_keys) + [key for key in decoded if key not in fp_keys]:
+        estimate = sketch.query(key)
+        if estimate > 0:
+            histogram[estimate] = histogram.get(estimate, 0.0) + 1.0
+    ef = sketch.ef
+    level = em_level % ef.num_levels
+    base = list(ef.levels[level])
+    for key in decoded:
+        j = ef._hashes.index(level, key)
+        base[j] = max(0, base[j] - ef.threshold)
+    cap = ef.level_caps[level]
+    for key, _count in sketch.fp.flagged_items():
+        residue = ef.query(key)
+        if key not in decoded and 0 < residue < cap:
+            j = ef._hashes.index(level, key)
+            base[j] = max(0, base[j] - min(residue, ef.threshold))
+    for size, count in CounterArrayEM(max_value=cap - 1).estimate(base).items():
+        histogram[size] = histogram.get(size, 0.0) + count
+    return histogram
+
+
+def _keyed_and_filter(sketch: DaVinciSketch, key: int) -> Tuple[int, int]:
+    """``(f_F + f_I, f_E)`` of one key, as the inner join splits it."""
+    fp_count, _, _ = sketch.fp.lookup(key)
+    ifp = sketch.decode_counts().get(key)
+    if ifp is None:
+        ifp = 0
+        if not sketch.decode_result().complete and sketch.ef.is_promoted(key):
+            ifp = max(0, sketch.ifp.fast_query(key))
+    return fp_count + ifp, min(sketch.ef.query(key), sketch.ef.threshold)
+
+
+def inner_join(a: DaVinciSketch, b: DaVinciSketch) -> float:
+    """The join size, key by key, and J_EE summed counter by counter."""
+    keys = set(a.fp.as_dict())
+    for sketch in (a, b):
+        keys.update(sketch.fp.as_dict())
+        keys.update(sketch.decode_counts())
+    keyed_cross = 0.0
+    for key in keys:
+        f_keyed, f_filter = _keyed_and_filter(a, key)
+        g_keyed, g_filter = _keyed_and_filter(b, key)
+        keyed_cross += f_keyed * g_keyed + f_keyed * g_filter + f_filter * g_keyed
+    left, right = a.ef.levels[0], b.ef.levels[0]
+    raw = 0.0
+    for x, y in zip(left, right):
+        raw += x * y
+    width = len(left)
+    if width <= 1:
+        return keyed_cross + raw
+    corrected = (width * raw - float(sum(left)) * float(sum(right))) / (width - 1)
+    return keyed_cross + max(0.0, corrected)
