@@ -12,6 +12,9 @@ Mersenne prime keeps Python's ``pow`` fast.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from typing import List, Sequence
+
 from repro.common.errors import ConfigurationError
 
 #: Default field modulus — the Mersenne prime 2^61 − 1.
@@ -21,11 +24,13 @@ DEFAULT_PRIME = (1 << 61) - 1
 SMALL_PRIME = (1 << 31) - 1
 
 
+@lru_cache(maxsize=64)
 def is_prime(n: int) -> bool:
     """Deterministic Miller–Rabin for 64-bit-ish inputs.
 
     The witness set {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37} is proven
     sufficient for all n < 3.3·10^24, far beyond any modulus we use.
+    Memoized: every sketch construction validates its (same) modulus.
     """
     if n < 2:
         return False
@@ -70,6 +75,34 @@ def mod_inverse(a: int, p: int) -> int:
         raise ConfigurationError("zero has no modular inverse")
     # Fermat's little theorem: a^(p-2) ≡ a^(-1) (mod p).
     return pow(a, p - 2, p)
+
+
+def mod_inverses(values: Sequence[int], p: int) -> List[int]:
+    """:func:`mod_inverse` of each of ``values``, with one exponentiation.
+
+    Montgomery's batch inversion: invert the product of all the values
+    once, then peel each inverse off the prefix products — three field
+    multiplications per value instead of a ``pow`` each.  Raises
+    :class:`ConfigurationError` when any value is ``≡ 0 (mod p)``.
+    """
+    residues = [a % p for a in values]
+    if not residues:
+        return []
+    prefix: List[int] = []
+    product = 1
+    for a in residues:
+        if a == 0:
+            raise ConfigurationError("zero has no modular inverse")
+        product = product * a % p
+        prefix.append(product)
+    # the inverse of prefix[i]; each step below moves it to prefix[i - 1]
+    inverse = pow(product, p - 2, p)
+    out = [0] * len(residues)
+    for i in range(len(residues) - 1, 0, -1):
+        out[i] = inverse * prefix[i - 1] % p
+        inverse = inverse * residues[i] % p
+    out[0] = inverse
+    return out
 
 
 def to_field(value: int, p: int) -> int:

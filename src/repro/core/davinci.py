@@ -58,7 +58,7 @@ from repro.common.validation import require_int64, require_positive
 from repro.core.config import DaVinciConfig
 from repro.core.element_filter import ElementFilter
 from repro.core.frequent_part import FrequentPart
-from repro.core.infrequent_part import DecodeResult, InfrequentPart
+from repro.core.infrequent_part import DecodeResult, InfrequentPart, Validator
 from repro.core.kernel import KERNEL_ARRAY, KERNEL_OBJECT, ingest_chunk, np
 from repro.observability import instruments as _obs_instruments
 from repro.observability import metrics as _obs
@@ -417,10 +417,12 @@ class DaVinciSketch(Sketch):
         if self._decode_cache is None:
             if _obs.ENABLED:
                 self._observe().cache_misses.inc()
-            validator: Optional[Callable[[int], bool]] = None
+            validator: Optional[Validator] = None
             if self.mode == MODE_STANDARD:
                 threshold = self.ef.threshold
-                validator = lambda e: self.ef.query(e) >= threshold  # noqa: E731
+                validator = lambda keys: (  # noqa: E731
+                    self.ef.query_many(keys) >= threshold
+                )
             self._decode_cache = self.ifp.decode(validator)
         elif _obs.ENABLED:
             self._observe().cache_hits.inc()

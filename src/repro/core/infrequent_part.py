@@ -15,6 +15,14 @@ single element — by inverting ``icnt`` with Fermat's little theorem:
 negative sign decodes to ``p − e``, which is why both candidates are
 validated (Algorithm 5, line 3).
 
+The peel runs in waves: wave 0 is every occupied bucket, each later wave
+the occupied buckets the previous wave's peels touched.  A wave inverts
+all its counts with one batch inversion (one ``pow``), re-hashes all its
+candidates as one array and calls the validator once, then peels its
+pure buckets in wave order.  For truly pure buckets the order does not
+change what is recovered, but ``DecodeResult.counts`` lists the keys in
+the order the waves peeled them.
+
 Purity is verified three ways, strongest first:
 
 1. field consistency — the recovered ``(e, cnt)`` must reproduce the
@@ -36,7 +44,7 @@ encode and the metrics.
 from __future__ import annotations
 
 import operator
-from collections import deque
+from itertools import chain
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, TypeVar
 
 from repro.common import invariants as _inv
@@ -45,8 +53,8 @@ from repro.common.errors import (
     DecodeError,
     IncompatibleSketchError,
 )
-from repro.common.hashing import HashFamily, SignFamily
-from repro.common.primes import DEFAULT_PRIME, mod_inverse, validate_prime
+from repro.common.hashing import HashFamily, SignFamily, np
+from repro.common.primes import DEFAULT_PRIME, mod_inverses, validate_prime
 from repro.common.validation import require_positive
 from repro.observability import instruments as _obs_instruments
 from repro.observability import metrics as _obs
@@ -54,6 +62,13 @@ from repro.observability.instruments import InfrequentPartMetrics
 from repro.observability.metrics import MetricsRegistry
 
 _F = TypeVar("_F", bound="CountingFermat")
+
+#: a decode's cross-validation hook: int64 key array → bool array
+Validator = Callable[[Any], Any]
+
+#: a pure bucket's content: key, signed count, and the key's flat bucket
+#: and sign in every row
+_Pure = Tuple[int, int, List[int], List[int]]
 
 
 class DecodeResult:
@@ -72,14 +87,9 @@ class DecodeResult:
         self.residual_buckets = residual_buckets
 
 
-def _occupied(ids: List[List[int]], counts: List[List[int]]) -> int:
+def _occupied(ids: Iterable[int], counts: Iterable[int]) -> int:
     """Number of buckets with a nonzero ``iID`` or ``icnt``."""
-    return sum(
-        1
-        for id_row, count_row in zip(ids, counts)
-        for iid, icnt in zip(id_row, count_row)
-        if icnt != 0 or iid != 0
-    )
+    return sum(1 for iid, icnt in zip(ids, counts) if icnt != 0 or iid != 0)
 
 
 def _median(values: Iterable[int]) -> int:
@@ -148,10 +158,9 @@ class CountingFermat:
 
     def _apply(
         self, ids: List[List[int]], counts: List[List[int]], key: int, count: int
-    ) -> List[int]:
-        """Add ``count`` of ``key`` to one bucket per row; return the columns."""
+    ) -> None:
+        """Add ``count`` of ``key`` to one bucket per row."""
         p = self.prime
-        columns: List[int] = []
         for row in range(self.rows):
             j = self._hashes.index(row, key)
             ids[row][j] = (ids[row][j] + count * key) % p
@@ -159,85 +168,142 @@ class CountingFermat:
             if _inv.ENABLED:
                 _inv.check_field_element(ids[row][j], p, "counting Fermat iID")
                 _inv.check_counter_int(counts[row][j], "counting Fermat icnt")
-            columns.append(j)
-        return columns
 
     # ------------------------------------------------------------------ #
     # decoding (Algorithm 5)
     # ------------------------------------------------------------------ #
-    def _candidates(
-        self, row: int, col: int, iid: int, icnt: int
-    ) -> List[Tuple[int, int]]:
-        """The ``(key, signed count)`` pairs bucket (row, col) may hold alone.
+    def _sign_arrays(self, keys: Any) -> List[Any]:
+        """:attr:`_sign` of each of the int64 ``keys`` in every row, one
+        int64 array per row."""
+        return [np.ones(len(keys), dtype=np.int64)] * self.rows
 
-        A count that is a multiple of ``p`` (zero included) has no inverse,
-        so the bucket is not decodable.  A sign of −1 makes the raw
-        quotient come out as ``p − e``; both candidates are tested, and
-        the recovered pair must reproduce the stored residue exactly.
+    def _pure_in(
+        self,
+        wave: List[int],
+        ids: List[int],
+        counts: List[int],
+        validator: Optional[Validator],
+    ) -> Tuple[Dict[int, _Pure], int]:
+        """The pure buckets of ``wave`` (flat indexes into ``ids``/``counts``).
+
+        Maps each pure bucket to ``(key, signed count, the key's flat
+        bucket in every row, its sign in every row)`` and also returns
+        the number of vetoed candidates.  A count that is a multiple of
+        ``p`` (zero included) has no inverse, so its bucket is not
+        decodable; the rest are inverted together.  A sign of −1 makes
+        the raw quotient ``q`` come out as ``p − e``, so both ``q`` and
+        ``p − q`` are tested: in the key domain, hashed back to the
+        bucket's own column, and reproducing the stored residue exactly.
+        The validator sees every survivor at once; a bucket takes its
+        first accepted candidate, ``q`` before ``p − q``.
         """
         p = self.prime
-        if icnt % p == 0:
-            return []
-        quotient = (iid * mod_inverse(icnt, p)) % p
-        found: List[Tuple[int, int]] = []
-        for candidate in (quotient, (p - quotient) % p):
-            if not 1 <= candidate < self.max_key:
-                continue  # outside the key domain: not a real element
-            if self._hashes.index(row, candidate) != col:
+        width = self.width
+        max_key = self.max_key
+        decodable = [at for at in wave if counts[at] % p != 0]
+        inverses = mod_inverses([counts[at] for at in decodable], p)
+        candidates: List[Tuple[int, int]] = []
+        for at, inverse in zip(decodable, inverses):
+            quotient = ids[at] * inverse % p
+            for candidate in (quotient, p - quotient):
+                if 0 < candidate < max_key:
+                    candidates.append((at, candidate))
+        pure: Dict[int, _Pure] = {}
+        if not candidates:
+            return pure, 0
+        owners = [at for at, _key in candidates]
+        keys = [key for _at, key in candidates]
+        key_array = np.array(keys, dtype=np.int64)
+        owner_array = np.array(owners, dtype=np.int64)
+        columns = np.stack(self._hashes.index_arrays(key_array))
+        signs = np.stack(self._sign_arrays(key_array))
+        own_row = owner_array // width
+        picks = np.arange(len(keys))
+        homed = np.flatnonzero(columns[own_row, picks] == owner_array % width)
+        own_sign = signs[own_row, picks].tolist()
+        survivors = [
+            i
+            for i in homed.tolist()
+            if (own_sign[i] * counts[owners[i]] * keys[i] - ids[owners[i]]) % p == 0
+        ]
+        accepted = [True] * len(survivors)
+        if validator is not None:
+            verdicts = np.asarray(validator(key_array[survivors]), dtype=bool)
+            if verdicts.shape != (len(survivors),):
+                raise ConfigurationError("a validator returns one bool per key")
+            accepted = verdicts.tolist()
+        offsets = np.arange(self.rows, dtype=np.int64)[:, None] * width
+        spots = (columns[:, survivors] + offsets).T.tolist()
+        sign_rows = signs[:, survivors].T.tolist()
+        vetoed = 0
+        for i, ok, spot, sign_row in zip(survivors, accepted, spots, sign_rows):
+            at = owners[i]
+            if at in pure:
+                continue  # its first candidate was accepted
+            if not ok:
+                vetoed += 1
                 continue
-            count = self._sign(row, candidate) * icnt
-            if (count * candidate) % p == iid % p:
-                found.append((candidate, count))
-        return found
+            pure[at] = (keys[i], own_sign[i] * counts[at], spot, sign_row)
+        return pure, vetoed
 
     def _peel(
-        self, validator: Optional[Callable[[int], bool]] = None
+        self, validator: Optional[Validator] = None
     ) -> Tuple[DecodeResult, Tuple[int, int, int, int]]:
-        """Peel every pure bucket of a copy of the arrays.
+        """Peel every pure bucket of a copy of the arrays, in waves.
 
-        ``validator`` may veto a candidate key; a vetoed candidate moves
-        on to the bucket's other candidate.  Returns the result and the
-        peel's work: queue visits, peeled buckets, failed (non-empty,
-        impure) visits and vetoed candidates.
+        Wave 0 is every occupied bucket in ``(row, col)`` order.  A wave
+        is tested as one batch (:meth:`_pure_in`) on the arrays as the
+        wave found them, then its pure buckets are peeled in wave order.
+        A bucket that an earlier peel of the same wave touched is left for
+        the next wave, so a key pure in two rows peels once.  The next
+        wave is the occupied buckets the wave left, in wave order, then
+        the other occupied buckets its peels touched, in the order they
+        were touched: the order a FIFO queue would revisit them in.  For
+        truly pure buckets the order does not change what is recovered.
+        ``validator`` maps an int64 key array to a bool array and may veto
+        candidates.  Returns the result and the peel's work: bucket
+        visits, peeled buckets, visits that found no pure content and
+        vetoed candidates.
         """
-        ids = [row[:] for row in self.ids]
-        counts = [row[:] for row in self.counts]
+        p = self.prime
+        ids = list(chain.from_iterable(self.ids))
+        counts = list(chain.from_iterable(self.counts))
         decoded: Dict[int, int] = {}
-        queue = deque(
-            (row, col)
-            for row in range(self.rows)
-            for col in range(self.width)
-            if counts[row][col] != 0 or ids[row][col] != 0
-        )
-        # Each bucket may be re-enqueued every time a peel touches it; the
-        # visit budget below bounds pathological ping-ponging.
-        initial_budget = max(64, 8 * self.rows * self.width)
-        budget = initial_budget
-        peeled = 0
-        failures = 0
-        rejections = 0
-        while queue and budget > 0:
-            budget -= 1
-            row, col = queue.popleft()
-            pure: Optional[Tuple[int, int]] = None
-            iid, icnt = ids[row][col], counts[row][col]
-            for candidate in self._candidates(row, col, iid, icnt):
-                if validator is None or validator(candidate[0]):
-                    pure = candidate
-                    break
-                rejections += 1
-            if pure is None:
-                if icnt != 0 or iid != 0:
-                    failures += 1
-                continue
-            peeled += 1
-            key, count = pure
-            decoded[key] = decoded.get(key, 0) + count
-            if decoded[key] == 0:
-                del decoded[key]
-            for peel_row, j in enumerate(self._apply(ids, counts, key, -count)):
-                if counts[peel_row][j] != 0 or ids[peel_row][j] != 0:
-                    queue.append((peel_row, j))
+        wave = [at for at, (iid, icnt) in enumerate(zip(ids, counts)) if iid or icnt]
+        # A peel re-queues every bucket it touches; the visit budget bounds
+        # pathological ping-ponging.
+        budget = max(64, 8 * self.rows * self.width)
+        visits = peeled = failures = rejections = 0
+        while wave and visits < budget:
+            wave = wave[: budget - visits]
+            visits += len(wave)
+            pure, vetoed = self._pure_in(wave, ids, counts, validator)
+            failures += len(wave) - len(pure)
+            rejections += vetoed
+            touched: Dict[int, None] = {}
+            left: List[int] = []
+            for at in wave:
+                if at in touched:
+                    left.append(at)
+                    continue
+                found = pure.get(at)
+                if found is None:
+                    continue
+                peeled += 1
+                key, count, spots, signs = found
+                total = decoded.get(key, 0) + count
+                if total:
+                    decoded[key] = total
+                else:
+                    del decoded[key]
+                residue = count * key
+                for j, sign in zip(spots, signs):
+                    ids[j] = (ids[j] - residue) % p
+                    counts[j] -= sign * count
+                    touched[j] = None
+            for at in left:
+                del touched[at]
+            wave = [at for at in chain(left, touched) if ids[at] or counts[at]]
         residual = _occupied(ids, counts)
         if _inv.ENABLED and residual == 0:
             # A complete peel removed exactly what it reported: by field
@@ -247,7 +313,7 @@ class CountingFermat:
                 self, decoded, f"{type(self).__name__}.decode"
             )
         result = DecodeResult(decoded, residual == 0, residual)
-        return result, (initial_budget - budget, peeled, failures, rejections)
+        return result, (visits, peeled, failures, rejections)
 
     # ------------------------------------------------------------------ #
     # linearity (union / difference)
@@ -300,7 +366,9 @@ class CountingFermat:
     # ------------------------------------------------------------------ #
     def nonzero_buckets(self) -> int:
         """Number of buckets currently holding anything."""
-        return _occupied(self.ids, self.counts)
+        return _occupied(
+            chain.from_iterable(self.ids), chain.from_iterable(self.counts)
+        )
 
     def memory_bytes(self) -> float:
         """Logical size: rows × width × (4-byte iID + 4-byte icnt)."""
@@ -331,6 +399,9 @@ class InfrequentPart(CountingFermat):
         super().__init__(rows, width, prime, seed, max_key)
         self._signs = SignFamily(rows, seed=seed ^ self.SIGN_SALT)
         self._sign = self._signs.sign
+
+    def _sign_arrays(self, keys: Any) -> List[Any]:
+        return self._signs.sign_arrays(keys)
 
     # ------------------------------------------------------------------ #
     # observability (free while disabled)
@@ -440,13 +511,15 @@ class InfrequentPart(CountingFermat):
     # ------------------------------------------------------------------ #
     def decode(
         self,
-        validator: Optional[Callable[[int], bool]] = None,
+        validator: Optional[Validator] = None,
         strict: bool = False,
     ) -> DecodeResult:
         """Peel all pure buckets; non-destructive (works on a copy).
 
-        ``validator`` is the optional cross-validation hook — the DaVinci
-        sketch passes ``lambda e: EF.query(e) >= T`` so that a coincidental
+        ``validator`` is the optional cross-validation hook, called once
+        per peel wave on an int64 array of candidate keys and returning a
+        bool array — the DaVinci sketch passes
+        ``lambda keys: EF.query_many(keys) >= T`` so that a coincidental
         pure-looking bucket for a never-promoted key is rejected (the
         paper's ``canDecode`` double verification).
 

@@ -227,11 +227,12 @@ class InfrequentPartMetrics:
         )
         self.peel_failures: Counter = registry.counter(
             "davinci_ifp_peel_failures_total",
-            "Visited non-empty buckets that were not pure",
+            "Bucket visits of a peel wave that found the bucket not pure",
         )
         self.peel_rounds: Counter = registry.counter(
             "davinci_ifp_peel_rounds_total",
-            "Queue visits performed across all decodes (peel work)",
+            "Bucket visits across all peel waves of all decodes (peel work; "
+            "a bucket counts once per wave that holds it)",
         )
         self.crossval_rejections: Counter = registry.counter(
             "davinci_ifp_crossvalidation_rejections_total",

@@ -1,5 +1,7 @@
 """Unit tests for the prime-field helpers."""
 
+import random
+
 import pytest
 
 from repro.common.errors import ConfigurationError
@@ -9,9 +11,12 @@ from repro.common.primes import (
     from_field_signed,
     is_prime,
     mod_inverse,
+    mod_inverses,
     to_field,
     validate_prime,
 )
+from repro.core import DaVinciConfig, DaVinciSketch
+from repro.core.setops import union
 
 
 class TestIsPrime:
@@ -32,6 +37,21 @@ class TestIsPrime:
 
     def test_negative(self):
         assert not is_prime(-7)
+
+
+class TestIsPrimeMemo:
+    def test_two_unions_over_one_config_run_miller_rabin_at_most_once(self):
+        # every union and empty_like builds sketches, each validating the
+        # same modulus; a cache miss is one Miller–Rabin run
+        config = DaVinciConfig.from_memory_kb(8, seed=3)
+        a, b = DaVinciSketch(config), DaVinciSketch(config)
+        a.insert_batch([(key, key % 7 + 1) for key in range(1, 500)])
+        b.insert_batch([(key, 2) for key in range(300, 900)])
+        is_prime.cache_clear()
+        union(a, b)
+        union(b, a)
+        assert is_prime.cache_info().misses <= 1
+        assert is_prime.cache_info().hits >= 1
 
 
 class TestValidatePrime:
@@ -65,6 +85,26 @@ class TestModInverse:
     def test_multiple_of_p_has_no_inverse(self):
         with pytest.raises(ConfigurationError):
             mod_inverse(14, 7)
+
+
+class TestModInverses:
+    @pytest.mark.parametrize("p", [SMALL_PRIME, DEFAULT_PRIME])
+    def test_equals_mod_inverse_elementwise(self, p):
+        rng = random.Random(p)
+        values = [1, p - 1] + [rng.randrange(1, p) for _ in range(200)]
+        values += [-3, p + 5, 2 * p - 1]  # residues of other representatives
+        assert mod_inverses(values, p) == [mod_inverse(a, p) for a in values]
+
+    def test_single_value(self):
+        assert mod_inverses([5], 101) == [mod_inverse(5, 101)]
+
+    def test_empty_input(self):
+        assert mod_inverses([], DEFAULT_PRIME) == []
+
+    @pytest.mark.parametrize("zero", [0, 7, -14])
+    def test_a_multiple_of_p_has_no_inverse(self, zero):
+        with pytest.raises(ConfigurationError):
+            mod_inverses([3, zero, 5], 7)
 
 
 class TestFieldConversions:

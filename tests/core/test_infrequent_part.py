@@ -1,8 +1,9 @@
 """Unit tests for the infrequent part (counting Fermat sketch)."""
 
+import numpy as np
 import pytest
 
-from repro.common.errors import IncompatibleSketchError
+from repro.common.errors import ConfigurationError, IncompatibleSketchError
 from repro.common.primes import SMALL_PRIME
 from repro.core.infrequent_part import InfrequentPart
 from tests.substrate_contracts import FermatDecodeContract, FermatLinearityContract
@@ -38,15 +39,17 @@ class TestInsertAndDecode(FermatDecodeContract):
 
 
 class TestValidator:
+    """The validator maps an int64 key array to one bool per key."""
+
     def test_validator_can_reject_everything(self, ifp):
         ifp.insert(42, 5)
-        result = ifp.decode(validator=lambda key: False)
+        result = ifp.decode(validator=lambda keys: np.zeros(len(keys), dtype=bool))
         assert result.counts == {}
         assert not result.complete
 
     def test_validator_passes_known_keys(self, ifp):
         ifp.insert(42, 5)
-        result = ifp.decode(validator=lambda key: key == 42)
+        result = ifp.decode(validator=lambda keys: keys == 42)
         assert result.counts == {42: 5}
 
     def test_validator_keeps_phantoms_out_of_an_overloaded_decode(self):
@@ -57,7 +60,14 @@ class TestValidator:
         for key in inserted:
             tiny.insert(key, 1)
         assert not set(tiny.decode().counts) <= inserted
-        assert set(tiny.decode(validator=inserted.__contains__).counts) <= inserted
+        members = np.array(sorted(inserted), dtype=np.int64)
+        result = tiny.decode(validator=lambda keys: np.isin(keys, members))
+        assert set(result.counts) <= inserted
+
+    def test_validator_must_answer_every_key(self, ifp):
+        ifp.insert(42, 5)
+        with pytest.raises(ConfigurationError):
+            ifp.decode(validator=lambda keys: False)
 
 
 class TestFastQuery:

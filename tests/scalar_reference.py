@@ -17,15 +17,25 @@ filter's counters as arrays; :func:`distribution` and :func:`inner_join`
 here read one key at a time through the scalar ``query``, ``lookup`` and
 filter ``query`` and walk the counters in Python, and the array tasks
 must return exactly their answers.
+
+The infrequent part decodes (Algorithm 5) in waves: one batch inversion,
+one array hash and one validator call per wave.  :func:`peel` here is the
+sequential recipe it must equal in ``counts`` (as a mapping),
+``complete`` and ``residual_buckets``: a FIFO queue of buckets, one
+Fermat inversion and one scalar re-hash per visited bucket, peeling each
+pure bucket as soon as it is popped.
 """
 
-from typing import Dict, List, Tuple
+from collections import deque
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.common.primes import mod_inverse
 from repro.common.validation import require_int64
 from repro.core.davinci import MODE_ADDITIVE, MODE_SIGNED, DaVinciSketch
 from repro.core.frequent_part import FrequentPart
+from repro.core.infrequent_part import CountingFermat, DecodeResult
 from repro.core.tasks.distribution import CounterArrayEM
 
 
@@ -162,3 +172,75 @@ def inner_join(a: DaVinciSketch, b: DaVinciSketch) -> float:
         return keyed_cross + raw
     corrected = (width * raw - float(sum(left)) * float(sum(right))) / (width - 1)
     return keyed_cross + max(0.0, corrected)
+
+
+def _candidates(
+    fermat: CountingFermat, row: int, col: int, iid: int, icnt: int
+) -> List[Tuple[int, int]]:
+    """The ``(key, signed count)`` pairs bucket (row, col) may hold alone."""
+    p = fermat.prime
+    if icnt % p == 0:
+        return []
+    quotient = (iid * mod_inverse(icnt, p)) % p
+    found: List[Tuple[int, int]] = []
+    for candidate in (quotient, (p - quotient) % p):
+        if not 1 <= candidate < fermat.max_key:
+            continue
+        if fermat._hashes.index(row, candidate) != col:
+            continue
+        count = fermat._sign(row, candidate) * icnt
+        if (count * candidate) % p == iid % p:
+            found.append((candidate, count))
+    return found
+
+
+def peel(
+    fermat: CountingFermat, validator: Optional[Callable[[int], bool]] = None
+) -> Tuple[DecodeResult, int]:
+    """Algorithm 5 one bucket at a time, on a copy of the arrays.
+
+    ``validator`` is the per-key form of the decode's hook; a vetoed
+    candidate moves on to the bucket's other candidate.  Returns the
+    result and the number of queue visits, which stop at the visit
+    budget (8 visits per bucket, at least 64).
+    """
+    p = fermat.prime
+    ids = [row[:] for row in fermat.ids]
+    counts = [row[:] for row in fermat.counts]
+    decoded: Dict[int, int] = {}
+    queue = deque(
+        (row, col)
+        for row in range(fermat.rows)
+        for col in range(fermat.width)
+        if counts[row][col] != 0 or ids[row][col] != 0
+    )
+    initial_budget = max(64, 8 * fermat.rows * fermat.width)
+    budget = initial_budget
+    while queue and budget > 0:
+        budget -= 1
+        row, col = queue.popleft()
+        pure = None
+        iid, icnt = ids[row][col], counts[row][col]
+        for candidate in _candidates(fermat, row, col, iid, icnt):
+            if validator is None or validator(candidate[0]):
+                pure = candidate
+                break
+        if pure is None:
+            continue
+        key, count = pure
+        decoded[key] = decoded.get(key, 0) + count
+        if decoded[key] == 0:
+            del decoded[key]
+        for peel_row in range(fermat.rows):
+            j = fermat._hashes.index(peel_row, key)
+            ids[peel_row][j] = (ids[peel_row][j] - count * key) % p
+            counts[peel_row][j] -= fermat._sign(peel_row, key) * count
+            if counts[peel_row][j] != 0 or ids[peel_row][j] != 0:
+                queue.append((peel_row, j))
+    residual = sum(
+        1
+        for id_row, count_row in zip(ids, counts)
+        for iid, icnt in zip(id_row, count_row)
+        if icnt != 0 or iid != 0
+    )
+    return DecodeResult(decoded, residual == 0, residual), initial_budget - budget
