@@ -214,13 +214,14 @@ class HashFamily:
 class SignFamily:
     """``rows`` independent ±1 sign functions (ζᵢ in the paper)."""
 
-    __slots__ = ("rows", "_seeds")
+    __slots__ = ("rows", "_seeds", "_premixed")
 
     def __init__(self, rows: int, seed: int = 2) -> None:
         if rows <= 0:
             raise ConfigurationError("sign family needs at least one row")
         self.rows = rows
         self._seeds = [hash64(row + 1, seed ^ 0xA5A5A5A5) for row in range(rows)]
+        self._premixed = [_premix(s) for s in self._seeds]
 
     def sign(self, row: int, key: int) -> int:
         """Return +1 or -1 for ``key`` in ``row``."""
@@ -234,7 +235,7 @@ class SignFamily:
         """:meth:`sign` of every key of an int64 array, one int64 array
         per row."""
         keys_u64 = keys.astype(np.uint64)
-        return [signs_of(keys_u64, _premix(seed)) for seed in self._seeds]
+        return [signs_of(keys_u64, premixed) for premixed in self._premixed]
 
 
 def fingerprint(key: int, bits: int, seed: int = 77) -> int:

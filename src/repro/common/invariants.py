@@ -15,7 +15,7 @@ runs.  Checks are guarded at every call site by the module-level
     def insert(self, key, count):
         ...
         if _inv.ENABLED:
-            _inv.check_field_element(self.ids[row][j], p, "IFP.insert iID")
+            _inv.check_field_element(iid, p, "IFP.insert iID")
 
 When the flag is ``False`` (the default) the only cost on the hot path is
 one attribute load and a falsy branch — no function call, no argument
@@ -39,6 +39,8 @@ The checks back contracts that the test suite verifies at run time
 from __future__ import annotations
 
 import os
+
+import numpy
 
 from repro.common.errors import InvariantViolation
 
@@ -128,8 +130,11 @@ def check_decode_roundtrip(ifp: object, decoded: object, where: str) -> None:
     """
     scratch = ifp.empty_like()  # type: ignore[attr-defined]
     for key, count in decoded.items():  # type: ignore[attr-defined]
-        scratch._apply(scratch.ids, scratch.counts, key, count)
-    if scratch.ids != ifp.ids or scratch.counts != ifp.counts:  # type: ignore[attr-defined]
+        scratch._apply(key, count)
+    if not (
+        numpy.array_equal(scratch.ids, ifp.ids)  # type: ignore[attr-defined]
+        and numpy.array_equal(scratch.counts, ifp.counts)  # type: ignore[attr-defined]
+    ):
         raise InvariantViolation(
             f"{where}: complete decode does not re-encode to the original "
             "arrays (phantom or dropped element)"

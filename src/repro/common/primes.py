@@ -8,20 +8,29 @@ little theorem: for a prime ``p`` and ``a ≢ 0 (mod p)``,
 The default modulus is the Mersenne prime ``2^61 − 1``: large enough that
 64-bit fingerprints truncated into the field collide negligibly, and a
 Mersenne prime keeps Python's ``pow`` fast.
+
+:func:`add_mod_at` is the field sum the bucket tables use, exact for
+every prime up to :data:`MAX_ARRAY_PRIME`, with no step specific to one
+prime.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List, Sequence
+from typing import Any, List, Sequence
 
 from repro.common.errors import ConfigurationError
+from repro.common.hashing import np
 
 #: Default field modulus — the Mersenne prime 2^61 − 1.
 DEFAULT_PRIME = (1 << 61) - 1
 
 #: A smaller prime (2^31 − 1) for tests that want tiny fields.
 SMALL_PRIME = (1 << 31) - 1
+
+#: The largest modulus whose residues int64 arrays hold: the sum of two
+#: residues then stays below 2^64.
+MAX_ARRAY_PRIME = (1 << 63) - 1
 
 
 @lru_cache(maxsize=64)
@@ -103,6 +112,23 @@ def mod_inverses(values: Sequence[int], p: int) -> List[int]:
         inverse = inverse * residues[i] % p
     out[0] = inverse
     return out
+
+
+def add_mod_at(target: Any, at: Any, residues: Any, p: int) -> None:
+    """``target[at] += residues (mod p)`` in place, repeated indexes
+    included, over uint64 residues in ``[0, p)``.
+
+    Each index's residues are summed exactly as 32-bit halves (below
+    ``2^64`` for fewer than ``2^32`` of them); each touched index's sum
+    is then reduced once, in Python ints.
+    """
+    high = np.zeros(len(target), dtype=np.uint64)
+    low = np.zeros(len(target), dtype=np.uint64)
+    np.add.at(high, at, residues >> np.uint64(32))
+    np.add.at(low, at, residues & np.uint64(0xFFFFFFFF))
+    touched = np.flatnonzero(high | low)
+    sums = zip(high[touched].tolist(), low[touched].tolist(), target[touched].tolist())
+    target[touched] = [((h << 32) + l + t) % p for h, l, t in sums]
 
 
 def to_field(value: int, p: int) -> int:

@@ -412,7 +412,7 @@ class DaVinciSketch(Sketch):
         the element filter: a genuinely promoted element must read at least
         ``T`` in the filter (the paper's ``canDecode``).  Merged and signed
         sketches no longer satisfy that invariant, so they rely on the
-        (stronger in our 61-bit field) residue-consistency check alone.
+        re-hash and sign checks alone, which a crowded bucket can pass.
         """
         if self._decode_cache is None:
             if _obs.ENABLED:

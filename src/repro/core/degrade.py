@@ -102,9 +102,10 @@ def stall_reason(sketches: Sequence["DaVinciSketch"]) -> Optional[str]:
     for index, sketch in enumerate(sketches):
         result = sketch.decode_result()
         if not result.complete:
+            cut = "; its visit budget ran out" if result.budget_exhausted else ""
             reasons.append(
                 f"sketch[{index}]: {result.residual_buckets} residual IFP "
-                f"buckets undecoded ({len(result.counts)} keys recovered)"
+                f"buckets undecoded ({len(result.counts)} keys recovered{cut})"
             )
     if not reasons:
         return None

@@ -18,22 +18,25 @@ validated (Algorithm 5, line 3).
 The peel runs in waves: wave 0 is every occupied bucket, each later wave
 the occupied buckets the previous wave's peels touched.  A wave inverts
 all its counts with one batch inversion (one ``pow``), re-hashes all its
-candidates as one array and calls the validator once, then peels its
-pure buckets in wave order.  For truly pure buckets the order does not
-change what is recovered, but ``DecodeResult.counts`` lists the keys in
-the order the waves peeled them.
+candidates as one array, calls the validator once, then peels its pure
+buckets in wave order as one array update.  ``DecodeResult.counts``
+lists the keys in that order.
 
-Purity is verified three ways, strongest first:
-
-1. field consistency — the recovered ``(e, cnt)`` must reproduce the
-   stored ``iID`` exactly (a 1-in-``p`` coincidence otherwise);
-2. re-hash — ``e`` must map back to the bucket's own column;
-3. (optional) cross-validation against the element filter — a promoted
-   element must read at least ``T`` there (the paper's ``canDecode``).
+A candidate ``e`` is pure when it hashes back to the bucket's column
+and carries the sign its quotient implies there: ``q = iID · icnt⁻¹``
+needs ``+1``, ``p − q`` needs ``−1`` (all that the field identity
+``ζ · icnt · e ≡ iID`` tests, as ``q`` satisfies it by construction);
+and, with a validator, when the element filter reads at least ``T``
+for it (the paper's ``canDecode``).  A crowded bucket can pass the
+first two: count-1 keys ``a``, ``b`` with an even sum give the
+in-domain quotient ``(a + b) / 2``.  Merged, signed and Fermat
+sketches have no validator to reject such a phantom.
 
 The structure is linear over the field, so union and difference are
-bucket-wise add/subtract; counts are kept as signed Python ints so that
-difference sketches decode to signed per-element deltas.
+bucket-wise add/subtract.  ``ids``/``counts`` are ``(rows, width)``
+int64 tables: residues of a prime below ``2^63``, and signed counts in
+``±(2^63 − 1)``, so every sign flip is exact.  A write that would take
+an ``icnt`` out of that range raises ``ConfigurationError`` first.
 
 The bucket arrays, purity test and peel live in :class:`CountingFermat`,
 which the standalone :class:`~repro.sketches.fermat.FermatSketch` shares;
@@ -43,9 +46,7 @@ encode and the metrics.
 
 from __future__ import annotations
 
-import operator
-from itertools import chain
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, TypeVar
+from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar
 
 from repro.common import invariants as _inv
 from repro.common.errors import (
@@ -54,8 +55,14 @@ from repro.common.errors import (
     IncompatibleSketchError,
 )
 from repro.common.hashing import HashFamily, SignFamily, np
-from repro.common.primes import DEFAULT_PRIME, mod_inverses, validate_prime
-from repro.common.validation import require_positive
+from repro.common.primes import (
+    DEFAULT_PRIME,
+    MAX_ARRAY_PRIME,
+    add_mod_at,
+    mod_inverses,
+    validate_prime,
+)
+from repro.common.validation import INT64_MAX, require_positive
 from repro.observability import instruments as _obs_instruments
 from repro.observability import metrics as _obs
 from repro.observability.instruments import InfrequentPartMetrics
@@ -66,18 +73,18 @@ _F = TypeVar("_F", bound="CountingFermat")
 #: a decode's cross-validation hook: int64 key array → bool array
 Validator = Callable[[Any], Any]
 
-#: a pure bucket's content: key, signed count, and the key's flat bucket
-#: and sign in every row
-_Pure = Tuple[int, int, List[int], List[int]]
+_LOW = 0xFFFFFFFF
+_LEAVES_RANGE = "an infrequent-part icnt leaves ±(2^63 − 1), its int64 table's range"
 
 
 class DecodeResult:
     """Outcome of a full decode: the keyed counts plus leftovers."""
 
-    __slots__ = ("counts", "complete", "residual_buckets")
+    __slots__ = ("counts", "complete", "residual_buckets", "budget_exhausted")
 
     def __init__(
-        self, counts: Dict[int, int], complete: bool, residual_buckets: int
+        self, counts: Dict[int, int], complete: bool, residual_buckets: int,
+        budget_exhausted: bool = False,
     ) -> None:
         #: recovered ``{key: signed count}``
         self.counts = counts
@@ -85,21 +92,26 @@ class DecodeResult:
         self.complete = complete
         #: number of non-empty buckets left undecoded
         self.residual_buckets = residual_buckets
+        #: True when the visit budget, not a stall, ended an incomplete
+        #: peel (e.g. one ping-ponging between a phantom and its undo)
+        self.budget_exhausted = budget_exhausted
 
 
-def _occupied(ids: Iterable[int], counts: Iterable[int]) -> int:
-    """Number of buckets with a nonzero ``iID`` or ``icnt``."""
-    return sum(1 for iid, icnt in zip(ids, counts) if icnt != 0 or iid != 0)
-
-
-def _median(values: Iterable[int]) -> int:
-    """The median of ints; the floored mean of the middle two for an even
-    count."""
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2 == 1:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) // 2
+def _add_exact(base: Any, at: Any, values: Any, signs: Any = 1) -> Any:
+    """A copy of int64 ``base`` plus ``signs · values`` at each index
+    ``at`` (repeats accumulate, as in ``np.add.at``), summed exactly as
+    32-bit halves; raises where a result leaves ``±(2^63 − 1)``."""
+    hi, lo = base >> 32, base & _LOW
+    np.add.at(hi, at, signs * (values >> 32))
+    np.add.at(lo, at, signs * (values & _LOW))
+    hi += lo >> 32
+    if hi.size and (hi.min() < -(1 << 31) or hi.max() >= 1 << 31):
+        raise ConfigurationError(_LEAVES_RANGE)
+    hi <<= 32
+    hi |= lo & _LOW
+    if hi.size and hi.min() == -INT64_MAX - 1:
+        raise ConfigurationError(_LEAVES_RANGE)
+    return hi
 
 
 def _unsigned(row: int, key: int) -> int:
@@ -135,10 +147,13 @@ class CountingFermat:
         self.rows = rows
         self.width = width
         self.prime = validate_prime(prime)
+        if self.prime > MAX_ARRAY_PRIME:
+            raise ConfigurationError(f"prime {prime} leaves the int64 tables")
         #: decodable key domain [1, max_key); matches the paper's 32-bit
         #: flow keys (fingerprint longer keys first, per Section III-B2).
-        #: With p = 2^61−1 this makes an accidental pure-looking bucket
-        #: decode to an in-domain key with probability ~2^-29.
+        #: A random residue lands in it with probability max_key / p
+        #: (~2^-29 at p = 2^61 − 1), but a crowded bucket's quotient is
+        #: not random: two count-1 keys with an even sum give their mean.
         self.max_key = max_key
         if max_key >= self.prime:
             raise ConfigurationError("max_key must be below the field prime")
@@ -146,8 +161,10 @@ class CountingFermat:
         self._hashes = HashFamily(rows, width, seed=seed ^ self.HASH_SALT)
         #: the sign ``key`` carries in ``row``, as ``_sign(row, key)``
         self._sign: Callable[[int, int], int] = _unsigned
-        self.ids: List[List[int]] = [[0] * width for _ in range(rows)]
-        self.counts: List[List[int]] = [[0] * width for _ in range(rows)]
+        self._offsets = np.arange(rows, dtype=np.int64)[:, None] * width  # row starts
+        #: ``iID`` residues and signed ``icnt``, ``(rows, width)`` int64
+        self.ids = np.zeros((rows, width), dtype=np.int64)
+        self.counts = np.zeros((rows, width), dtype=np.int64)
 
     def _check_key(self, key: int) -> None:
         if not 1 <= key < self.max_key:
@@ -156,18 +173,30 @@ class CountingFermat:
                 "fingerprint longer keys first"
             )
 
-    def _apply(
-        self, ids: List[List[int]], counts: List[List[int]], key: int, count: int
-    ) -> None:
-        """Add ``count`` of ``key`` to one bucket per row."""
+    def _apply(self, key: int, count: int) -> None:
+        """Add ``count`` of ``key`` to one bucket per row (Algorithm 2) in
+        Python ints; raises, writing nothing, if an ``icnt`` leaves range."""
         p = self.prime
-        for row in range(self.rows):
-            j = self._hashes.index(row, key)
-            ids[row][j] = (ids[row][j] + count * key) % p
-            counts[row][j] += self._sign(row, key) * count
-            if _inv.ENABLED:
-                _inv.check_field_element(ids[row][j], p, "counting Fermat iID")
-                _inv.check_counter_int(counts[row][j], "counting Fermat icnt")
+        rows = range(self.rows)
+        spots = self._hashes.indexes(key)
+        ids = [(int(self.ids[r, j]) + count * key) % p for r, j in zip(rows, spots)]
+        counts = [
+            int(self.counts[r, j]) + self._sign(r, key) * count
+            for r, j in zip(rows, spots)
+        ]
+        if not all(-INT64_MAX <= icnt <= INT64_MAX for icnt in counts):
+            raise ConfigurationError(_LEAVES_RANGE)
+        if _inv.ENABLED:
+            for iid, icnt in zip(ids, counts):
+                _inv.check_field_element(iid, p, "counting Fermat iID")
+                _inv.check_counter_int(icnt, "counting Fermat icnt")
+        self.ids[rows, spots] = ids
+        self.counts[rows, spots] = counts
+
+    def _check_tables(self, where: str) -> None:
+        """Sanitizer: every ``iID`` is a reduced residue (armed only)."""
+        for iid in (self.ids.min(), self.ids.max()):
+            _inv.check_field_element(int(iid), self.prime, where)
 
     # ------------------------------------------------------------------ #
     # decoding (Algorithm 5)
@@ -178,73 +207,58 @@ class CountingFermat:
         return [np.ones(len(keys), dtype=np.int64)] * self.rows
 
     def _pure_in(
-        self,
-        wave: List[int],
-        ids: List[int],
-        counts: List[int],
-        validator: Optional[Validator],
-    ) -> Tuple[Dict[int, _Pure], int]:
+        self, wave: Any, ids: Any, counts: Any, validator: Optional[Validator]
+    ) -> Tuple[Any, Any, Any, Any, Any, int]:
         """The pure buckets of ``wave`` (flat indexes into ``ids``/``counts``).
 
-        Maps each pure bucket to ``(key, signed count, the key's flat
-        bucket in every row, its sign in every row)`` and also returns
-        the number of vetoed candidates.  A count that is a multiple of
-        ``p`` (zero included) has no inverse, so its bucket is not
-        decodable; the rest are inverted together.  A sign of −1 makes
-        the raw quotient ``q`` come out as ``p − e``, so both ``q`` and
-        ``p − q`` are tested: in the key domain, hashed back to the
-        bucket's own column, and reproducing the stored residue exactly.
-        The validator sees every survivor at once; a bucket takes its
-        first accepted candidate, ``q`` before ``p − q``.
+        Returns, for the pure buckets in wave order, their flat indexes,
+        keys, own-row signs, and each key's flat bucket and sign in every
+        row (``rows × n``), then the number of vetoed candidates.  A count
+        ``≡ 0 (mod p)`` has no inverse; the rest are inverted together.
+        ``q`` and ``p − q`` must be in the key domain, hash home and carry
+        sign ``+1`` and ``−1``.  The validator sees every survivor at
+        once; a bucket takes its first accepted candidate, ``q`` first.
         """
         p = self.prime
-        width = self.width
-        max_key = self.max_key
-        decodable = [at for at in wave if counts[at] % p != 0]
-        inverses = mod_inverses([counts[at] for at in decodable], p)
-        candidates: List[Tuple[int, int]] = []
-        for at, inverse in zip(decodable, inverses):
-            quotient = ids[at] * inverse % p
-            for candidate in (quotient, p - quotient):
-                if 0 < candidate < max_key:
-                    candidates.append((at, candidate))
-        pure: Dict[int, _Pure] = {}
-        if not candidates:
-            return pure, 0
-        owners = [at for at, _key in candidates]
-        keys = [key for _at, key in candidates]
-        key_array = np.array(keys, dtype=np.int64)
-        owner_array = np.array(owners, dtype=np.int64)
-        columns = np.stack(self._hashes.index_arrays(key_array))
-        signs = np.stack(self._sign_arrays(key_array))
-        own_row = owner_array // width
+        residues = counts[wave] % p
+        decodable = residues != 0
+        wave = wave[decodable]
+        inverses = mod_inverses(residues[decodable].tolist(), p)
+        quotients = np.array(
+            [iid * inverse % p for iid, inverse in zip(ids[wave].tolist(), inverses)],
+            dtype=np.int64,
+        )
+        # candidate slot 2i is bucket i's q, slot 2i + 1 its p − q
+        slots = np.stack((quotients, p - quotients), axis=1).ravel()
+        chosen = np.flatnonzero((0 < slots) & (slots < self.max_key))
+        keys = slots[chosen]
+        owners = wave[chosen // 2]
+        columns = np.stack(self._hashes.index_arrays(keys))
+        signs = np.stack(self._sign_arrays(keys))
+        own_row, own_column = np.divmod(owners, self.width)
         picks = np.arange(len(keys))
-        homed = np.flatnonzero(columns[own_row, picks] == owner_array % width)
-        own_sign = signs[own_row, picks].tolist()
-        survivors = [
-            i
-            for i in homed.tolist()
-            if (own_sign[i] * counts[owners[i]] * keys[i] - ids[owners[i]]) % p == 0
-        ]
-        accepted = [True] * len(survivors)
-        if validator is not None:
-            verdicts = np.asarray(validator(key_array[survivors]), dtype=bool)
-            if verdicts.shape != (len(survivors),):
+        homed = columns[own_row, picks] == own_column
+        homed &= signs[own_row, picks] == 1 - 2 * (chosen % 2)
+        survivors = np.flatnonzero(homed)
+        accepted = np.ones(len(survivors), dtype=bool)
+        if validator is not None and len(keys):
+            accepted = np.asarray(validator(keys[survivors]), dtype=bool)
+            if accepted.shape != (len(survivors),):
                 raise ConfigurationError("a validator returns one bool per key")
-            accepted = verdicts.tolist()
-        offsets = np.arange(self.rows, dtype=np.int64)[:, None] * width
-        spots = (columns[:, survivors] + offsets).T.tolist()
-        sign_rows = signs[:, survivors].T.tolist()
-        vetoed = 0
-        for i, ok, spot, sign_row in zip(survivors, accepted, spots, sign_rows):
-            at = owners[i]
-            if at in pure:
-                continue  # its first candidate was accepted
-            if not ok:
-                vetoed += 1
-                continue
-            pure[at] = (keys[i], own_sign[i] * counts[at], spot, sign_row)
-        return pure, vetoed
+        # per bucket and candidate: -1 none, 0 vetoed, 1 accepted
+        verdict = np.full((len(wave), 2), -1, dtype=np.int64)
+        verdict.ravel()[chosen[survivors]] = accepted
+        first = verdict[:, 0] == 1  # then p − q is never consulted
+        vetoed = np.count_nonzero(verdict[:, 0] == 0) + np.count_nonzero(
+            (verdict[:, 1] == 0) & ~first
+        )
+        pure = np.flatnonzero(first | (verdict[:, 1] == 1))
+        candidate = np.empty(2 * len(wave), dtype=np.int64)
+        candidate[chosen] = picks
+        taken = candidate[2 * pure + ~first[pure]]
+        spots = columns[:, taken] + self._offsets
+        own = signs[own_row[taken], taken]
+        return wave[pure], keys[taken], own, spots, signs[:, taken], int(vetoed)
 
     def _peel(
         self, validator: Optional[Validator] = None
@@ -253,66 +267,79 @@ class CountingFermat:
 
         Wave 0 is every occupied bucket in ``(row, col)`` order.  A wave
         is tested as one batch (:meth:`_pure_in`) on the arrays as the
-        wave found them, then its pure buckets are peeled in wave order.
-        A bucket that an earlier peel of the same wave touched is left for
-        the next wave, so a key pure in two rows peels once.  The next
-        wave is the occupied buckets the wave left, in wave order, then
-        the other occupied buckets its peels touched, in the order they
-        were touched: the order a FIFO queue would revisit them in.  For
-        truly pure buckets the order does not change what is recovered.
-        ``validator`` maps an int64 key array to a bool array and may veto
-        candidates.  Returns the result and the peel's work: bucket
-        visits, peeled buckets, visits that found no pure content and
-        vetoed candidates.
+        wave found them; a pure bucket that an earlier peel of the same
+        wave touched is left for the next wave, so a key pure in two rows
+        peels once, and the rest are subtracted as one array update.  The
+        next wave is the occupied buckets the wave left, in wave order,
+        then the other occupied buckets its peels touched, in the order
+        they were touched: the order a FIFO queue would revisit them in.
+        ``validator`` maps an int64 key array to a bool array.  Returns
+        the result and the work: bucket visits, peeled buckets, visits
+        that found no pure content and vetoed candidates.  Raises
+        ``ConfigurationError`` where a peel would take a working ``icnt``
+        out of range.
         """
         p = self.prime
-        ids = list(chain.from_iterable(self.ids))
-        counts = list(chain.from_iterable(self.counts))
+        ids = self.ids.ravel().astype(np.uint64)
+        counts = self.counts.ravel().copy()
         decoded: Dict[int, int] = {}
-        wave = [at for at, (iid, icnt) in enumerate(zip(ids, counts)) if iid or icnt]
+        wave = np.flatnonzero(self.ids.ravel() | counts)
         # A peel re-queues every bucket it touches; the visit budget bounds
         # pathological ping-ponging.
         budget = max(64, 8 * self.rows * self.width)
-        visits = peeled = failures = rejections = 0
-        while wave and visits < budget:
+        visits = peeled = failures = rejections = unvisited = 0
+        while len(wave) and visits < budget:
+            unvisited = max(0, len(wave) - (budget - visits))
             wave = wave[: budget - visits]
             visits += len(wave)
-            pure, vetoed = self._pure_in(wave, ids, counts, validator)
-            failures += len(wave) - len(pure)
+            at, keys, own_signs, spots, signs, vetoed = self._pure_in(
+                wave, ids, counts, validator
+            )
+            failures += len(wave) - len(at)
             rejections += vetoed
-            touched: Dict[int, None] = {}
-            left: List[int] = []
-            for at in wave:
-                if at in touched:
-                    left.append(at)
+            position = np.full(len(ids), -1, dtype=np.int64)
+            position[wave] = np.arange(len(wave))
+            # touched bucket → wave position of the peel that first touched it
+            first: Dict[int, int] = {}
+            kept: List[int] = []
+            for n, (i, bucket, row_spots) in enumerate(
+                zip(position[at].tolist(), at.tolist(), spots.T.tolist())
+            ):
+                if bucket in first:
                     continue
-                found = pure.get(at)
-                if found is None:
-                    continue
-                peeled += 1
-                key, count, spots, signs = found
-                total = decoded.get(key, 0) + count
+                kept.append(n)
+                for j in row_spots:
+                    first.setdefault(j, i)
+            peeled += len(kept)
+            amounts = own_signs[kept] * counts[at[kept]]
+            residues = []
+            for key, amount in zip(keys[kept].tolist(), amounts.tolist()):
+                total = decoded.get(key, 0) + amount
                 if total:
                     decoded[key] = total
                 else:
                     del decoded[key]
-                residue = count * key
-                for j, sign in zip(spots, signs):
-                    ids[j] = (ids[j] - residue) % p
-                    counts[j] -= sign * count
-                    touched[j] = None
-            for at in left:
-                del touched[at]
-            wave = [at for at in chain(left, touched) if ids[at] or counts[at]]
-        residual = _occupied(ids, counts)
+                residues.append(-amount * key % p)
+            where = spots[:, kept]
+            counts = _add_exact(counts, where, amounts, -signs[:, kept])
+            residues = np.tile(np.array(residues, dtype=np.uint64), self.rows)
+            add_mod_at(ids, where.ravel(), residues, p)
+            touched = np.fromiter(first, dtype=np.int64, count=len(first))
+            toucher = np.fromiter(first.values(), dtype=np.int64, count=len(first))
+            left = position[touched] > toucher
+            wave = np.concatenate(
+                (wave[np.sort(position[touched[left]])], touched[~left])
+            )
+            wave = wave[(ids[wave] != 0) | (counts[wave] != 0)]
+        residual = int(np.count_nonzero((ids != 0) | (counts != 0)))
         if _inv.ENABLED and residual == 0:
-            # A complete peel removed exactly what it reported: by field
-            # linearity the recovered counts must re-encode to the original
-            # arrays bucket-for-bucket (validator or not).
+            # A complete peel removed exactly what it reported: by linearity
+            # the recovered counts re-encode to the original arrays.
             _inv.check_decode_roundtrip(
                 self, decoded, f"{type(self).__name__}.decode"
             )
-        result = DecodeResult(decoded, residual == 0, residual)
+        cut = residual != 0 and bool(unvisited or len(wave))
+        result = DecodeResult(decoded, residual == 0, residual, cut)
         return result, (visits, peeled, failures, rejections)
 
     # ------------------------------------------------------------------ #
@@ -335,24 +362,25 @@ class CountingFermat:
 
     def merged(self: _F, other: _F) -> _F:
         """Bucket-wise sum: summarizes the multiset union."""
-        return self._combine(other, operator.add)
+        return self._combine(other, 1)
 
     def subtracted(self: _F, other: _F) -> _F:
         """Bucket-wise difference: decodes to signed per-element deltas."""
-        return self._combine(other, operator.sub)
+        return self._combine(other, -1)
 
-    def _combine(self: _F, other: _F, op: Callable[[int, int], int]) -> _F:
+    def _combine(self: _F, other: _F, sign: int) -> _F:
+        """``self + sign · other`` bucket by bucket: residues in the field,
+        ``icnt`` exactly (raises where one would leave ``±(2^63 − 1)``)."""
         self.check_compatible(other)
         result = self.empty_like()
         p = self.prime
-        result.ids = [
-            [op(mine, theirs) % p for mine, theirs in zip(own, their)]
-            for own, their in zip(self.ids, other.ids)
-        ]
-        result.counts = [
-            [op(mine, theirs) for mine, theirs in zip(own, their)]
-            for own, their in zip(self.counts, other.counts)
-        ]
+        result.counts = _add_exact(self.counts, slice(None), other.counts, sign)
+        theirs = other.ids if sign > 0 else (p - other.ids) % p
+        result.ids = (
+            (self.ids.astype(np.uint64) + theirs.astype(np.uint64)) % np.uint64(p)
+        ).astype(np.int64)
+        if _inv.ENABLED:
+            result._check_tables(f"{type(self).__name__} set operation iID")
         return result
 
     def empty_like(self: _F) -> _F:
@@ -366,9 +394,7 @@ class CountingFermat:
     # ------------------------------------------------------------------ #
     def nonzero_buckets(self) -> int:
         """Number of buckets currently holding anything."""
-        return _occupied(
-            chain.from_iterable(self.ids), chain.from_iterable(self.counts)
-        )
+        return int(np.count_nonzero(self.ids | self.counts))
 
     def memory_bytes(self) -> float:
         """Logical size: rows × width × (4-byte iID + 4-byte icnt)."""
@@ -434,6 +460,8 @@ class InfrequentPart(CountingFermat):
             bundle.decode_complete.inc()
         else:
             bundle.decode_incomplete.inc()
+        if result.budget_exhausted:
+            bundle.decode_budget_exhausted.inc()
         bundle.peel_rounds.inc(visits)
         bundle.peeled_buckets.inc(peeled)
         bundle.peel_failures.inc(failures)
@@ -449,62 +477,57 @@ class InfrequentPart(CountingFermat):
         self._check_key(key)
         if _inv.ENABLED:
             _inv.check_counter_int(count, "InfrequentPart.insert count")
+        self._apply(key, count)
         if _obs.ENABLED:
             self._record_inserts(1, count)
-        self._apply(self.ids, self.counts, key, count)
 
     def insert_batch(self, keys: Any, counts: Any) -> None:
         """Encode many ``(key, count)`` pairs (bulk Algorithm 2).
 
         ``keys``/``counts`` are int64 arrays.  The field updates commute,
-        so this equals calling :meth:`insert` per pair.  Row positions and
-        ±1 signs are hashed as arrays; the residues stay exact Python
-        ints, since ``count·key`` exceeds 64 bits.
+        so this equals :meth:`insert` per pair, except that only each
+        bucket's final ``icnt`` is range-checked (before any write).  Each
+        residue ``count · key mod p`` is computed once for all rows.
         """
         if len(keys):
             self._check_key(int(keys.min()))
             self._check_key(int(keys.max()))
-        positions = [row.tolist() for row in self._hashes.index_arrays(keys)]
-        signs = [row.tolist() for row in self._signs.sign_arrays(keys)]
-        keys_list = keys.tolist()
-        counts_list = counts.tolist()
         p = self.prime
-        for row in range(self.rows):
-            ids = self.ids[row]
-            icnts = self.counts[row]
-            for key, count, j, sign in zip(
-                keys_list, counts_list, positions[row], signs[row]
-            ):
-                ids[j] = (ids[j] + count * key) % p
-                icnts[j] += sign * count
+        pairs = zip(keys.tolist(), counts.tolist())
+        residues = np.array([count * key % p for key, count in pairs], np.uint64)
+        at = np.stack(self._hashes.index_arrays(keys)) + self._offsets
+        signs = np.stack(self._sign_arrays(keys))
+        icnt = self.counts.reshape(-1)
+        icnt[...] = _add_exact(icnt, at, counts, signs)
+        # in place, through a uint64 view: residues stay below p < 2^63
+        ids = self.ids.reshape(-1).view(np.uint64)
+        add_mod_at(ids, at.ravel(), np.tile(residues, self.rows), p)
+        if _inv.ENABLED:
+            self._check_tables("InfrequentPart.insert_batch iID")
         if _obs.ENABLED:
             # as per-pair inserts count them: a negative count adds no units
-            self._record_inserts(
-                len(keys_list), sum(count for count in counts_list if count > 0)
-            )
+            self._record_inserts(len(keys), sum(counts[counts > 0].tolist()))
 
     # ------------------------------------------------------------------ #
     # fast (non-inverting) query — Count-Sketch style
     # ------------------------------------------------------------------ #
     def fast_query(self, key: int) -> int:
-        """Median over rows of ``ζᵢ(key) · icnt`` (unbiased, Lemma 1)."""
-        return _median(
-            self._signs.sign(row, key)
-            * self.counts[row][self._hashes.index(row, key)]
-            for row in range(self.rows)
-        )
+        """Median over rows of ``ζᵢ(key) · icnt`` (unbiased, Lemma 1); the
+        floored mean of the middle two for an even row count."""
+        return self.fast_query_many(np.array([key], dtype=np.int64))[0]
 
     def fast_query_many(self, keys: Any) -> List[int]:
         """:meth:`fast_query` of each of the int64 ``keys``."""
-        rows = [
-            [sign * icnts[j] for j, sign in zip(at.tolist(), signs.tolist())]
-            for icnts, at, signs in zip(
-                self.counts,
-                self._hashes.index_arrays(keys),
-                self._signs.sign_arrays(keys),
-            )
-        ]
-        return [_median(estimates) for estimates in zip(*rows)]
+        columns = np.stack(self._hashes.index_arrays(keys))
+        estimates = np.stack(self._sign_arrays(keys))
+        estimates *= self.counts[np.arange(self.rows)[:, None], columns]
+        estimates.sort(axis=0)
+        mid = self.rows // 2
+        if self.rows % 2:
+            return estimates[mid].tolist()
+        low, high = estimates[mid - 1], estimates[mid]
+        # the floored mean, without the sum leaving int64
+        return ((low >> 1) + (high >> 1) + ((low & 1) + (high & 1) >> 1)).tolist()
 
     # ------------------------------------------------------------------ #
     # full decode (Algorithm 5)

@@ -36,13 +36,13 @@ FP         the six int64 buffers of
 EF         each level in the narrowest signed dtype holding ±its cap
            (int8 for 2/4-bit, int16 for 8-bit, int32 for 16-bit, int64
            for 32-bit levels)
-IFP        ``ids`` then ``counts``, ``d·w`` int64 each
+IFP        ``ids`` then ``counts``, ``d·w`` int64 each (the tables as
+           the sketch holds them)
 digest     sha256 (32 bytes) or crc32 (4 bytes) of every byte before it
 =========  ==========================================================
 
-:func:`to_wire` never truncates: a state int64 cannot hold (an IFP
-``icnt`` beyond int64, reachable by signed differences, or a prime
-``≥ 2^63``) raises :class:`~repro.common.errors.ConfigurationError`.
+:func:`to_wire` never truncates: every value it writes is one the sketch
+already holds in an int64 array.
 
 Integrity
 ---------
@@ -80,7 +80,7 @@ one vectorized range check runs:
   whatever the level's wire dtype holds, since chained differences take
   counters past ``±cap`` (:func:`to_wire` raises beyond that dtype);
 * IFP: residues in ``[0, p)``, an unsigned sketch's ``|icnt|`` at most
-  ``total_count``.
+  ``total_count``, a signed sketch's at most ``2^63 − 1``.
 
 Only then does one builder write the arrays into a new sketch's buffers.
 
@@ -283,8 +283,8 @@ def to_state(
         "frequent_part": sketch.fp.bucket_states(),
         "element_filter": [level.tolist() for level in sketch.ef.levels],
         "infrequent_part": {
-            "ids": [list(row) for row in sketch.ifp.ids],
-            "counts": [list(row) for row in sketch.ifp.counts],
+            "ids": sketch.ifp.ids.tolist(),
+            "counts": sketch.ifp.counts.tolist(),
         },
     }
     return sign_state(state, digest_algo)
@@ -303,8 +303,9 @@ def to_wire(
     """Serialize a sketch to a self-verifying wire-v3 blob.
 
     Raises :class:`~repro.common.errors.ConfigurationError` for an
-    unknown ``digest_algo`` and for a state the v3 arrays cannot hold
-    exactly (an IFP ``icnt`` outside int64, a prime ``≥ 2^63``).
+    unknown ``digest_algo``.  Every array it writes is one the sketch
+    holds as int64 (an IFP refuses a prime ``≥ 2^63`` at construction),
+    so nothing is ever truncated.
     """
     if digest_algo not in DIGEST_ALGOS:
         raise ConfigurationError(
@@ -312,11 +313,6 @@ def to_wire(
             f"{DIGEST_ALGOS}"
         )
     config = sketch.config
-    if config.prime > INT64_MAX:
-        raise ConfigurationError(
-            f"prime {config.prime} leaves int64: wire v3 carries IFP "
-            "residues as int64"
-        )
     record = json.dumps(
         {
             "config": _config_state(config),
@@ -342,15 +338,7 @@ def to_wire(
             )
         ef_levels.append(level.astype(dtype).tobytes())
     ef = b"".join(ef_levels)
-    try:
-        ifp = np.array(
-            [sketch.ifp.ids, sketch.ifp.counts], dtype=_INT64_WIRE
-        ).tobytes()
-    except OverflowError:
-        raise ConfigurationError(
-            "an infrequent-part icnt leaves int64: wire v3 cannot carry "
-            "it exactly (to_state() still can)"
-        ) from None
+    ifp = np.stack((sketch.ifp.ids, sketch.ifp.counts)).astype(_INT64_WIRE).tobytes()
     header = _WIRE_HEADER.pack(
         WIRE_MAGIC,
         WIRE_VERSION,
@@ -524,13 +512,14 @@ def _check_sections(
         "infrequent-part iID residue {value} outside the field "
         f"[0, {config.prime})",
     )
-    if not signed:
-        _check_range(
-            icnt,
-            -bound,
-            bound,
-            f"infrequent-part icnt {{value}} exceeds the stream total {total}",
-        )
+    icnt_bound = INT64_MAX if signed else bound
+    _check_range(
+        icnt,
+        -icnt_bound,
+        icnt_bound,
+        f"infrequent-part icnt {{value}} exceeds ±{icnt_bound} (the stream "
+        f"total {total}, or the table's range for a signed sketch)",
+    )
 
 
 def _build(
@@ -545,23 +534,20 @@ def _build(
         view[...] = section
     for view, level in zip(sketch.ef.counter_arrays(), levels):
         view[...] = level
-    sketch.ifp.ids = ids.tolist()
-    sketch.ifp.counts = icnt.tolist()
+    sketch.ifp.ids[...] = ids
+    sketch.ifp.counts[...] = icnt
     return sketch
 
 
 # --------------------------------------------------------------------- #
 # the JSON state: structure and types, then arrays
 # --------------------------------------------------------------------- #
-def _int_array(
-    values: Sequence[Any], what: str, flags: bool = False, wide: bool = False
-) -> Any:
+def _int_array(values: Sequence[Any], what: str, flags: bool = False) -> Any:
     """``values`` as an int64 array.
 
     A non-integer is malformed (``ConfigurationError``); a bool counts as
     one, except among ``flags``, where any non-integer is an impossible
-    flag.  A value int64 cannot hold is corruption, unless ``wide``: then
-    the array keeps exact Python ints (dtype object).
+    flag.  A value int64 cannot hold is corruption.
     """
     for kind in set(map(type, values)):
         if issubclass(kind, int) and (flags or kind is not bool):
@@ -574,11 +560,9 @@ def _int_array(
     try:
         return np.array(values, dtype=np.int64)
     except OverflowError:
-        if not wide:
-            raise StateCorruptionError(
-                f"{what} holds a value outside int64 — counter corruption"
-            ) from None
-        return np.array(values, dtype=object)
+        raise StateCorruptionError(
+            f"{what} holds a value outside int64 — counter corruption"
+        ) from None
 
 
 def _json_frequent_part(section: Any, config: DaVinciConfig) -> Tuple[Any, ...]:
@@ -627,11 +611,7 @@ def _json_frequent_part(section: Any, config: DaVinciConfig) -> Tuple[Any, ...]:
 
 
 def _json_sections(state: Dict[str, Any], config: DaVinciConfig) -> Sections:
-    """A JSON state's sections as arrays, structure and types checked.
-
-    IFP values may leave int64 (a signed ``icnt``, a prime ``≥ 2^63``):
-    those sections stay exact as object arrays.
-    """
+    """A JSON state's sections as arrays, structure and types checked."""
     fp = _json_frequent_part(state["frequent_part"], config)
     levels = state["element_filter"]
     if not isinstance(levels, list) or [
@@ -656,7 +636,7 @@ def _json_sections(state: Dict[str, Any], config: DaVinciConfig) -> Sections:
         ):
             raise ConfigurationError("infrequent-part state does not match config")
         flat = list(chain.from_iterable(rows))
-        ifp.append(_int_array(flat, f"infrequent-part {field}", wide=True))
+        ifp.append(_int_array(flat, f"infrequent-part {field}"))
     return fp, ef, (ifp[0].reshape(d, w), ifp[1].reshape(d, w))
 
 

@@ -27,7 +27,7 @@ simplification of the full partition enumeration, which is exponential).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from repro.common.errors import ConfigurationError
 from repro.core.kernel import np
@@ -55,78 +55,74 @@ class CounterArrayEM:
         self.iterations = iterations
         self.max_value = max_value
 
-    def estimate(self, counters: Sequence[int]) -> Dict[int, float]:
-        """Expected number of flows of each size hidden in ``counters``."""
-        num_counters = len(counters)
-        if num_counters == 0:
-            return {}
+    def estimate(self, counters: Any) -> Dict[int, float]:
+        """Expected number of flows of each size hidden in ``counters``
+        (a sequence or an integer array).
 
-        value_hist: Dict[int, int] = {}
-        for value in counters:
-            if value <= 0:
-                continue
-            if self.max_value is not None and value > self.max_value:
-                continue
-            value_hist[value] = value_hist.get(value, 0) + 1
-        if not value_hist:
+        The E-step runs over a flat index of the pairs ``(value, split)``,
+        ``1 ≤ split ≤ value / 2``, of the observed values, never a dense
+        grid.  Each sum adds its terms in the order of the per-value loop
+        it replaces (values in order of first appearance; a value's own
+        share, then its splits' two shares each), so both round alike.
+        """
+        counters = np.asarray(counters, dtype=np.int64)
+        limit = np.inf if self.max_value is None else self.max_value
+        kept = counters[(counters > 0) & (counters <= limit)]
+        if not len(kept):
             return {}
+        histogram = np.bincount(kept)
+        first = np.full(len(histogram), len(kept))  # first appearance of each value
+        np.minimum.at(first, kept, np.arange(len(kept)))
+        values = np.flatnonzero(histogram)
+        values = values[np.argsort(first[values])]
+        multiplicity = histogram[values].astype(float)
 
-        load = linear_counting_over(counters) / num_counters
+        load = linear_counting_over(counters) / len(counters)
         # Poisson weights for 1 vs 2 flows in a counter, conditioned on the
         # counter being non-empty.  p2/p1 = λ/2.
         pair_prior = max(1e-12, load / 2.0)
 
-        max_size = max(value_hist)
-        phi = self._initial_phi(value_hist, max_size)
+        # pair i explains values[owner[i]] as split[i] + other[i]; shares
+        # sit in a value's own slot, then in two slots per split
+        halves = values // 2
+        owner = np.repeat(np.arange(len(values)), halves)
+        before = np.cumsum(halves) - halves
+        split = np.arange(len(owner)) - before[owner] + 1
+        other = values[owner] - split
+        coefficient = pair_prior * np.where(split == other, 1.0, 2.0)
+        own_slot = np.arange(len(values)) + 2 * before
+        pair_slots = own_slot[owner] + 2 * split - 1 + np.arange(2)[:, None]
+        target = np.empty(len(values) + 2 * len(owner), dtype=np.int64)
+        target[own_slot] = values
+        target[pair_slots] = np.stack((split, other))
+        summands = np.concatenate((np.arange(len(values)), owner))
+        shares = np.empty(len(target))
+
+        # Collision-free start, φ_v ∝ observed counter values, with a tiny
+        # floor that lets EM discover sizes absent from the raw counters
+        # (e.g. a size only present inside collided counters).
+        phi = np.zeros(len(histogram))
+        phi[values] = multiplicity / np.cumsum(multiplicity)[-1]
+        phi = np.maximum(phi, 1e-6)
+        phi[0] = 0.0
+        phi /= np.cumsum(phi[1:])[-1]
 
         for _ in range(self.iterations):
-            expected = [0.0] * (max_size + 1)
-            for value, multiplicity in value_hist.items():
-                weights: List[float] = []
-                splits: List[Optional[int]] = []
-                weights.append(phi[value])
-                splits.append(None)  # single-flow explanation
-                for a in range(1, value // 2 + 1):
-                    b = value - a
-                    symmetry = 1.0 if a == b else 2.0
-                    weights.append(pair_prior * symmetry * phi[a] * phi[b])
-                    splits.append(a)
-                total = sum(weights)
-                if total <= 0.0:
-                    expected[value] += multiplicity
-                    continue
-                scale = multiplicity / total
-                for weight, split in zip(weights, splits):
-                    share = weight * scale
-                    if split is None:
-                        expected[value] += share
-                    else:
-                        expected[split] += share
-                        expected[value - split] += share
-            total_flows = sum(expected)
+            single = phi[values]
+            pair = coefficient * phi[split] * phi[other]
+            total = np.bincount(summands, np.concatenate((single, pair)))
+            explained = total > 0.0
+            scale = multiplicity / np.where(explained, total, 1.0)
+            shares[own_slot] = np.where(explained, single * scale, multiplicity)
+            shares[pair_slots] = np.where(explained[owner], pair * scale[owner], 0.0)
+            expected = np.bincount(target, shares, len(histogram))
+            total_flows = np.cumsum(expected)[-1]
             if total_flows <= 0.0:
                 break
-            phi = [count / total_flows for count in expected]
+            phi = expected / total_flows
 
-        return {
-            size: count
-            for size, count in enumerate(expected)
-            if size >= 1 and count > 1e-9
-        }
-
-    @staticmethod
-    def _initial_phi(value_hist: Dict[int, int], max_size: int) -> List[float]:
-        """Collision-free initialization: φ_v ∝ observed counter values."""
-        phi = [0.0] * (max_size + 1)
-        total = sum(value_hist.values())
-        for value, count in value_hist.items():
-            phi[value] = count / total
-        # A tiny floor lets EM discover sizes absent from the raw counters
-        # (e.g. a size only present inside collided counters).
-        floor = 1e-6
-        phi = [max(p, floor) for p in phi]
-        norm = sum(phi[1:])
-        return [0.0] + [p / norm for p in phi[1:]]
+        sizes = np.flatnonzero(expected[1:] > 1e-9) + 1
+        return dict(zip(sizes.tolist(), expected[sizes].tolist()))
 
 
 def distribution(
@@ -203,4 +199,4 @@ def _filter_resident_distribution(
     base[at] = np.maximum(0, counters[at] - debited)
 
     em = CounterArrayEM(max_value=cap - 1)
-    return em.estimate(base.tolist())
+    return em.estimate(base)

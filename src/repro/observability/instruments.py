@@ -193,6 +193,7 @@ class InfrequentPartMetrics:
         "decodes",
         "decode_complete",
         "decode_incomplete",
+        "decode_budget_exhausted",
         "peeled_buckets",
         "peel_failures",
         "peel_rounds",
@@ -219,7 +220,12 @@ class InfrequentPartMetrics:
         )
         self.decode_incomplete: Counter = registry.counter(
             "davinci_ifp_decode_incomplete_total",
-            "Decodes that stalled with residual buckets",
+            "Decodes that ended with residual buckets (a stall or a cut)",
+        )
+        self.decode_budget_exhausted: Counter = registry.counter(
+            "davinci_ifp_decode_budget_exhausted_total",
+            "Incomplete decodes cut by the peel's visit budget while still "
+            "peeling, not by a stall",
         )
         self.peeled_buckets: Counter = registry.counter(
             "davinci_ifp_peeled_buckets_total",

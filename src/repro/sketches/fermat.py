@@ -44,10 +44,10 @@ class FermatSketch(CountingFermat, InvertibleSketch):
 
     def insert(self, key: int, count: int = 1) -> None:
         self._check_key(key)
+        self._apply(key, count)
         self.insertions += 1
         self.memory_accesses += self.rows
         self._decode_cache = None
-        self._apply(self.ids, self.counts, key, count)
 
     def query(self, key: int) -> int:
         """Point query via full decode (Fermat sketches have no fast path)."""

@@ -2,12 +2,15 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.common.primes import (
     DEFAULT_PRIME,
+    MAX_ARRAY_PRIME,
     SMALL_PRIME,
+    add_mod_at,
     from_field_signed,
     is_prime,
     mod_inverse,
@@ -105,6 +108,37 @@ class TestModInverses:
     def test_a_multiple_of_p_has_no_inverse(self, zero):
         with pytest.raises(ConfigurationError):
             mod_inverses([3, zero, 5], 7)
+
+
+#: every size class of prime the int64 tables accept, the largest included
+ARRAY_PRIMES = [5, 1_000_003, SMALL_PRIME, DEFAULT_PRIME, (1 << 62) + 135]
+ARRAY_PRIMES.append(
+    max(n for n in range(MAX_ARRAY_PRIME - 100, MAX_ARRAY_PRIME) if is_prime(n))
+)
+
+
+def residues(rng, p, count):
+    values = [rng.randrange(p) for _ in range(count)] + [0, 1, p - 1]
+    return np.array(values, dtype=np.uint64)
+
+
+class TestArrayFieldArithmetic:
+    @pytest.mark.parametrize("p", ARRAY_PRIMES)
+    def test_add_mod_at_with_repeated_indexes(self, p):
+        rng = random.Random(p + 1)
+        target = residues(rng, p, 5)
+        at = np.array([rng.randrange(len(target)) for _ in range(40)])
+        values = residues(rng, p, 37)
+        expected = target.tolist()
+        for j, value in zip(at.tolist(), values.tolist()):
+            expected[j] = (expected[j] + value) % p
+        add_mod_at(target, at, values, p)
+        assert target.tolist() == expected
+
+    def test_add_mod_at_with_nothing_to_add(self):
+        target = np.array([3, 4], dtype=np.uint64)
+        add_mod_at(target, np.array([], dtype=np.int64), target[:0], 7)
+        assert target.tolist() == [3, 4]
 
 
 class TestFieldConversions:

@@ -253,6 +253,40 @@ class TestSetOperationPolicies:
         # the degraded result still answers point queries
         assert isinstance(result.value.query(1), int)
 
+    def test_a_peel_cut_by_its_visit_budget_is_flagged(self):
+        # a signed difference whose peel keeps undoing and redoing a false
+        # peel until the budget (8 visits per bucket, at least 64) runs out
+        config = DaVinciConfig(
+            fp_buckets=4,
+            fp_entries=3,
+            ef_level_widths=(32, 8),
+            ef_level_bits=(4, 8),
+            ifp_rows=3,
+            ifp_width=2,
+            filter_threshold=10,
+            seed=39,
+        )
+        a, b = DaVinciSketch(config), DaVinciSketch(config)
+        a.insert_batch(
+            [(29, 18), (20, 16), (57, 16), (25, 8), (29, 11), (37, 24), (25, 29)]
+            + [(59, 29), (14, 24)]
+        )
+        b.insert_batch(
+            [(4, 16), (52, 18), (29, 20), (6, 18), (22, 17), (19, 30), (27, 9)]
+            + [(35, 5), (7, 21), (17, 9), (29, 19)]
+        )
+        decoded = a.difference(b).decode_result()
+        assert decoded.budget_exhausted and not decoded.complete
+        assert decoded.residual_buckets == 3
+        result = run_task(a, "difference", other=b, policy=DegradationPolicy.DEGRADE)
+        assert result.degraded is True
+        assert "visit budget ran out" in result.reason
+        # a stall is not a cut
+        left, right = _overloaded_pair()
+        stalled = run_task(left, "union", other=right, policy=DegradationPolicy.DEGRADE)
+        assert not stalled.value.decode_result().budget_exhausted
+        assert "visit budget" not in stalled.reason
+
     @pytest.mark.parametrize("op", SET_OPERATIONS)
     def test_clean_inputs_are_not_degraded(
         self, populated, companion, op

@@ -96,7 +96,11 @@ def test_fermat_state_matches_recorded_build():
     for key in STREAM[1_000:4_000]:
         b.insert(key, 2)
     payload = {
-        name: [sorted(sketch.decode().items()), sketch.ids, sketch.counts]
+        name: [
+            sorted(sketch.decode().items()),
+            sketch.ids.tolist(),
+            sketch.counts.tolist(),
+        ]
         for name, sketch in (
             ("a", a),
             ("union", a.merge(b)),

@@ -135,3 +135,36 @@ class TestIntrospection:
         for key, count in truth.items():
             small.insert(key, count)
         assert small.decode().counts == truth
+
+
+class TestCrowdedBuckets:
+    """Decodes of one tiny structure, as recorded before the tables became
+    int64 arrays: a crowded bucket passes the re-hash and sign tests when
+    its quotient is an in-domain key, and nothing else rejects it without
+    a validator."""
+
+    KEYS = (500, 549, 551, 580, 691)
+
+    def decode(self, counts):
+        ifp = InfrequentPart(rows=3, width=8, seed=1)
+        for key, count in zip(self.KEYS, counts):
+            ifp.insert(key, count)
+        return ifp._peel()
+
+    def test_count_one_keys_decode_completely(self):
+        result, work = self.decode((1, 1, 1, 1, 1))
+        assert list(result.counts.items()) == [
+            (500, 1), (551, 1), (580, 1), (691, 1), (549, 1)
+        ]
+        assert (result.complete, result.residual_buckets) == (True, 0)
+        assert not result.budget_exhausted
+        assert work == (21, 9, 6, 0)
+
+    def test_a_phantom_mean_is_peeled_and_undone_until_the_budget(self):
+        # (549 + 691) / 2 = 620 reads as one key of count 2, and 522 is a
+        # second phantom; neither was inserted
+        result, work = self.decode((-2, 1, 2, -1, 1))
+        assert list(result.counts.items()) == [(500, -2), (522, 1), (620, 2)]
+        assert (result.complete, result.residual_buckets) == (False, 7)
+        assert result.budget_exhausted
+        assert work == (192, 107, 31, 0)

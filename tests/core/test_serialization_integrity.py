@@ -624,22 +624,27 @@ _JSON_VALUES = st.recursive(
 
 
 class TestWireV3Exactness:
-    """to_wire raises for a state int64 cannot hold; it never truncates."""
+    """No sketch holds a value wire v3's int64 arrays cannot carry, so
+    to_wire never truncates: the IFP tables refuse it first."""
 
     def test_ifp_count_outside_int64(self, populated):
         delta = populated.difference(DaVinciSketch(populated.config))
-        delta.ifp.counts[0][0] = 2**63
+        blob = to_wire(delta)
+        full = delta.ifp.empty_like()
+        full.counts[0, 0] = 2**63 - 1
         with pytest.raises(ConfigurationError, match="int64"):
-            to_wire(delta)
-        assert from_state(to_state(delta)).ifp.counts[0][0] == 2**63
+            delta.ifp.merged(full).merged(full)
+        assert to_wire(delta) == blob
+        state = to_state(delta)
+        state["infrequent_part"]["counts"][0][0] = 2**63
+        with pytest.raises(StateCorruptionError, match="int64"):
+            from_state(sign_state(state))
 
     def test_prime_at_or_above_two_to_the_63(self, small_config):
         prime = 2**63 + 29  # the least prime above 2^63
         config = DaVinciConfig(**{**small_config.__dict__, "prime": prime})
-        sketch = DaVinciSketch(config)
-        sketch.insert_all([1, 2, 3])
         with pytest.raises(ConfigurationError, match="prime"):
-            to_wire(sketch)
+            DaVinciSketch(config)
 
 
 #: the path of every mapping key in a populated state; the keys of a

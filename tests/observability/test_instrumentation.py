@@ -16,6 +16,7 @@ catalog in ``docs/OBSERVABILITY.md`` promises:
 import pytest
 
 from repro.core import DaVinciConfig, DaVinciSketch
+from repro.core.infrequent_part import InfrequentPart
 from repro.observability import metrics as obs
 from repro.observability.metrics import MetricsRegistry
 from repro.workloads import zipf_trace
@@ -136,6 +137,23 @@ class TestDecodeTelemetry:
         assert registry.value("davinci_ifp_residual_buckets") == (
             result.residual_buckets
         )
+
+    def test_a_budget_cut_decode_is_counted_apart_from_stalls(self):
+        # (549 + 691) / 2 = 620 is a phantom the peel keeps undoing and
+        # redoing until its visit budget runs out (no validator)
+        registry = MetricsRegistry()
+        ifp = InfrequentPart(rows=3, width=8, seed=1)
+        ifp._obs_registry = registry
+        for key, count in zip((500, 549, 551, 580, 691), (-2, 1, 2, -1, 1)):
+            ifp.insert(key, count)
+        with obs.enabled():
+            assert ifp.decode().budget_exhausted
+            ifp.insert(580, 1)
+            ifp.insert(551, -2)
+            assert ifp.decode().complete
+        assert registry.value("davinci_ifp_decodes_total") == 2
+        assert registry.value("davinci_ifp_decode_incomplete_total") == 1
+        assert registry.value("davinci_ifp_decode_budget_exhausted_total") == 1
 
     def test_decode_cache_counters(self, armed_run):
         sketch, registry, _ = armed_run

@@ -18,6 +18,15 @@ here read one key at a time through the scalar ``query``, ``lookup`` and
 filter ``query`` and walk the counters in Python, and the array tasks
 must return exactly their answers.
 
+The infrequent part keeps its buckets as int64 tables and encodes,
+merges and subtracts them as arrays.  :func:`encode` and
+:func:`combine_tables` are Algorithm 2 and the bucket-wise set
+operations in exact Python ints, and :func:`fits` says whether such
+tables are ones the int64 tables may hold.
+
+:func:`em_estimate` is the distribution EM one counter and one split at
+a time, which the array EM must equal.
+
 The infrequent part decodes (Algorithm 5) in waves: one batch inversion,
 one array hash and one validator call per wave.  :func:`peel` here is the
 sequential recipe it must equal in ``counts`` (as a mapping),
@@ -27,15 +36,16 @@ pure bucket as soon as it is popped.
 """
 
 from collections import deque
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.common.primes import mod_inverse
-from repro.common.validation import require_int64
+from repro.common.validation import INT64_MAX, require_int64
 from repro.core.davinci import MODE_ADDITIVE, MODE_SIGNED, DaVinciSketch
 from repro.core.frequent_part import FrequentPart
 from repro.core.infrequent_part import CountingFermat, DecodeResult
+from repro.core.tasks.cardinality import linear_counting_over
 from repro.core.tasks.distribution import CounterArrayEM
 
 
@@ -136,7 +146,7 @@ def distribution(sketch: DaVinciSketch, em_level: int = 0) -> Dict[int, float]:
         if key not in decoded and 0 < residue < cap:
             j = ef._hashes.index(level, key)
             base[j] = max(0, base[j] - min(residue, ef.threshold))
-    for size, count in CounterArrayEM(max_value=cap - 1).estimate(base).items():
+    for size, count in em_estimate(CounterArrayEM(max_value=cap - 1), base).items():
         histogram[size] = histogram.get(size, 0.0) + count
     return histogram
 
@@ -205,8 +215,8 @@ def peel(
     budget (8 visits per bucket, at least 64).
     """
     p = fermat.prime
-    ids = [row[:] for row in fermat.ids]
-    counts = [row[:] for row in fermat.counts]
+    ids = fermat.ids.tolist()
+    counts = fermat.counts.tolist()
     decoded: Dict[int, int] = {}
     queue = deque(
         (row, col)
@@ -244,3 +254,112 @@ def peel(
         if icnt != 0 or iid != 0
     )
     return DecodeResult(decoded, residual == 0, residual), initial_budget - budget
+
+
+def _added(values: Sequence[float]) -> float:
+    """``sum(values)`` added left to right, as Python before 3.12 does
+    (3.12 compensates float sums)."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def em_estimate(em: CounterArrayEM, counters: Sequence[int]) -> Dict[int, float]:
+    """:meth:`CounterArrayEM.estimate` one counter and one split at a time."""
+    num_counters = len(counters)
+    if num_counters == 0:
+        return {}
+    value_hist: Dict[int, int] = {}
+    for value in counters:
+        if value <= 0:
+            continue
+        if em.max_value is not None and value > em.max_value:
+            continue
+        value_hist[value] = value_hist.get(value, 0) + 1
+    if not value_hist:
+        return {}
+    load = linear_counting_over(list(counters)) / num_counters
+    pair_prior = max(1e-12, load / 2.0)
+    max_size = max(value_hist)
+    phi = [0.0] * (max_size + 1)
+    observed = sum(value_hist.values())
+    for value, count in value_hist.items():
+        phi[value] = count / observed
+    phi = [max(p, 1e-6) for p in phi]
+    norm = _added(phi[1:])
+    phi = [0.0] + [p / norm for p in phi[1:]]
+    for _ in range(em.iterations):
+        expected = [0.0] * (max_size + 1)
+        for value, multiplicity in value_hist.items():
+            weights: List[float] = [phi[value]]
+            splits: List[Optional[int]] = [None]  # single-flow explanation
+            for a in range(1, value // 2 + 1):
+                b = value - a
+                symmetry = 1.0 if a == b else 2.0
+                weights.append(pair_prior * symmetry * phi[a] * phi[b])
+                splits.append(a)
+            total = _added(weights)
+            if total <= 0.0:
+                expected[value] += multiplicity
+                continue
+            scale = multiplicity / total
+            for weight, split in zip(weights, splits):
+                share = weight * scale
+                if split is None:
+                    expected[value] += share
+                else:
+                    expected[split] += share
+                    expected[value - split] += share
+        total_flows = _added(expected)
+        if total_flows <= 0.0:
+            break
+        phi = [count / total_flows for count in expected]
+    return {
+        size: count
+        for size, count in enumerate(expected)
+        if size >= 1 and count > 1e-9
+    }
+
+
+#: an infrequent part's ``(ids, counts)`` as nested lists of Python ints
+Tables = Tuple[List[List[int]], List[List[int]]]
+
+
+def encode(
+    fermat: CountingFermat,
+    pairs: Sequence[Tuple[int, int]],
+    tables: Optional[Tables] = None,
+) -> Tables:
+    """Algorithm 2, one pair and one row at a time, onto copies of
+    ``tables`` (default: ``fermat``'s own)."""
+    if tables is None:
+        tables = (fermat.ids.tolist(), fermat.counts.tolist())
+    ids = [row[:] for row in tables[0]]
+    counts = [row[:] for row in tables[1]]
+    p = fermat.prime
+    for key, count in pairs:
+        for row in range(fermat.rows):
+            j = fermat._hashes.index(row, key)
+            ids[row][j] = (ids[row][j] + count * key) % p
+            counts[row][j] += fermat._sign(row, key) * count
+    return ids, counts
+
+
+def combine_tables(mine: Tables, theirs: Tables, sign: int, p: int) -> Tables:
+    """``mine + sign · theirs`` bucket by bucket."""
+    return (
+        [
+            [(a + sign * b) % p for a, b in zip(own, their)]
+            for own, their in zip(mine[0], theirs[0])
+        ],
+        [
+            [a + sign * b for a, b in zip(own, their)]
+            for own, their in zip(mine[1], theirs[1])
+        ],
+    )
+
+
+def fits(tables: Tables) -> bool:
+    """Whether every ``icnt`` lies in ``±(2^63 − 1)``."""
+    return all(-INT64_MAX <= icnt <= INT64_MAX for row in tables[1] for icnt in row)

@@ -49,9 +49,9 @@ class FermatDecodeContract(_FermatFactory):
     def test_decode_is_non_destructive(self):
         sketch = self.make()
         sketch.insert(7, 2)
-        before = [row[:] for row in sketch.ids], [row[:] for row in sketch.counts]
+        before = sketch.ids.tolist(), sketch.counts.tolist()
         assert self.decoded(sketch) == self.decoded(sketch) == {7: 2}
-        assert (sketch.ids, sketch.counts) == before
+        assert (sketch.ids.tolist(), sketch.counts.tolist()) == before
         assert sketch.nonzero_buckets() == 3
 
     def test_out_of_domain_keys_rejected(self):
@@ -65,16 +65,16 @@ class FermatDecodeContract(_FermatFactory):
         sketch.insert(11, 2)
         decoded = self.decoded(sketch)
         before = (
-            [row[:] for row in sketch.ids],
-            [row[:] for row in sketch.counts],
+            sketch.ids.tolist(),
+            sketch.counts.tolist(),
             getattr(sketch, "insertions", None),
             getattr(sketch, "memory_accesses", None),
         )
         with pytest.raises(ConfigurationError):
             sketch.insert(0, 5)
         after = (
-            sketch.ids,
-            sketch.counts,
+            sketch.ids.tolist(),
+            sketch.counts.tolist(),
             getattr(sketch, "insertions", None),
             getattr(sketch, "memory_accesses", None),
         )
