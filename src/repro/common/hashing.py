@@ -25,7 +25,7 @@ the bulk paths use.
 from __future__ import annotations
 
 import random
-from typing import Any, List, NoReturn, Optional, Sequence, Union
+from typing import Any, Iterable, List, NoReturn, Optional, Sequence, Union
 
 import numpy
 
@@ -79,6 +79,26 @@ def reject_key(key: object) -> NoReturn:
     raise ConfigurationError(f"unsupported key type: {type(key).__name__}")
 
 
+def encode_text(key: str) -> bytes:
+    """A ``str`` key's UTF-8 bytes; one UTF-8 cannot encode (a lone
+    surrogate such as ``"\\ud800"``) raises ``ConfigurationError``."""
+    try:
+        return key.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ConfigurationError(
+            f"str key {key[:40]!r} is not encodable as UTF-8 "
+            f"({exc.reason} at index {exc.start})"
+        ) from None
+
+
+def check_texts(keys: Iterable[object]) -> None:
+    """Raise :func:`encode_text`'s error for the first ``str`` in ``keys``
+    that UTF-8 cannot encode (the batch paths' error branch)."""
+    for key in keys:
+        if isinstance(key, str):
+            encode_text(key)
+
+
 def key_to_int(key: object) -> int:
     """Canonicalize a sketch key to a non-negative integer.
 
@@ -90,7 +110,7 @@ def key_to_int(key: object) -> int:
     if isinstance(key, int) and not isinstance(key, bool):
         return key & _MASK64
     if isinstance(key, str):
-        key = key.encode("utf-8")
+        key = encode_text(key)
     if isinstance(key, (bytes, bytearray)):
         acc = FNV_OFFSET
         for byte in key:

@@ -79,6 +79,7 @@ from typing import (
 )
 
 from repro.common.errors import CheckpointError, ConfigurationError
+from repro.common.hashing import check_texts
 from repro.common.validation import INT64_MAX, require_int64
 from repro.core import serialization
 from repro.core.config import DaVinciConfig
@@ -671,12 +672,20 @@ class CheckpointingIngestor:
     def _append_record(
         self, keys: List[Union[int, str]], compact: Union[int, List[int]]
     ) -> None:
-        """Write one CRC-prefixed record line (see :func:`_crc_line`)."""
+        """Write one CRC-prefixed record line (see :func:`_crc_line`).
+
+        A ``str`` key UTF-8 cannot encode (a lone surrogate) raises the
+        sketch's ``ConfigurationError`` before anything is written.
+        """
         observing = _obs.ENABLED
         started = time.perf_counter() if observing else 0.0
-        line = _crc_line(
-            {"counts": compact, "keys": keys, "seq": self.applied_seq + 1}
-        )
+        try:
+            line = _crc_line(
+                {"counts": compact, "keys": keys, "seq": self.applied_seq + 1}
+            )
+        except UnicodeEncodeError:  # only "s:" keys hold arbitrary text
+            check_texts(key[2:] for key in keys if isinstance(key, str))
+            raise
         self._journal_file.write(line + b"\n")
         self._journal_file.flush()
         os.fsync(self._journal_file.fileno())

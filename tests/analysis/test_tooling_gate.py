@@ -9,6 +9,7 @@ Makefile, pre-commit, CI and this test all execute the identical gate.
 
 from __future__ import annotations
 
+import re
 import shutil
 import subprocess
 
@@ -49,3 +50,23 @@ def test_pyproject_declares_both_gates():
     assert "[tool.mypy]" in text
     assert "strict = true" in text
     assert "[tool.ruff]" in text
+
+
+def test_make_test_debug_runs_the_ci_sanitizer_list():
+    # `make test-debug` promises CI's "Core suite under the
+    # debug-invariant sanitizer" step; the two name the same paths.
+    def paths(command):
+        return [word for word in command.split() if word.startswith("tests/")]
+
+    makefile = (REPO_ROOT / "Makefile").read_text(encoding="utf-8")
+    make = re.search(r"^test-debug:\n\t(.+)$", makefile, re.M)
+    workflow = (REPO_ROOT / ".github/workflows/ci.yml").read_text(
+        encoding="utf-8"
+    )
+    ci = re.search(
+        r"name: Core suite under the debug-invariant sanitizer\n\s+run: (.+)$",
+        workflow,
+        re.M,
+    )
+    assert make is not None and ci is not None
+    assert paths(make.group(1)) == paths(ci.group(1))

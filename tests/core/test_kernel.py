@@ -17,7 +17,7 @@ from repro.common import invariants
 from repro.common.errors import ConfigurationError, InvariantViolation
 from repro.common.hashing import canonical_key, key_to_int
 from repro.core import DaVinciConfig, DaVinciSketch
-from repro.core import serialization
+from repro.core import kernel, serialization
 from repro.core.kernel import KERNEL_ARRAY, KERNEL_OBJECT, canonical_keys
 from repro.observability import metrics as obs_metrics
 
@@ -277,12 +277,73 @@ class TestCanonicalKeys:
             5,
         ]
 
-    @pytest.mark.parametrize("bad", [True, False, 1.5, None, ("a",)])
+    @pytest.mark.parametrize("bad", [True, False, 1.5, None, ("a",), "\ud800"])
     def test_rejects_what_the_scalar_path_rejects(self, bad):
         with pytest.raises(ConfigurationError) as scalar:
             key_to_int(bad)
         with pytest.raises(ConfigurationError, match=re.escape(str(scalar.value))):
             canonical_keys(["a", 3, bad, None])
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            ["a", "x\udfff", "\ud800"],
+            flow_strings(3000) + ["x\udfff", "\ud800"],
+            ["a", "b"] * 2000 + ["x\udfff", "\ud800"] * 3,
+            ["a", b"b", 7, "x\udfff", True, "\ud800"],
+        ],
+        ids=["short", "mostly-distinct", "duplicate-heavy", "mixed"],
+    )
+    def test_lone_surrogate_raises_for_the_first_in_order(self, keys):
+        # UTF-8 cannot encode a lone surrogate; both paths raise the same
+        # typed error, naming the first such key (not the later bool)
+        with pytest.raises(ConfigurationError) as scalar:
+            [canonical_key(key) for key in keys]
+        assert "'x\\udfff'" in str(scalar.value)
+        with pytest.raises(ConfigurationError, match=re.escape(str(scalar.value))):
+            canonical_keys(keys)
+
+    def test_lone_surrogate_leaves_the_sketch_untouched(self):
+        sketch = DaVinciSketch(make_config())
+        sketch.insert_batch(stream(), chunk_size=64)
+        before = serialization.to_state(sketch)
+        for call in (
+            lambda: sketch.insert("\ud800"),
+            lambda: sketch.insert_all(["a", "\ud800"]),
+            lambda: sketch.insert_batch([("a", 1), ("\ud800", 2)]),
+            lambda: sketch.query("\ud800"),
+            lambda: sketch.query_many(["a", "\ud800"]),
+        ):
+            with pytest.raises(ConfigurationError, match="surrogates"):
+                call()
+        assert serialization.to_state(sketch) == before
+
+    @pytest.mark.parametrize(
+        "in_place", [False, True], ids=["distinct-once", "in-place"]
+    )
+    def test_each_side_of_the_mostly_distinct_cut(self, monkeypatch, in_place):
+        # Every stride-th key is sampled; with the sampled share exactly
+        # at the cut each distinct key is mixed once, one more distinct
+        # sampled key and every key is mixed in place.
+        stride, cut = kernel._DISTINCT_STRIDE, kernel._MOSTLY_DISTINCT
+        sampled = 256
+        distinct_sampled = int(cut * sampled) + in_place
+        keys = [f"other-{i}" for i in range(sampled * stride)]
+        keys[::stride] = [f"sampled-{j % distinct_sampled}" for j in range(sampled)]
+        mixed = []
+        real = kernel._mix_bytes
+
+        def counting(joined, lengths):
+            mixed.append(len(lengths))
+            return real(joined, lengths)
+
+        monkeypatch.setattr(kernel, "_mix_bytes", counting)
+        for batch in (keys, [key.encode() for key in keys]):
+            self.check(batch)
+        unique = len(set(keys))
+        expected = len(keys) if in_place else unique
+        assert unique < len(keys)
+        assert mixed == [expected, expected]
 
     @pytest.mark.parametrize(
         "chunk",

@@ -30,7 +30,7 @@ from repro.common import invariants
 from repro.common.errors import ConfigurationError, InvariantViolation
 from repro.common.hashing import canonical_key
 from repro.core import DaVinciConfig, DaVinciSketch
-from repro.core.kernel import _MAX_FP_ROUNDS, canonical_keys
+from repro.core.kernel import _MAX_FP_ROUNDS, _SCALAR_TAIL, canonical_keys
 from repro.core.serialization import from_wire, to_state, to_wire
 
 int_keys = st.integers(min_value=1, max_value=60)
@@ -105,12 +105,46 @@ operations = st.lists(
     max_size=25,
 )
 
+#: text beyond ASCII: two- to four-byte UTF-8, astral characters included
+#: (lone surrogates, which UTF-8 cannot encode, are rejected elsewhere)
+wide_text = st.text(
+    alphabet=st.characters(min_codepoint=0x80, exclude_categories=("Cs",)),
+    max_size=12,
+)
+#: str, bytes and bytearray beside ints, empty ones included
+blob_keys = st.one_of(
+    st.text(max_size=10),
+    wide_text,
+    st.binary(max_size=10),
+    st.binary(max_size=10).map(bytearray),
+    st.integers(min_value=-(2**64), max_value=2**64),
+)
+
+
+def duplicate_heavy(keys):
+    """Lists drawn from a pool of at most five keys, so that most keys
+    repeat and canonicalization mixes the distinct ones once."""
+    return st.lists(keys, min_size=1, max_size=5, unique_by=repr).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=40, max_size=400)
+    )
+
+
 #: mixed lists, and homogeneous ones long enough for the vectorized
-#: byte steps (the scalar tail alone covers short lists)
+#: byte steps (the scalar tail alone covers short lists); lists longer
+#: than ``_SCALAR_TAIL`` of non-ASCII text, of blobs mixed with ints, and
+#: of a few keys repeated many times
 key_lists = st.one_of(
     st.lists(any_keys, max_size=120),
     st.lists(st.text(max_size=40), min_size=30, max_size=200),
     st.lists(st.integers(min_value=-(2**63), max_value=2**63 - 1), max_size=200),
+    st.lists(
+        st.one_of(wide_text, st.text(max_size=6)),
+        min_size=_SCALAR_TAIL + 1,
+        max_size=200,
+    ),
+    st.lists(blob_keys, min_size=_SCALAR_TAIL + 1, max_size=200),
+    duplicate_heavy(st.one_of(st.text(max_size=8), wide_text)),
+    duplicate_heavy(blob_keys),
 )
 
 

@@ -11,10 +11,12 @@ from __future__ import annotations
 import base64
 import json
 import os
+import re
 
 import pytest
 
 from repro.common.errors import CheckpointError, ConfigurationError
+from repro.common.hashing import key_to_int
 from repro.core import serialization
 from repro.core.config import DaVinciConfig
 from repro.core.davinci import DaVinciSketch
@@ -451,6 +453,31 @@ class TestLifecycleAndValidation:
         assert (ingestor.applied_seq, ingestor.items_ingested) == (0, 0)
         ingestor.ingest([(3, 2), (4, 1)])
         assert ingestor.applied_seq == 1
+        state = ingestor.sketch.to_state()
+        ingestor.close()
+        reopened = CheckpointingIngestor(
+            small_config, directory, journal_chunk_items=2
+        )
+        assert (reopened.applied_seq, reopened.items_ingested) == (1, 2)
+        assert reopened.sketch.to_state() == state
+        reopened.close()
+
+    def test_lone_surrogate_is_never_journaled(self, small_config, tmp_path):
+        # UTF-8 cannot encode "\ud800": the chunk raises the sketch's
+        # typed error before its journal record is written
+        with pytest.raises(ConfigurationError) as scalar:
+            key_to_int("\ud800")
+        directory = tmp_path / "d"
+        journal = directory / JOURNAL_FILENAME
+        ingestor = CheckpointingIngestor(
+            small_config, directory, journal_chunk_items=2
+        )
+        message = re.escape(str(scalar.value))
+        with pytest.raises(ConfigurationError, match=message):
+            ingestor.ingest_keys(["a", "\ud800"])
+        assert journal.read_bytes() == b""
+        assert (ingestor.applied_seq, ingestor.items_ingested) == (0, 0)
+        ingestor.ingest_keys(["a", "b"])
         state = ingestor.sketch.to_state()
         ingestor.close()
         reopened = CheckpointingIngestor(

@@ -312,6 +312,28 @@ class TestShardedIngestor:
         reference, _ = reference_fold(config, ShardRouter(2), pairs, CHUNK)
         assert merged.to_state() == reference.to_state()
 
+    def test_refuses_a_lone_surrogate_before_routing(self, tmp_path):
+        # UTF-8 cannot encode "\ud800": the slice raises the scalar
+        # path's typed error before any of its keys reaches a worker
+        with pytest.raises(ConfigurationError) as scalar:
+            key_to_int("\ud800")
+        config = small_config()
+        keys = flow_keys(3000)
+        with ShardedIngestor(
+            config, 2, chunk_items=CHUNK, durable_root=str(tmp_path)
+        ) as ingestor:
+            message = re.escape(str(scalar.value))
+            with pytest.raises(ConfigurationError, match=message):
+                ingestor.ingest_keys(keys[:100] + ["\ud800"] + keys[100:])
+            assert (ingestor.items_routed, ingestor.units_routed) == (0, 0)
+            ingestor.ingest_keys(keys)
+            merged = ingestor.finalize()
+            assert [handle.restarts for handle in ingestor._shards] == [0, 0]
+        reference, _ = reference_fold(
+            config, ShardRouter(2), [(key, 1) for key in keys], CHUNK
+        )
+        assert merged.to_state() == reference.to_state()
+
     @pytest.mark.parametrize("durable", [False, True], ids=["memory", "durable"])
     def test_refuses_a_slice_whose_units_leave_int64(self, tmp_path, durable):
         # Each count passes the sketch's rule, but their sum would take
