@@ -18,7 +18,7 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 test-debug:
-	REPRO_DEBUG_INVARIANTS=1 $(PYTHON) -m pytest tests/core tests/analysis tests/sketches tests/properties/test_property_array_paths.py tests/properties/test_property_decode_waves.py tests/properties/test_property_ifp_arrays.py -q
+	REPRO_DEBUG_INVARIANTS=1 $(PYTHON) -m pytest tests/core tests/analysis tests/sketches tests/properties/test_property_array_paths.py tests/properties/test_property_decode_waves.py tests/properties/test_property_ifp_arrays.py tests/properties/test_property_division_screen.py -q
 
 # fault-injection suite: crash recovery, corruption taxonomy and decode
 # degradation, all with runtime invariant checks switched on

@@ -1,8 +1,10 @@
 """Prime-field arithmetic for the Fermat-encoded sketches.
 
 The infrequent part (and the standalone FermatSketch baseline) encode flow
-IDs as residues modulo a prime ``p`` and invert counters with Fermat's
-little theorem: for a prime ``p`` and ``a ≢ 0 (mod p)``,
+IDs as residues modulo a prime ``p``.  Decoding divides a bucket's
+residue by its counter; where the counter is too large for that to be an
+exact integer division, it inverts the counter with Fermat's little
+theorem: for a prime ``p`` and ``a ≢ 0 (mod p)``,
 ``a^(p-2) · a ≡ 1 (mod p)``.
 
 The default modulus is the Mersenne prime ``2^61 − 1``: large enough that
@@ -91,8 +93,11 @@ def mod_inverses(values: Sequence[int], p: int) -> List[int]:
 
     Montgomery's batch inversion: invert the product of all the values
     once, then peel each inverse off the prefix products — three field
-    multiplications per value instead of a ``pow`` each.  Raises
-    :class:`ConfigurationError` when any value is ``≡ 0 (mod p)``.
+    multiplications per value instead of a ``pow`` each.  The peel
+    passes only the counts its exact-division screen cannot take (see
+    :meth:`repro.core.infrequent_part.CountingFermat._pure_in`), usually
+    none.  Raises :class:`ConfigurationError` when any value is
+    ``≡ 0 (mod p)``.
     """
     residues = [a % p for a in values]
     if not residues:
@@ -118,10 +123,18 @@ def add_mod_at(target: Any, at: Any, residues: Any, p: int) -> None:
     """``target[at] += residues (mod p)`` in place, repeated indexes
     included, over uint64 residues in ``[0, p)``.
 
-    Each index's residues are summed exactly as 32-bit halves (below
-    ``2^64`` for fewer than ``2^32`` of them); each touched index's sum
-    is then reduced once, in Python ints.
+    Where no index gets so many residues that its sum could reach
+    ``2^64``, the sums and their reduction are uint64 arrays.  Otherwise
+    each index's residues are summed exactly as 32-bit halves (below
+    ``2^64`` for fewer than ``2^32`` of them), and each touched index's
+    sum is reduced once, in Python ints.
     """
+    if not len(at):
+        return
+    if (int(np.bincount(at).max()) + 1) * (p - 1) < 1 << 64:
+        np.add.at(target, at, residues)
+        target[at] %= np.uint64(p)
+        return
     high = np.zeros(len(target), dtype=np.uint64)
     low = np.zeros(len(target), dtype=np.uint64)
     np.add.at(high, at, residues >> np.uint64(32))

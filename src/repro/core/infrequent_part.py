@@ -10,17 +10,23 @@
 The ±1 signs give the structure a Count-Sketch flavour: an *unbiased* fast
 query (median over rows of ``ζᵢ(e) · icnt``) exists alongside the full
 decode.  Decoding (Algorithm 5) peels *pure* buckets — buckets holding a
-single element — by inverting ``icnt`` with Fermat's little theorem:
-``e = iID · icnt^{p−2} mod p``.  A bucket holding element ``e`` with a
-negative sign decodes to ``p − e``, which is why both candidates are
-validated (Algorithm 5, line 3).
+single element.  The paper recovers the element by inverting ``icnt``
+with Fermat's little theorem: ``e = iID · icnt^{p−2} mod p``.  A bucket
+holding element ``e`` with a negative sign decodes to ``p − e``, which is
+why both candidates are validated (Algorithm 5, line 3).  Only the
+candidates in the key domain ``[1, max_key)`` matter, and while
+``m = |icnt|`` keeps ``m · (max_key − 1) < p`` no product ``m · e``
+wraps, so they are exact int64 quotients: ``iID / m`` and
+``(p − iID) / m`` where ``m`` divides them.  Only buckets with larger
+counts take a field inversion (no bucket of the benchmark's 256 KB
+stream does).
 
 The peel runs in waves: wave 0 is every occupied bucket, each later wave
-the occupied buckets the previous wave's peels touched.  A wave inverts
-all its counts with one batch inversion (one ``pow``), re-hashes all its
-candidates as one array, calls the validator once, then peels its pure
-buckets in wave order as one array update.  ``DecodeResult.counts``
-lists the keys in that order.
+the occupied buckets the previous wave's peels touched.  A wave screens
+all its counts by exact division and inverts the rest together (one
+``pow``), re-hashes all its candidates as one array, calls the validator
+once, then peels its pure buckets in wave order as one array update.
+``DecodeResult.counts`` lists the keys in that order.
 
 A candidate ``e`` is pure when it hashes back to the bucket's column
 and carries the sign its quotient implies there: ``q = iID · icnt⁻¹``
@@ -114,6 +120,60 @@ def _add_exact(base: Any, at: Any, values: Any, signs: Any = 1) -> Any:
     return hi
 
 
+def _first_untouched(at: Any, spots: Any, size: int) -> Any:
+    """Which of a wave's pure buckets ``at`` peel, as a bool array: in
+    order, each one that no earlier peeling bucket's key touches
+    (``spots``, ``rows × n``, holds each key's flat bucket in every row;
+    ``size`` is the number of buckets)."""
+    peels = len(at)
+    peel_of = np.full(size, -1, dtype=np.int64)
+    peel_of[at] = np.arange(peels)
+    # edge src → dst: the key of pure bucket src touches the later dst
+    src = np.tile(np.arange(peels), len(spots))
+    dst = peel_of[spots.ravel()]
+    later = dst > src
+    src, dst = src[later], dst[later]
+    kept = np.ones(peels, dtype=bool)
+    unsettled = np.zeros(peels, dtype=bool)
+    unsettled[dst] = True
+    kept[dst] = False
+    # each round settles at least the first unsettled bucket: it is left
+    # once a kept peel touches it, kept once every peel touching it is left
+    while unsettled.any():
+        blocked = np.zeros(peels, dtype=bool)
+        blocked[dst[kept[src]]] = True
+        waiting = np.zeros(peels, dtype=bool)
+        waiting[dst[unsettled[src]]] = True
+        settled = unsettled & (blocked | ~waiting)
+        kept |= settled & ~blocked
+        unsettled &= ~settled
+    return kept
+
+
+def _tally(keys: List[Any], amounts: List[Any]) -> Dict[int, int]:
+    """The ``{key: count}`` of a peel's waves of ``keys`` and signed
+    ``amounts``, as a dict updated peel by peel leaves it: a key's count
+    is the sum of its amounts, a key whose sum returns to 0 is dropped,
+    and keys are listed where they last (re)appeared."""
+    if not keys:
+        return {}
+    flat_keys = np.concatenate(keys)
+    flat_amounts = np.concatenate(amounts).tolist()
+    # sorted rather than np.unique, whose hash-based path left about
+    # 1.5 MB more resident memory behind on the query workload
+    ordered = np.sort(flat_keys)
+    if not np.any(ordered[1:] == ordered[:-1]):
+        return dict(zip(flat_keys.tolist(), flat_amounts))
+    decoded: Dict[int, int] = {}
+    for key, amount in zip(flat_keys.tolist(), flat_amounts):
+        total = decoded.get(key, 0) + amount
+        if total:
+            decoded[key] = total
+        else:
+            del decoded[key]
+    return decoded
+
+
 def _unsigned(row: int, key: int) -> int:
     """The sign of every key in every row of an unsigned sketch."""
     return 1
@@ -157,6 +217,9 @@ class CountingFermat:
         self.max_key = max_key
         if max_key >= self.prime:
             raise ConfigurationError("max_key must be below the field prime")
+        #: the largest ``|icnt|`` whose products with every key stay below
+        #: ``p``: the purity test divides such counts instead of inverting
+        self._exact_counts = (self.prime - 1) // max(1, max_key - 1)
         self._seed = seed
         self._hashes = HashFamily(rows, width, seed=seed ^ self.HASH_SALT)
         #: the sign ``key`` carries in ``row``, as ``_sign(row, key)``
@@ -208,28 +271,49 @@ class CountingFermat:
 
     def _pure_in(
         self, wave: Any, ids: Any, counts: Any, validator: Optional[Validator]
-    ) -> Tuple[Any, Any, Any, Any, Any, int]:
+    ) -> Tuple[Any, Any, Any, Any, Any, int, int]:
         """The pure buckets of ``wave`` (flat indexes into ``ids``/``counts``).
 
         Returns, for the pure buckets in wave order, their flat indexes,
         keys, own-row signs, and each key's flat bucket and sign in every
-        row (``rows × n``), then the number of vetoed candidates.  A count
-        ``≡ 0 (mod p)`` has no inverse; the rest are inverted together.
-        ``q`` and ``p − q`` must be in the key domain, hash home and carry
-        sign ``+1`` and ``−1``.  The validator sees every survivor at
-        once; a bucket takes its first accepted candidate, ``q`` first.
+        row (``rows × n``), then the number of vetoed candidates and the
+        number of buckets whose candidates took a field inversion.
+
+        A bucket's candidates are ``q = iID · icnt⁻¹`` and ``p − q``; only
+        their values in the key domain matter.  With ``m = |icnt|`` and
+        ``m · (max_key − 1) < p`` (:attr:`_exact_counts`), every product
+        ``m · key`` is below ``p``, so those values are exact quotients:
+        ``iID / m`` where ``m`` divides ``iID``, ``(p − iID) / m`` where
+        ``m`` divides ``p − iID`` (``q`` and ``p − q`` for ``icnt > 0``,
+        swapped for ``icnt < 0``).  Only a larger count is inverted, all
+        of a wave's together (:func:`~repro.common.primes.mod_inverses`);
+        a count ``≡ 0 (mod p)`` has no inverse.  ``q`` and ``p − q`` must
+        be in the key domain, hash home and carry sign ``+1`` and ``−1``.
+        The validator sees every survivor at once; a bucket takes its
+        first accepted candidate, ``q`` first.
         """
         p = self.prime
-        residues = counts[wave] % p
-        decodable = residues != 0
-        wave = wave[decodable]
-        inverses = mod_inverses(residues[decodable].tolist(), p)
-        quotients = np.array(
-            [iid * inverse % p for iid, inverse in zip(ids[wave].tolist(), inverses)],
-            dtype=np.int64,
-        )
-        # candidate slot 2i is bucket i's q, slot 2i + 1 its p − q
-        slots = np.stack((quotients, p - quotients), axis=1).ravel()
+        icnt = counts[wave]
+        m = np.abs(icnt)
+        wide = m > self._exact_counts
+        exact = np.flatnonzero((m != 0) & ~wide)
+        inverted = np.flatnonzero(wide)
+        inverted = inverted[icnt[inverted] % p != 0]
+        # candidate slot 2i is bucket i's q, slot 2i + 1 its p − q; 0 is no key
+        slots = np.zeros((len(wave), 2), dtype=np.int64)
+        iid, m = ids[wave[exact]].astype(np.int64), m[exact]
+        whole = np.where(iid % m == 0, iid // m, 0)
+        rest = np.where((p - iid) % m == 0, (p - iid) // m, 0)
+        negative = icnt[exact] < 0
+        slots[exact, 0] = np.where(negative, rest, whole)
+        slots[exact, 1] = np.where(negative, whole, rest)
+        if len(inverted):
+            inverses = mod_inverses((icnt[inverted] % p).tolist(), p)
+            pairs = zip(ids[wave[inverted]].tolist(), inverses)
+            quotients = np.array([a * b % p for a, b in pairs], dtype=np.int64)
+            slots[inverted, 0] = quotients
+            slots[inverted, 1] = p - quotients
+        slots = slots.ravel()
         chosen = np.flatnonzero((0 < slots) & (slots < self.max_key))
         keys = slots[chosen]
         owners = wave[chosen // 2]
@@ -258,11 +342,14 @@ class CountingFermat:
         taken = candidate[2 * pure + ~first[pure]]
         spots = columns[:, taken] + self._offsets
         own = signs[own_row[taken], taken]
-        return wave[pure], keys[taken], own, spots, signs[:, taken], int(vetoed)
+        return (
+            wave[pure], keys[taken], own, spots, signs[:, taken], int(vetoed),
+            len(inverted),
+        )
 
     def _peel(
         self, validator: Optional[Validator] = None
-    ) -> Tuple[DecodeResult, Tuple[int, int, int, int]]:
+    ) -> Tuple[DecodeResult, Tuple[int, int, int, int, int]]:
         """Peel every pure bucket of a copy of the arrays, in waves.
 
         Wave 0 is every occupied bucket in ``(row, col)`` order.  A wave
@@ -275,62 +362,53 @@ class CountingFermat:
         they were touched: the order a FIFO queue would revisit them in.
         ``validator`` maps an int64 key array to a bool array.  Returns
         the result and the work: bucket visits, peeled buckets, visits
-        that found no pure content and vetoed candidates.  Raises
+        that found no pure content, vetoed candidates and buckets whose
+        purity test took a field inversion.  Raises
         ``ConfigurationError`` where a peel would take a working ``icnt``
         out of range.
         """
         p = self.prime
         ids = self.ids.ravel().astype(np.uint64)
         counts = self.counts.ravel().copy()
-        decoded: Dict[int, int] = {}
+        peeled_keys: List[Any] = []
+        peeled_amounts: List[Any] = []
         wave = np.flatnonzero(self.ids.ravel() | counts)
         # A peel re-queues every bucket it touches; the visit budget bounds
         # pathological ping-ponging.
         budget = max(64, 8 * self.rows * self.width)
-        visits = peeled = failures = rejections = unvisited = 0
+        visits = peeled = failures = rejections = inversions = unvisited = 0
         while len(wave) and visits < budget:
             unvisited = max(0, len(wave) - (budget - visits))
             wave = wave[: budget - visits]
             visits += len(wave)
-            at, keys, own_signs, spots, signs, vetoed = self._pure_in(
+            at, keys, own_signs, spots, signs, vetoed, inverted = self._pure_in(
                 wave, ids, counts, validator
             )
             failures += len(wave) - len(at)
             rejections += vetoed
+            inversions += inverted
             position = np.full(len(ids), -1, dtype=np.int64)
             position[wave] = np.arange(len(wave))
-            # touched bucket → wave position of the peel that first touched it
-            first: Dict[int, int] = {}
-            kept: List[int] = []
-            for n, (i, bucket, row_spots) in enumerate(
-                zip(position[at].tolist(), at.tolist(), spots.T.tolist())
-            ):
-                if bucket in first:
-                    continue
-                kept.append(n)
-                for j in row_spots:
-                    first.setdefault(j, i)
+            kept = np.flatnonzero(_first_untouched(at, spots, len(ids)))
             peeled += len(kept)
+            keys, spots = keys[kept], spots[:, kept]
             amounts = own_signs[kept] * counts[at[kept]]
-            residues = []
-            for key, amount in zip(keys[kept].tolist(), amounts.tolist()):
-                total = decoded.get(key, 0) + amount
-                if total:
-                    decoded[key] = total
-                else:
-                    del decoded[key]
-                residues.append(-amount * key % p)
-            where = spots[:, kept]
-            counts = _add_exact(counts, where, amounts, -signs[:, kept])
-            residues = np.tile(np.array(residues, dtype=np.uint64), self.rows)
-            add_mod_at(ids, where.ravel(), residues, p)
-            touched = np.fromiter(first, dtype=np.int64, count=len(first))
-            toucher = np.fromiter(first.values(), dtype=np.int64, count=len(first))
+            peeled_keys.append(keys)
+            peeled_amounts.append(amounts)
+            counts = _add_exact(counts, spots, amounts, -signs[:, kept])
+            add_mod_at(ids, spots.ravel(), self._residues(keys, -amounts), p)
+            # each touched bucket once, in the order the kept peels touch
+            # them, with the wave position of the peel that first did
+            touches = spots.T.ravel()
+            firsts = np.sort(np.unique(touches, return_index=True)[1])
+            touched = touches[firsts]
+            toucher = position[at[kept]][firsts // self.rows]
             left = position[touched] > toucher
             wave = np.concatenate(
                 (wave[np.sort(position[touched[left]])], touched[~left])
             )
             wave = wave[(ids[wave] != 0) | (counts[wave] != 0)]
+        decoded = _tally(peeled_keys, peeled_amounts)
         residual = int(np.count_nonzero((ids != 0) | (counts != 0)))
         if _inv.ENABLED and residual == 0:
             # A complete peel removed exactly what it reported: by linearity
@@ -340,7 +418,18 @@ class CountingFermat:
             )
         cut = residual != 0 and bool(unvisited or len(wave))
         result = DecodeResult(decoded, residual == 0, residual, cut)
-        return result, (visits, peeled, failures, rejections)
+        return result, (visits, peeled, failures, rejections, inversions)
+
+    def _residues(self, keys: Any, amounts: Any) -> Any:
+        """``amount · key mod p`` of each pair, as uint64: in int64 where
+        ``|amount| · key < p`` (:attr:`_exact_counts`), else in Python ints."""
+        p = self.prime
+        residues = amounts * keys % p
+        wide = np.flatnonzero(np.abs(amounts) > self._exact_counts)
+        if len(wide):
+            pairs = zip(amounts[wide].tolist(), keys[wide].tolist())
+            residues[wide] = [amount * key % p for amount, key in pairs]
+        return np.tile(residues.astype(np.uint64), self.rows)
 
     # ------------------------------------------------------------------ #
     # linearity (union / difference)
@@ -450,10 +539,10 @@ class InfrequentPart(CountingFermat):
             bundle.inserted_units.inc(units)
 
     def _record_decode(
-        self, result: DecodeResult, work: Tuple[int, int, int, int]
+        self, result: DecodeResult, work: Tuple[int, int, int, int, int]
     ) -> None:
         """Record one full Algorithm-5 peel (called only when armed)."""
-        visits, peeled, failures, rejections = work
+        visits, peeled, failures, rejections, inversions = work
         bundle = self._observe()
         bundle.decodes.inc()
         if result.complete:
@@ -462,6 +551,8 @@ class InfrequentPart(CountingFermat):
             bundle.decode_incomplete.inc()
         if result.budget_exhausted:
             bundle.decode_budget_exhausted.inc()
+        if inversions:
+            bundle.decode_inversions.inc(inversions)
         bundle.peel_rounds.inc(visits)
         bundle.peeled_buckets.inc(peeled)
         bundle.peel_failures.inc(failures)

@@ -194,6 +194,7 @@ class InfrequentPartMetrics:
         "decode_complete",
         "decode_incomplete",
         "decode_budget_exhausted",
+        "decode_inversions",
         "peeled_buckets",
         "peel_failures",
         "peel_rounds",
@@ -226,6 +227,11 @@ class InfrequentPartMetrics:
             "davinci_ifp_decode_budget_exhausted_total",
             "Incomplete decodes cut by the peel's visit budget while still "
             "peeling, not by a stall",
+        )
+        self.decode_inversions: Counter = registry.counter(
+            "davinci_ifp_decode_inversions_total",
+            "Peel-wave bucket visits whose purity test needed a field "
+            "inversion: |icnt| too large for the exact-division screen",
         )
         self.peeled_buckets: Counter = registry.counter(
             "davinci_ifp_peeled_buckets_total",

@@ -349,6 +349,8 @@ class CheckpointingIngestor:
         #: list until a counted pair actually shows up).
         self._pending_keys: List[object] = []
         self._pending_counts: Optional[List[int]] = None
+        #: the buffered keys' total count
+        self._pending_units = 0
         self._items_at_checkpoint = self.items_ingested
         self._time_at_checkpoint = self._clock()
         self._journal_file = open(self._journal_path, "ab")
@@ -556,8 +558,9 @@ class CheckpointingIngestor:
         tail.  A crash loses only the unjournaled buffer, which
         :attr:`items_ingested` never counted: resume from
         ``stream[items_ingested:]``.  Each count must be an ``int`` in
-        ``[1, 2^63)``; a slice holding any other raises with none of it
-        buffered.
+        ``[1, 2^63)``; a slice holding any other, or a key or total the
+        journal would refuse, raises with none of it buffered and the
+        keys buffered before it kept.
         """
         return self._ingest(pairs, weighted=True)
 
@@ -573,7 +576,11 @@ class CheckpointingIngestor:
         """The buffering loop behind :meth:`ingest` and :meth:`ingest_keys`.
 
         Each pass takes what the buffer lacks of a full chunk; a full
-        chunk arriving on an empty buffer is committed without a copy.
+        chunk arriving on an empty buffer is committed without a copy.  A
+        pass the journal would refuse (:meth:`_check_slice`) raises with
+        none of it buffered: the buffer stays as the pass found it, so
+        keys accepted earlier are still committed by the next full chunk
+        or :meth:`flush`.
         """
         self._require_open()
         accepted = 0
@@ -587,12 +594,15 @@ class CheckpointingIngestor:
             counts: Optional[List[int]] = None
             if weighted:
                 taken, counts = split_pairs(taken, _bad_count)
+            units = len(taken) if counts is None else sum(counts)
+            self._check_slice(taken, units)
             accepted += len(taken)
             if pending or len(taken) < chunk_items:
                 held = self._pending_counts
                 if counts is not None and held is None:
                     held = self._pending_counts = [1] * len(pending)
                 pending.extend(taken)
+                self._pending_units += units
                 if held is not None:
                     held.extend(
                         counts if counts is not None else repeat(1, len(taken))
@@ -600,11 +610,34 @@ class CheckpointingIngestor:
                 if len(pending) < chunk_items:
                     continue
                 taken, counts = pending, held
-                self._pending_keys = []
-                self._pending_counts = None
+                self._clear_pending()
             self._commit(taken, counts)
             if self._checkpoint_due():
                 self.checkpoint()
+
+    def _check_slice(self, keys: List[object], units: int) -> None:
+        """Raise ``ConfigurationError`` for keys the journal would refuse:
+        a total count past int64 with what is buffered, a key that is not
+        an ``int``, ``str`` or ``bytes``, or a ``str`` that UTF-8 cannot
+        encode (a lone surrogate; the sketch's own error), in that order."""
+        total = self.sketch.total_count + self._pending_units + units
+        require_int64("total_count", total)
+        if set(map(type, keys)) == {int}:
+            return
+        for key in keys:
+            if type(key) is not int and not isinstance(key, (str, bytes)):
+                _encode_key(key)
+        texts = [key for key in keys if isinstance(key, str)]
+        try:
+            "".join(texts).encode("utf-8")
+        except UnicodeEncodeError:
+            check_texts(texts)
+            raise
+
+    def _clear_pending(self) -> None:
+        self._pending_keys = []
+        self._pending_counts = None
+        self._pending_units = 0
 
     def flush(self) -> None:
         """Commit the buffered partial chunk (journal, fsync, apply).
@@ -618,8 +651,7 @@ class CheckpointingIngestor:
         if self._pending_keys:
             keys = self._pending_keys
             counts = self._pending_counts
-            self._pending_keys = []
-            self._pending_counts = None
+            self._clear_pending()
             self._commit(keys, counts)
 
     @property
@@ -639,12 +671,9 @@ class CheckpointingIngestor:
         (detected with one C-speed ``set(map(type, …))`` scan — ``bool``
         has its own type, so it cannot slip through) is journaled with no
         key transform at all; mixed chunks fall back to a comprehension
-        that tags non-int keys via :func:`_encode_key`.  A chunk that
-        would take ``total_count`` out of int64 raises before anything is
-        journaled, as the sketch itself would refuse it.
+        that tags non-int keys via :func:`_encode_key`.  The chunk's
+        keys and total passed :meth:`_check_slice` when they were taken.
         """
-        units = len(keys) if counts is None else sum(counts)
-        require_int64("total_count", self.sketch.total_count + units)
         if set(map(type, keys)) == {int}:
             encoded: List[Union[int, str]] = keys  # type: ignore[assignment]
         else:
@@ -672,20 +701,12 @@ class CheckpointingIngestor:
     def _append_record(
         self, keys: List[Union[int, str]], compact: Union[int, List[int]]
     ) -> None:
-        """Write one CRC-prefixed record line (see :func:`_crc_line`).
-
-        A ``str`` key UTF-8 cannot encode (a lone surrogate) raises the
-        sketch's ``ConfigurationError`` before anything is written.
-        """
+        """Write one CRC-prefixed record line (see :func:`_crc_line`)."""
         observing = _obs.ENABLED
         started = time.perf_counter() if observing else 0.0
-        try:
-            line = _crc_line(
-                {"counts": compact, "keys": keys, "seq": self.applied_seq + 1}
-            )
-        except UnicodeEncodeError:  # only "s:" keys hold arbitrary text
-            check_texts(key[2:] for key in keys if isinstance(key, str))
-            raise
+        line = _crc_line(
+            {"counts": compact, "keys": keys, "seq": self.applied_seq + 1}
+        )
         self._journal_file.write(line + b"\n")
         self._journal_file.flush()
         os.fsync(self._journal_file.fileno())

@@ -135,6 +135,17 @@ class TestArrayFieldArithmetic:
         add_mod_at(target, at, values, p)
         assert target.tolist() == expected
 
+    @pytest.mark.parametrize("p", ARRAY_PRIMES)
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_add_mod_at_at_the_uint64_sum_bound(self, p, extra):
+        # the most residues of p − 1 one index can add to p − 1 with the
+        # sum below 2^64 (capped for small primes), then one more
+        most = min(((1 << 64) - 1) // (p - 1) - 1, 50) + extra
+        target = np.array([p - 1, 0], dtype=np.uint64)
+        at = np.zeros(most, dtype=np.int64)
+        add_mod_at(target, at, np.full(most, p - 1, dtype=np.uint64), p)
+        assert target.tolist() == [(p - 1) * (most + 1) % p, 0]
+
     def test_add_mod_at_with_nothing_to_add(self):
         target = np.array([3, 4], dtype=np.uint64)
         add_mod_at(target, np.array([], dtype=np.int64), target[:0], 7)

@@ -158,7 +158,7 @@ class TestCrowdedBuckets:
         ]
         assert (result.complete, result.residual_buckets) == (True, 0)
         assert not result.budget_exhausted
-        assert work == (21, 9, 6, 0)
+        assert work == (21, 9, 6, 0, 0)
 
     def test_a_phantom_mean_is_peeled_and_undone_until_the_budget(self):
         # (549 + 691) / 2 = 620 reads as one key of count 2, and 522 is a
@@ -167,4 +167,4 @@ class TestCrowdedBuckets:
         assert list(result.counts.items()) == [(500, -2), (522, 1), (620, 2)]
         assert (result.complete, result.residual_buckets) == (False, 7)
         assert result.budget_exhausted
-        assert work == (192, 107, 31, 0)
+        assert work == (192, 107, 31, 0, 0)

@@ -20,6 +20,7 @@ from repro.core.infrequent_part import InfrequentPart
 from repro.observability import metrics as obs
 from repro.observability.metrics import MetricsRegistry
 from repro.workloads import zipf_trace
+from repro.workloads.zipf import generate_keys
 
 SEED = 424242
 NUM_ITEMS = 1_000_000
@@ -154,6 +155,29 @@ class TestDecodeTelemetry:
         assert registry.value("davinci_ifp_decodes_total") == 2
         assert registry.value("davinci_ifp_decode_incomplete_total") == 1
         assert registry.value("davinci_ifp_decode_budget_exhausted_total") == 1
+
+    def test_the_canonical_256kb_decode_takes_no_field_inversion(self):
+        # the benchmark's query window: every count divides exactly
+        registry = MetricsRegistry()
+        config = DaVinciConfig.from_memory_kb(256, seed=1)
+        sketch = DaVinciSketch(config, metrics_registry=registry)
+        flows = generate_keys(100_000, seed=2)
+        sketch.insert_all(zipf_trace(1_000_000, 100_000, SKEW, seed=1, keys=flows))
+        with obs.enabled():
+            result = sketch.decode_result()
+        assert result.complete and len(result.counts) > 1000
+        assert registry.value("davinci_ifp_decodes_total") == 1
+        assert registry.value("davinci_ifp_decode_inversions_total") == 0
+
+    def test_a_count_past_the_division_bound_takes_one_inversion(self):
+        registry = MetricsRegistry()
+        ifp = InfrequentPart(rows=1, width=8, seed=1)
+        ifp._obs_registry = registry
+        past = (ifp.prime - 1) // (ifp.max_key - 1) + 1
+        ifp.insert(ifp.max_key - 1, past)
+        with obs.enabled():
+            assert ifp.decode().counts == {ifp.max_key - 1: past}
+        assert registry.value("davinci_ifp_decode_inversions_total") == 1
 
     def test_decode_cache_counters(self, armed_run):
         sketch, registry, _ = armed_run

@@ -1,6 +1,7 @@
 """Properties: the wave peel of Algorithm 5 equals the sequential peel.
 
-``CountingFermat._peel`` decodes in waves: one batch inversion, one array
+``CountingFermat._peel`` decodes in waves: one exact-division screen of
+the counts (a batch inversion of those too large for it), one array
 re-hash and one validator call per wave.  :func:`tests.scalar_reference.peel`
 is the sequential recipe — a FIFO queue, one Fermat inversion and one
 scalar re-hash per visited bucket.  For every case below the two must
@@ -41,7 +42,7 @@ from hypothesis import strategies as st
 from repro.common.primes import SMALL_PRIME
 from repro.core import DaVinciConfig, DaVinciSketch
 from repro.core.davinci import MODE_STANDARD
-from repro.core.infrequent_part import InfrequentPart
+from repro.core.infrequent_part import InfrequentPart, _first_untouched
 from repro.core.setops import difference, union
 from repro.sketches.fermat import FermatSketch
 from repro.workloads.zipf import generate_keys, zipf_trace
@@ -222,5 +223,50 @@ def test_a_key_pure_in_every_row_of_one_wave_peels_once():
     assert result.complete
     # wave 0 holds the key's bucket in each of the three rows, all pure;
     # the first peel empties the other two, so there is no second wave
-    assert work == (3, 1, 0, 0)
+    assert work == (3, 1, 0, 0, 0)
     assert_same(result, scalar_reference.peel(ifp)[0])
+
+
+def sequential_kept(at, spots):
+    """The peels a wave keeps, one at a time: each pure bucket in wave
+    order unless the key of an earlier kept one touched it."""
+    touched, kept = set(), []
+    for bucket, row_spots in zip(at.tolist(), spots.T.tolist()):
+        kept.append(bucket not in touched)
+        if kept[-1]:
+            touched.update(row_spots)
+    return kept
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), rows=st.integers(1, 5), width=st.integers(1, 6))
+def test_the_kept_peels_of_a_wave_follow_the_sequential_rule(data, rows, width):
+    # narrow rows make chains: a kept peel leaves a bucket whose key
+    # would have touched the next one, which is then kept, and so on
+    size = rows * width
+    at = np.array(
+        data.draw(st.permutations(range(size)), label="wave order")[
+            : data.draw(st.integers(0, size), label="pure buckets")
+        ],
+        dtype=np.int64,
+    )
+    spots = np.array(
+        [
+            [
+                bucket if bucket // width == row
+                else row * width + data.draw(st.integers(0, width - 1))
+                for bucket in at.tolist()
+            ]
+            for row in range(rows)
+        ],
+        dtype=np.int64,
+    ).reshape(rows, len(at))
+    assert _first_untouched(at, spots, size).tolist() == sequential_kept(at, spots)
+
+
+def test_a_chain_of_touches_settles_peel_by_peel():
+    # peel i's key touches peel i + 1's bucket, one row down: 0 is kept,
+    # so 1 is left, so 2 is kept, so 3 is left
+    at = np.array([0, 5, 10, 15], dtype=np.int64)
+    spots = np.array([[0, 1, 2, 3], [5, 5, 6, 7], [9, 10, 10, 11], [12, 13, 15, 15]])
+    assert _first_untouched(at, spots, 16).tolist() == [True, False, True, False]

@@ -17,6 +17,7 @@ import pytest
 
 from repro.common.errors import CheckpointError, ConfigurationError
 from repro.common.hashing import key_to_int
+from repro.common.validation import INT64_MAX
 from repro.core import serialization
 from repro.core.config import DaVinciConfig
 from repro.core.davinci import DaVinciSketch
@@ -484,6 +485,42 @@ class TestLifecycleAndValidation:
             small_config, directory, journal_chunk_items=2
         )
         assert (reopened.applied_seq, reopened.items_ingested) == (1, 2)
+        assert reopened.sketch.to_state() == state
+        reopened.close()
+
+    @pytest.mark.parametrize("refusal", ["surrogate", "key-type", "total-leaves-int64"])
+    @pytest.mark.parametrize("entry", ["ingest", "ingest_keys", "short-then-flush"])
+    def test_a_refused_slice_keeps_the_keys_buffered_before_it(
+        self, small_config, tmp_path, refusal, entry
+    ):
+        # "x" and "y" wait in a 4-key chunk; the next slice is refused,
+        # either while it completes the chunk or, short, before the flush
+        directory = tmp_path / "d"
+        ingestor = CheckpointingIngestor(
+            small_config, directory, journal_chunk_items=4
+        )
+        ingestor.ingest([(7, INT64_MAX - 2)])
+        ingestor.flush()
+        assert ingestor.ingest_keys(["x", "y"]) == 2
+        bad = {"surrogate": "\ud800", "key-type": 1.5, "total-leaves-int64": "w"}
+        keys = ["z", bad[refusal]] if entry != "short-then-flush" else [bad[refusal]]
+        with pytest.raises(ConfigurationError):
+            if entry == "ingest":
+                ingestor.ingest([(key, 1) for key in keys])
+            else:
+                ingestor.ingest_keys(keys)
+        assert ingestor.pending_items == 2
+        ingestor.flush()
+        assert (ingestor.applied_seq, ingestor.items_ingested) == (2, 3)
+        assert ingestor.sketch.total_count == INT64_MAX
+        state = ingestor.sketch.to_state()
+        ingestor.close()
+        journal = (directory / JOURNAL_FILENAME).read_bytes().splitlines()
+        assert b'"s:x","s:y"' in journal[-1]
+        reopened = CheckpointingIngestor(
+            small_config, directory, journal_chunk_items=4
+        )
+        assert (reopened.applied_seq, reopened.items_ingested) == (2, 3)
         assert reopened.sketch.to_state() == state
         reopened.close()
 
