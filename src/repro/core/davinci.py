@@ -54,7 +54,7 @@ from repro.common.errors import (
     SketchModeError,
 )
 from repro.common.hashing import canonical_key
-from repro.common.validation import require_int64, require_positive
+from repro.common.validation import INT64_MAX, require_int64, require_positive
 from repro.core.config import DaVinciConfig
 from repro.core.element_filter import ElementFilter
 from repro.core.frequent_part import FrequentPart
@@ -111,6 +111,41 @@ def checked_count(count: object) -> int:
         count = _integer_count(count)
     require_positive("count", count)
     return require_int64("count", count)
+
+
+def largest_magnitude(values: Any) -> int:
+    """The largest ``|value|`` of an int array, 0 for an empty one."""
+    return max(int(values.max()), -int(values.min())) if len(values) else 0
+
+
+def exact_sum(*terms: Any) -> Any:
+    """The elementwise sum of equal-length int arrays, exactly.
+
+    In int64 when every term is int64 and the terms' largest magnitudes
+    sum to at most ``2^63 − 1``, so no partial sum can wrap (nor reach
+    ``−2^63``, so the result negates safely); otherwise in Python ints,
+    as an object array.
+    """
+    if all(term.dtype == np.int64 for term in terms) and (
+        sum(map(largest_magnitude, terms)) <= INT64_MAX
+    ):
+        total = terms[0].copy()
+        for term in terms[1:]:
+            total += term
+        return total
+    total = terms[0].astype(object)
+    for term in terms[1:]:
+        total = total + term.astype(object)
+    return total
+
+
+def union_keys(*arrays: Any) -> Any:
+    """The distinct keys of int64 ``arrays``, sorted (by a sort, not
+    ``np.unique``'s hash table, for resident memory)."""
+    keys = np.sort(np.concatenate(arrays))
+    distinct = np.ones(len(keys), dtype=bool)
+    distinct[1:] = keys[1:] != keys[:-1]
+    return keys[distinct]
 
 
 class UnitPairs:
@@ -494,41 +529,47 @@ class DaVinciSketch(Sketch):
         return fp_count + ef_part + ifp_part
 
     def query_many(self, keys: Iterable[object]) -> List[int]:
-        """``[self.query(key) for key in keys]`` in one array pass.
+        """``[self.query(key) for key in keys]`` in one array pass
+        (:meth:`estimates`).  The scalar :meth:`query` stays the
+        point-read path."""
+        return self.estimates(keys).tolist()
+
+    def estimates(self, keys: Iterable[object]) -> Any:
+        """:meth:`query` of each key, as an array.
 
         Each key is canonicalized by :meth:`canonical_key`, as
-        :meth:`query` does; the three shares of every key then come from
-        :meth:`_query_parts`.  The scalar :meth:`query` stays the
-        point-read path.
+        :meth:`query` does; the three shares of every key come from
+        :meth:`_query_parts` and are summed by :func:`exact_sum`: an
+        int64 array unless a sum could leave int64.
         """
         canonical = np.fromiter(map(self.canonical_key, keys), dtype=np.int64)
-        fp, ef, ifp = self._query_parts(canonical, self.mode)
-        return (fp.astype(object) + ef + ifp).tolist()
+        return exact_sum(*self._query_parts(canonical, self.mode))
 
     def _query_parts(self, keys: Any, mode: str) -> Tuple[Any, Any, Any]:
         """Algorithm 4's ``(FP, EF, IFP)`` shares of the int64 ``keys``
         as read in ``mode``; each key's sum is :meth:`_query_value`'s.
 
-        The FP and EF shares are int64 arrays, the IFP share an object
-        array of ints: decoded counts from one dict lookup each, and a
-        batched ``fast_query`` for promoted keys left undecoded.  A
+        All three are int64 arrays (the IFP share holds Python ints only
+        when a decoded count left int64).  The IFP share is the decoded
+        count, found by one sorted search (:meth:`DecodeResult.lookup`),
+        or a batched ``fast_query`` for promoted keys left undecoded.  A
         standard sketch's unflagged residents read no lower part.
         """
         standard = mode == MODE_STANDARD
         fp, _present, lower = self.fp.lookup_many(keys)
         ef = self.ef.query_many(keys, signed=mode == MODE_SIGNED)
-        ifp = np.zeros(len(keys), dtype=object)
+        ifp = np.zeros(len(keys), dtype=np.int64)
         at = np.flatnonzero(lower) if standard else np.arange(len(keys))
         if len(at):
             result = self.decode_result()
-            found = [result.counts.get(key) for key in keys[at].tolist()]
-            decoded = np.array([value is not None for value in found], dtype=bool)
-            ifp[at[decoded]] = [value for value in found if value is not None]
+            decoded, counts = result.lookup(keys[at])
+            ifp = ifp.astype(counts.dtype, copy=False)
+            ifp[at[decoded]] = counts
             promoted = ef[at] >= self.ef.threshold
             if standard or (mode == MODE_ADDITIVE and not result.complete):
                 undecoded = at[~decoded & promoted]
                 estimates = self.ifp.fast_query_many(keys[undecoded])
-                ifp[undecoded] = [max(0, value) for value in estimates]
+                ifp[undecoded] = np.maximum(estimates, 0)
             if standard:
                 ef[at] = np.where(decoded | promoted, self.ef.threshold, ef[at])
         if standard:
@@ -652,12 +693,17 @@ class DaVinciSketch(Sketch):
     def known_keys(self) -> Dict[int, int]:
         """Exactly-tracked keys: FP residents plus decoded IFP elements.
 
-        Values are full frequency estimates via :meth:`query_many`.  Used
-        by the heavy-hitter scan and signed cardinality.
+        Values are full frequency estimates, as :meth:`query` reads them.
+        Used by the heavy-hitter scan, top-k and signed cardinality.
         """
-        keys = set(self.fp.as_dict())
-        keys.update(self.decode_counts())
-        return dict(zip(keys, self.query_many(list(keys))))
+        keys, estimates = self.known_estimates()
+        return dict(zip(keys.tolist(), estimates.tolist()))
+
+    def known_estimates(self) -> Tuple[Any, Any]:
+        """:meth:`known_keys` as arrays: the keys, sorted (int64), and
+        their :meth:`estimates`."""
+        keys = union_keys(self.fp.residents()[0], self.decode_result().keys)
+        return keys, self.estimates(keys.tolist())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

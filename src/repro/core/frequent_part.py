@@ -410,11 +410,17 @@ class FrequentPart:
         resident = self._keys[start:end]
         return start + resident.index(key) if key in resident else -1
 
-    def _entries(self) -> Tuple[List[int], List[int], List[bool]]:
-        """Resident keys, counts and flags, in bucket order."""
+    def residents(self) -> Tuple[Any, Any, Any]:
+        """Resident keys and counts (int64) and flags (bool), as arrays
+        in bucket order."""
         keys, counts, flags, occupancy, _ecnt, _flag = self.bucket_arrays()
         mask = np.arange(self.entries_per_bucket) < occupancy[:, None]
-        return keys[mask].tolist(), counts[mask].tolist(), (flags[mask] == 1).tolist()
+        return keys[mask], counts[mask], flags[mask] == 1
+
+    def _entries(self) -> Tuple[List[int], List[int], List[bool]]:
+        """Resident keys, counts and flags, in bucket order, as lists."""
+        keys, counts, flags = self.residents()
+        return keys.tolist(), counts.tolist(), flags.tolist()
 
     def items(self) -> Iterator[Tuple[int, int]]:
         """All resident ``(key, count)`` pairs."""

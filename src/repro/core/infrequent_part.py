@@ -84,16 +84,34 @@ _LEAVES_RANGE = "an infrequent-part icnt leaves ±(2^63 − 1), its int64 table'
 
 
 class DecodeResult:
-    """Outcome of a full decode: the keyed counts plus leftovers."""
+    """Outcome of a full decode: the keyed counts plus leftovers.
 
-    __slots__ = ("counts", "complete", "residual_buckets", "budget_exhausted")
+    The decoded keys and counts come twice: as the ``counts`` dict (the
+    point read's) and as arrays in the same order, which is decode order
+    — ``keys`` (int64) and ``values``, with ``order`` sorting ``keys``
+    for :meth:`lookup`.  ``values`` is int64 unless some count left
+    int64 (a key peeled twice sums its peels); then it holds every count
+    as a Python int (dtype object), so array reads stay exact too.
+    Built from ``counts`` alone when no arrays are given.
+    """
+
+    __slots__ = (
+        "counts", "keys", "values", "order", "_sorted", "complete",
+        "residual_buckets", "budget_exhausted",
+    )
 
     def __init__(
         self, counts: Dict[int, int], complete: bool, residual_buckets: int,
         budget_exhausted: bool = False,
+        arrays: Optional[Tuple[Any, Any, Any]] = None,
     ) -> None:
         #: recovered ``{key: signed count}``
         self.counts = counts
+        if arrays is None:
+            arrays = _decoded_arrays(counts)
+        #: ``counts``' keys and values as arrays, and the keys' sort order
+        self.keys, self.values, self.order = arrays
+        self._sorted = self.keys[self.order]
         #: True when every bucket peeled down to zero
         self.complete = complete
         #: number of non-empty buckets left undecoded
@@ -101,6 +119,34 @@ class DecodeResult:
         #: True when the visit budget, not a stall, ended an incomplete
         #: peel (e.g. one ping-ponging between a phantom and its undo)
         self.budget_exhausted = budget_exhausted
+
+    def lookup(self, keys: Any) -> Tuple[Any, Any]:
+        """Which of the int64 ``keys`` were decoded (a bool array), and
+        the decoded count of each that was, in order."""
+        found, at = find_sorted(self._sorted, keys)
+        return found, self.values[self.order[at[found]]]
+
+
+def find_sorted(pool: Any, keys: Any) -> Tuple[Any, Any]:
+    """Which of the int64 ``keys`` the sorted int64 ``pool`` holds (a
+    bool array), and where each found one sits in it."""
+    if not len(pool):
+        return np.zeros(len(keys), dtype=bool), np.zeros(len(keys), dtype=np.int64)
+    at = np.minimum(np.searchsorted(pool, keys), len(pool) - 1)
+    return pool[at] == keys, at
+
+
+def _decoded_arrays(counts: Dict[int, int]) -> Tuple[Any, Any, Any]:
+    """``counts``' keys (int64) and values (int64, else Python ints) in
+    its order, and the keys' sort order."""
+    keys = np.fromiter(counts, dtype=np.int64, count=len(counts))
+    values = list(counts.values())
+    try:
+        array = np.array(values, dtype=np.int64)
+    except OverflowError:  # a count past int64 stays a Python int
+        array = np.empty(len(values), dtype=object)
+        array[:] = values
+    return keys, array, np.argsort(keys)
 
 
 def _add_exact(base: Any, at: Any, values: Any, signs: Any = 1) -> Any:
@@ -150,28 +196,33 @@ def _first_untouched(at: Any, spots: Any, size: int) -> Any:
     return kept
 
 
-def _tally(keys: List[Any], amounts: List[Any]) -> Dict[int, int]:
+def _tally(
+    keys: List[Any], amounts: List[Any]
+) -> Tuple[Dict[int, int], Tuple[Any, Any, Any]]:
     """The ``{key: count}`` of a peel's waves of ``keys`` and signed
     ``amounts``, as a dict updated peel by peel leaves it: a key's count
     is the sum of its amounts, a key whose sum returns to 0 is dropped,
-    and keys are listed where they last (re)appeared."""
+    and keys are listed where they last (re)appeared.  Also returns
+    :class:`DecodeResult`'s arrays of it."""
     if not keys:
-        return {}
+        return {}, _decoded_arrays({})
     flat_keys = np.concatenate(keys)
-    flat_amounts = np.concatenate(amounts).tolist()
+    flat_amounts = np.concatenate(amounts)
     # sorted rather than np.unique, whose hash-based path left about
     # 1.5 MB more resident memory behind on the query workload
-    ordered = np.sort(flat_keys)
+    order = np.argsort(flat_keys)
+    ordered = flat_keys[order]
     if not np.any(ordered[1:] == ordered[:-1]):
-        return dict(zip(flat_keys.tolist(), flat_amounts))
-    decoded: Dict[int, int] = {}
-    for key, amount in zip(flat_keys.tolist(), flat_amounts):
+        decoded: Dict[int, int] = dict(zip(flat_keys.tolist(), flat_amounts.tolist()))
+        return decoded, (flat_keys, flat_amounts, order)
+    decoded = {}
+    for key, amount in zip(flat_keys.tolist(), flat_amounts.tolist()):
         total = decoded.get(key, 0) + amount
         if total:
             decoded[key] = total
         else:
             del decoded[key]
-    return decoded
+    return decoded, _decoded_arrays(decoded)
 
 
 def _unsigned(row: int, key: int) -> int:
@@ -408,7 +459,7 @@ class CountingFermat:
                 (wave[np.sort(position[touched[left]])], touched[~left])
             )
             wave = wave[(ids[wave] != 0) | (counts[wave] != 0)]
-        decoded = _tally(peeled_keys, peeled_amounts)
+        decoded, arrays = _tally(peeled_keys, peeled_amounts)
         residual = int(np.count_nonzero((ids != 0) | (counts != 0)))
         if _inv.ENABLED and residual == 0:
             # A complete peel removed exactly what it reported: by linearity
@@ -417,7 +468,7 @@ class CountingFermat:
                 self, decoded, f"{type(self).__name__}.decode"
             )
         cut = residual != 0 and bool(unvisited or len(wave))
-        result = DecodeResult(decoded, residual == 0, residual, cut)
+        result = DecodeResult(decoded, residual == 0, residual, cut, arrays)
         return result, (visits, peeled, failures, rejections, inversions)
 
     def _residues(self, keys: Any, amounts: Any) -> Any:
@@ -578,21 +629,22 @@ class InfrequentPart(CountingFermat):
         ``keys``/``counts`` are int64 arrays.  The field updates commute,
         so this equals :meth:`insert` per pair, except that only each
         bucket's final ``icnt`` is range-checked (before any write).  Each
-        residue ``count · key mod p`` is computed once for all rows.
+        residue ``count · key mod p`` is computed once for all rows.  An
+        empty batch hashes nothing.
         """
         if len(keys):
             self._check_key(int(keys.min()))
             self._check_key(int(keys.max()))
-        p = self.prime
-        pairs = zip(keys.tolist(), counts.tolist())
-        residues = np.array([count * key % p for key, count in pairs], np.uint64)
-        at = np.stack(self._hashes.index_arrays(keys)) + self._offsets
-        signs = np.stack(self._sign_arrays(keys))
-        icnt = self.counts.reshape(-1)
-        icnt[...] = _add_exact(icnt, at, counts, signs)
-        # in place, through a uint64 view: residues stay below p < 2^63
-        ids = self.ids.reshape(-1).view(np.uint64)
-        add_mod_at(ids, at.ravel(), np.tile(residues, self.rows), p)
+            p = self.prime
+            pairs = zip(keys.tolist(), counts.tolist())
+            residues = np.array([count * key % p for key, count in pairs], np.uint64)
+            at = np.stack(self._hashes.index_arrays(keys)) + self._offsets
+            signs = np.stack(self._sign_arrays(keys))
+            icnt = self.counts.reshape(-1)
+            icnt[...] = _add_exact(icnt, at, counts, signs)
+            # in place, through a uint64 view: residues stay below p < 2^63
+            ids = self.ids.reshape(-1).view(np.uint64)
+            add_mod_at(ids, at.ravel(), np.tile(residues, self.rows), p)
         if _inv.ENABLED:
             self._check_tables("InfrequentPart.insert_batch iID")
         if _obs.ENABLED:

@@ -68,11 +68,9 @@ def cardinality(sketch: "DaVinciSketch") -> float:
     from repro.core.davinci import MODE_SIGNED
 
     if sketch.mode == MODE_SIGNED:
-        return float(
-            sum(1 for _, est in sketch.known_keys().items() if est != 0)
-        )
+        return float(np.count_nonzero(sketch.known_estimates()[1]))
 
     lower_parts = linear_counting_over(sketch.ef.counter_arrays()[0])
-    fp_keys = np.array(list(sketch.fp.as_dict()), dtype=np.int64)
+    fp_keys = sketch.fp.residents()[0]
     fp_only = len(fp_keys) - int(np.count_nonzero(sketch.ef.query_many(fp_keys)))
     return lower_parts + fp_only

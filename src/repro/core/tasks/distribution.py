@@ -3,7 +3,8 @@
 The estimate combines three sources:
 
 1. **Exact keys** — frequent-part residents and decoded infrequent-part
-   elements are queried individually and histogrammed.
+   elements are read as one array (``DaVinciSketch.estimates``) and
+   histogrammed in order of first appearance.
 2. **Filter residents** — elements that still live (entirely) in the
    element filter are invisible as keys; their size distribution is
    recovered from the filter's level-0 counter *values* with the
@@ -30,6 +31,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from repro.common.errors import ConfigurationError
+from repro.core.infrequent_part import DecodeResult, find_sorted
 from repro.core.kernel import np
 from repro.core.tasks.cardinality import linear_counting_over
 
@@ -139,18 +141,17 @@ def distribution(
     cares about — :func:`repro.core.tasks.entropy.entropy` passes the top
     level explicitly.
     """
-    histogram: Dict[int, float] = {}
-    fp_keys = sketch.fp.as_dict()
-    decoded = sketch.decode_counts()
+    residents, _counts, flagged = sketch.fp.residents()
+    decoded = sketch.decode_result()
     # residents, then decoded keys not resident (their IFP share is
     # already in a resident's query)
-    keys = list(fp_keys) + [key for key in decoded if key not in fp_keys]
-    for estimate in sketch.query_many(keys):
-        if estimate > 0:
-            histogram[estimate] = histogram.get(estimate, 0.0) + 1.0
+    resident, _at = find_sorted(np.sort(residents), decoded.keys)
+    keys = np.concatenate((residents, decoded.keys[~resident]))
+    estimates = sketch.estimates(keys.tolist())
+    histogram = _first_seen_histogram(estimates[estimates > 0])
 
     em_histogram = _filter_resident_distribution(
-        sketch, decoded, fp_keys, level=em_level
+        sketch, decoded, residents[flagged], level=em_level
     )
     for size, count in em_histogram.items():
         histogram[size] = histogram.get(size, 0.0) + count
@@ -160,13 +161,34 @@ def distribution(
     return histogram
 
 
+def _first_seen_histogram(sizes: Any) -> Dict[int, float]:
+    """``{size: #occurrences}`` of an int array, as floats, listing the
+    sizes in order of first appearance (the order a dict counting them
+    one by one would have)."""
+    order = np.argsort(sizes, kind="stable")
+    ordered = sizes[order]
+    first = np.ones(len(sizes), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    starts = np.flatnonzero(first)
+    occurrences = np.diff(np.append(starts, len(sizes)))
+    # the stable sort starts each run at the size's first appearance
+    by_first = np.argsort(order[starts])
+    return dict(
+        zip(
+            ordered[starts][by_first].tolist(),
+            occurrences[by_first].astype(float).tolist(),
+        )
+    )
+
+
 def _filter_resident_distribution(
     sketch: "DaVinciSketch",
-    decoded: Dict[int, int],
-    fp_keys: Dict[int, int],
+    decoded: DecodeResult,
+    flagged: Any,
     level: int = 0,
 ) -> Dict[int, float]:
-    """EM over one filter level's counters, after debiting known mass."""
+    """EM over one filter level's counters, after debiting known mass
+    (``flagged``: the keys of the flagged frequent-part entries)."""
     level = level % sketch.ef.num_levels
     counters = sketch.ef.counter_arrays()[level]
     threshold = sketch.ef.threshold
@@ -176,20 +198,16 @@ def _filter_resident_distribution(
     # and the filter mass of frequent-part alumni (flagged entries only —
     # unflagged entries never visited the filter).  Each debit clamps at
     # 0, so a counter's debits sum before one clamp.
-    decoded_keys = np.array(list(decoded), dtype=np.int64)
-    alumni = np.array(
-        [key for key, _count in sketch.fp.flagged_items() if key not in decoded],
-        dtype=np.int64,
-    )
+    alumni = flagged[~decoded.lookup(flagged)[0]]
     residue = sketch.ef.query_many(alumni)
     kept = (0 < residue) & (residue < cap)
     debits = np.concatenate(
         (
-            np.full(len(decoded_keys), threshold, dtype=np.int64),
+            np.full(len(decoded.keys), threshold, dtype=np.int64),
             np.minimum(residue[kept], threshold),
         )
     )
-    debited_keys = np.concatenate((decoded_keys, alumni[kept]))
+    debited_keys = np.concatenate((decoded.keys, alumni[kept]))
     at, inverse = np.unique(
         sketch.ef._hashes.index_arrays(debited_keys)[level], return_inverse=True
     )

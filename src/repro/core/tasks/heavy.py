@@ -4,8 +4,9 @@ Heavy hitters are read off the keys the structure tracks exactly — the
 frequent-part residents (where a genuine heavy hitter lives with
 overwhelming probability, by the eviction discipline) plus the decoded
 infrequent-part elements (which matter after merges and for borderline
-thresholds).  Each candidate is re-estimated with the full Algorithm-4
-query before thresholding.
+thresholds).  The candidates are gathered as int64 arrays, and each is
+re-estimated with the full Algorithm-4 query, all in one array read,
+before thresholding.
 
 Heavy changers follow the paper's recipe: subtract the sketches of two
 time windows and run heavy-hitter detection on the signed result, ranking
@@ -20,6 +21,7 @@ from typing import TYPE_CHECKING, Dict, Optional, Union, overload
 
 from repro.common.errors import ConfigurationError
 from repro.core.degrade import DegradationPolicy, DegradedResult, apply_policy
+from repro.core.kernel import np
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.davinci import DaVinciSketch
@@ -29,11 +31,9 @@ def heavy_hitters(sketch: "DaVinciSketch", threshold: int) -> Dict[int, int]:
     """Keys whose estimated |frequency| is at least ``threshold``."""
     if threshold <= 0:
         raise ConfigurationError("threshold must be positive")
-    return {
-        key: estimate
-        for key, estimate in sketch.known_keys().items()
-        if abs(estimate) >= threshold
-    }
+    keys, estimates = sketch.known_estimates()
+    heavy = np.abs(estimates) >= threshold
+    return dict(zip(keys[heavy].tolist(), estimates[heavy].tolist()))
 
 
 @overload
@@ -89,20 +89,22 @@ def _heavy_changers_value(
     delta: "DaVinciSketch",
     threshold: int,
 ) -> Dict[int, int]:
-    candidates = set(delta.fp.as_dict())
-    candidates.update(delta.decode_counts())
-    candidates.update(window_a.fp.as_dict())
-    candidates.update(window_b.fp.as_dict())
+    from repro.core.davinci import exact_sum, union_keys
+
+    candidates = union_keys(
+        delta.fp.residents()[0],
+        delta.decode_result().keys,
+        window_a.fp.residents()[0],
+        window_b.fp.residents()[0],
+    )
+    keys = candidates.tolist()
 
     # The difference sketch discovers the candidates; each candidate's
     # change is then re-estimated from the windows' own (Algorithm-4)
     # point queries, which are immune to the two artifacts of counter
     # subtraction — saturated small counters and unpeeled infrequent
-    # buckets — that would otherwise report phantom changes.
-    keys = list(candidates)
-    changes = zip(keys, window_a.query_many(keys), window_b.query_many(keys))
-    return {
-        key: before - after
-        for key, before, after in changes
-        if abs(before - after) >= threshold
-    }
+    # buckets — that would otherwise report phantom changes.  (An
+    # estimate negates exactly: see ``exact_sum``.)
+    change = exact_sum(window_a.estimates(keys), -window_b.estimates(keys))
+    changed = np.abs(change) >= threshold
+    return dict(zip(candidates[changed].tolist(), change[changed].tolist()))

@@ -28,7 +28,7 @@ capability) sidesteps this entirely.
 from __future__ import annotations
 
 import operator
-from typing import TYPE_CHECKING, Set
+from typing import TYPE_CHECKING, Any
 
 from repro.core.kernel import np
 
@@ -56,17 +56,32 @@ def _filter_dot_product(a: "DaVinciSketch", b: "DaVinciSketch") -> float:
     return max(0.0, corrected)
 
 
+def _keyed_cross(f_keyed: Any, f_filter: Any, g_keyed: Any, g_filter: Any) -> int:
+    """``Σ f_K·g_K + f_K·g_E + f_E·g_K`` over the keys, exactly: in int64
+    when the largest magnitudes bound every partial sum below 2^63, else
+    in Python ints."""
+    from repro.core.davinci import largest_magnitude
+
+    terms = (f_keyed, f_filter, g_keyed, g_filter)
+    f, fe, g, ge = (largest_magnitude(term) for term in terms)
+    wide = len(f_keyed) * (f * g + f * ge + fe * g) >= 1 << 63
+    if wide or any(term.dtype != np.int64 for term in terms):
+        f_keyed, f_filter, g_keyed, g_filter = (term.astype(object) for term in terms)
+    return int((f_keyed * g_keyed + f_keyed * g_filter + f_filter * g_keyed).sum())
+
+
 def inner_join(a: "DaVinciSketch", b: "DaVinciSketch") -> float:
     """Estimate ``Σ_e f(e)·g(e)`` between two standard-mode sketches."""
-    from repro.core.davinci import MODE_ADDITIVE
+    from repro.core.davinci import MODE_ADDITIVE, exact_sum, union_keys
 
     a.check_compatible(b)
 
-    keys: Set[int] = set(a.fp.as_dict())
-    keys.update(a.decode_counts())
-    keys.update(b.fp.as_dict())
-    keys.update(b.decode_counts())
-    canonical = np.array(list(keys), dtype=np.int64)
+    canonical = union_keys(
+        a.fp.residents()[0],
+        a.decode_result().keys,
+        b.fp.residents()[0],
+        b.decode_result().keys,
+    )
 
     # Per key ``f_K = f_F + f_I`` (the additive read's IFP share) and
     # ``f_E = min(EF estimate, T)``: a promoted key deposited exactly
@@ -75,8 +90,8 @@ def inner_join(a: "DaVinciSketch", b: "DaVinciSketch") -> float:
     shares = []
     for sketch in (a, b):
         fp, ef, ifp = sketch._query_parts(canonical, MODE_ADDITIVE)
-        shares.append((fp.astype(object) + ifp, np.minimum(ef, sketch.ef.threshold)))
+        shares.append((exact_sum(fp, ifp), np.minimum(ef, sketch.ef.threshold)))
     (f_keyed, f_filter), (g_keyed, g_filter) = shares
-    # J_KK + J_KE + J_EK per key, in exact ints; J_EE is the arrays'.
-    keyed_cross = (f_keyed * g_keyed + f_keyed * g_filter + f_filter * g_keyed).sum()
+    # J_KK + J_KE + J_EK per key; J_EE is the arrays'.
+    keyed_cross = _keyed_cross(f_keyed, f_filter, g_keyed, g_filter)
     return float(keyed_cross) + _filter_dot_product(a, b)

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.common.errors import ConfigurationError, IncompatibleSketchError
+from repro.common.hashing import HashFamily, SignFamily
 from repro.common.primes import SMALL_PRIME
 from repro.core.infrequent_part import InfrequentPart
+from repro.observability import metrics as obs_metrics
 from tests.substrate_contracts import FermatDecodeContract, FermatLinearityContract
 
 
@@ -168,3 +170,26 @@ class TestCrowdedBuckets:
         assert (result.complete, result.residual_buckets) == (False, 7)
         assert result.budget_exhausted
         assert work == (192, 107, 31, 0, 0)
+
+
+class TestEmptyBatch:
+    def test_an_empty_batch_hashes_nothing_and_changes_nothing(self, monkeypatch):
+        ifp = InfrequentPart(rows=3, width=64, seed=5)
+        ifp._obs_registry = registry = obs_metrics.MetricsRegistry()
+        keys = np.array([12, 345, 6789], dtype=np.int64)
+        with obs_metrics.enabled():
+            ifp.insert_batch(keys, np.array([1, 4, 2], dtype=np.int64))
+        before = ifp.ids.copy(), ifp.counts.copy(), registry.snapshot()
+
+        def no_hashing(*args, **kwargs):
+            raise AssertionError("an empty batch hashed")
+
+        monkeypatch.setattr(HashFamily, "index_arrays", no_hashing)
+        monkeypatch.setattr(SignFamily, "sign_arrays", no_hashing)
+        empty = np.empty(0, dtype=np.int64)
+        with obs_metrics.enabled():
+            ifp.insert_batch(empty, empty)
+        ids, counts, snapshot = before
+        assert np.array_equal(ifp.ids, ids) and np.array_equal(ifp.counts, counts)
+        assert registry.snapshot() == snapshot
+        assert snapshot["counters"]["davinci_ifp_inserts_total"] == 3

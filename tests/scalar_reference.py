@@ -12,11 +12,14 @@ leftover is demoted on its own — ``min(count, T)`` through
 union, the whole signed count through ``InfrequentPart.insert`` for a
 difference.
 
-The tasks read many keys at once through ``query_many`` and reduce the
-filter's counters as arrays; :func:`distribution` and :func:`inner_join`
-here read one key at a time through the scalar ``query``, ``lookup`` and
-filter ``query`` and walk the counters in Python, and the array tasks
-must return exactly their answers.
+The tasks gather the tracked keys (FP residents, decoded keys) as
+arrays, read them at once through ``DaVinciSketch.estimates`` and reduce
+the filter's counters as arrays; :func:`distribution`, :func:`entropy`,
+:func:`inner_join`, :func:`known_keys`, :func:`heavy_hitters`,
+:func:`heavy_changers` and :func:`cardinality` here gather them in dicts
+and sets, read one key at a time through the scalar ``query``,
+``lookup`` and filter ``query`` and walk the counters in Python, and the
+array tasks must return exactly their answers.
 
 The infrequent part keeps its buckets as int64 tables and encodes,
 merges and subtracts them as arrays.  :func:`encode` and
@@ -47,6 +50,7 @@ from repro.core.frequent_part import FrequentPart
 from repro.core.infrequent_part import CountingFermat, DecodeResult
 from repro.core.tasks.cardinality import linear_counting_over
 from repro.core.tasks.distribution import CounterArrayEM
+from repro.core.tasks.entropy import entropy_of_distribution
 
 
 def combined(
@@ -149,6 +153,54 @@ def distribution(sketch: DaVinciSketch, em_level: int = 0) -> Dict[int, float]:
     for size, count in em_estimate(CounterArrayEM(max_value=cap - 1), base).items():
         histogram[size] = histogram.get(size, 0.0) + count
     return histogram
+
+
+def entropy(sketch: DaVinciSketch) -> float:
+    """The entropy of :func:`distribution` over the filter's top level."""
+    return entropy_of_distribution(
+        distribution(sketch, em_level=-1), float(sketch.total_count)
+    )
+
+
+def known_keys(sketch: DaVinciSketch) -> Dict[int, int]:
+    """FP residents and decoded keys, each read by the scalar ``query``."""
+    keys = set(sketch.fp.as_dict())
+    keys.update(sketch.decode_counts())
+    return {key: sketch.query(key) for key in keys}
+
+
+def heavy_hitters(sketch: DaVinciSketch, threshold: int) -> Dict[int, int]:
+    """The known keys whose estimate reaches ``threshold`` in magnitude."""
+    return {
+        key: estimate
+        for key, estimate in known_keys(sketch).items()
+        if abs(estimate) >= threshold
+    }
+
+
+def heavy_changers(
+    a: DaVinciSketch, b: DaVinciSketch, threshold: int
+) -> Dict[int, int]:
+    """``query`` in ``a`` minus ``query`` in ``b`` of every key tracked
+    by ``a − b`` or resident in either window, where it reaches
+    ``threshold`` in magnitude."""
+    delta = difference(a, b)
+    keys = set(delta.fp.as_dict())
+    keys.update(delta.decode_counts())
+    keys.update(a.fp.as_dict())
+    keys.update(b.fp.as_dict())
+    changes = {key: a.query(key) - b.query(key) for key in keys}
+    return {key: change for key, change in changes.items() if abs(change) >= threshold}
+
+
+def cardinality(sketch: DaVinciSketch) -> float:
+    """Known keys of nonzero estimate for a signed sketch; else linear
+    counting over level 0 plus the residents the filter reads as 0."""
+    if sketch.mode == MODE_SIGNED:
+        return float(sum(1 for value in known_keys(sketch).values() if value != 0))
+    lower_parts = linear_counting_over(list(sketch.ef.levels[0]))
+    residents = sketch.fp.as_dict()
+    return lower_parts + sum(1 for key in residents if sketch.ef.query(key) == 0)
 
 
 def _keyed_and_filter(sketch: DaVinciSketch, key: int) -> Tuple[int, int]:
