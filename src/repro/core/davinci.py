@@ -148,49 +148,91 @@ def union_keys(*arrays: Any) -> Any:
     return keys[distinct]
 
 
-class UnitPairs:
-    """``(key, 1)`` for every key of ``keys``, without the tuples.
+class PairColumns:
+    """``(key, count)`` pairs held as columns, without the tuples.
 
-    :meth:`DaVinciSketch.insert_all` hands one to
-    :meth:`DaVinciSketch.insert_batch`, which reads the keys directly
-    (the keys-first entry); anything else may iterate it as pairs.
+    ``counts is None`` means every count is 1.  :meth:`DaVinciSketch.insert_all`
+    hands one to :meth:`DaVinciSketch.insert_batch`, which reads the
+    columns directly (the keys-first entry), as does
+    :class:`~repro.runtime.ingestor.CheckpointingIngestor`; anything else
+    may iterate it as pairs.
     """
 
-    __slots__ = ("keys",)
+    __slots__ = ("keys", "counts")
 
-    def __init__(self, keys: Iterable[object]) -> None:
+    def __init__(
+        self, keys: Iterable[object], counts: Optional[Iterable[Any]] = None
+    ) -> None:
         self.keys = keys
+        self.counts = counts
 
-    def __iter__(self) -> Iterator[Tuple[object, int]]:
-        return ((key, 1) for key in self.keys)
+    def __iter__(self) -> Iterator[Tuple[object, Any]]:
+        if self.counts is None:
+            return ((key, 1) for key in self.keys)
+        return zip(self.keys, self.counts)
 
 
-def _chunks(
-    pairs: Iterable[Tuple[object, int]], size: int
-) -> Iterator[Tuple[Sequence[object], Optional[Sequence[Any]]]]:
-    """``(keys, counts)`` columns of each ``size``-pair chunk.
+#: columns sliced in place rather than iterated
+_SLICEABLE = (list, tuple, np.ndarray)
 
-    ``counts is None`` for a :class:`UnitPairs` stream (every count 1).
+Columns = Tuple[Sequence[Any], Optional[Sequence[Any]]]
+
+
+def column_reader(pairs: Iterable[Tuple[object, Any]]) -> Callable[[int], Columns]:
+    """``take(n)``: the ``(keys, counts)`` columns of the next ``n`` pairs.
+
+    Fewer at the end of the stream, and empty ones after it.  ``counts``
+    is ``None`` for a :class:`PairColumns` without counts.  Columns that
+    are lists, tuples or arrays are sliced, so an integer array stays one
+    (a view); other key iterables are consumed ``n`` keys at a time, and
+    other counts iterables are read into a list with their keys.
     """
-    if isinstance(pairs, UnitPairs):
-        keys = pairs.keys
-        if isinstance(keys, list):
-            for start in range(0, len(keys), size):
-                yield keys[start : start + size], None
-            return
-        iterator = iter(keys)
-        while True:
-            chunk = list(islice(iterator, size))
-            if not chunk:
-                return
-            yield chunk, None
-    iterator_pairs = iter(pairs)
+    if isinstance(pairs, PairColumns):
+        keys: Any = pairs.keys
+        counts: Any = pairs.counts
+        if counts is not None:
+            if not isinstance(keys, _SLICEABLE):
+                keys = list(keys)
+            if not isinstance(counts, _SLICEABLE):
+                counts = list(counts)
+            if len(counts) != len(keys):
+                raise ConfigurationError(
+                    f"{len(keys)} keys but {len(counts)} counts"
+                )
+        if isinstance(keys, _SLICEABLE):
+            position = 0
+
+            def take_slice(n: int) -> Columns:
+                nonlocal position
+                start, position = position, position + n
+                if counts is None:
+                    return keys[start:position], None
+                return keys[start:position], counts[start:position]
+
+            return take_slice
+        key_iter = iter(keys)
+        return lambda n: (list(islice(key_iter, n)), None)
+    pair_iter = iter(pairs)
+
+    def take_pairs(n: int) -> Columns:
+        chunk = list(islice(pair_iter, n))
+        if not chunk:
+            return (), ()
+        key_column, count_column = zip(*chunk)
+        return key_column, count_column
+
+    return take_pairs
+
+
+def _chunks(pairs: Iterable[Tuple[object, Any]], size: int) -> Iterator[Columns]:
+    """``(keys, counts)`` columns of each ``size``-pair chunk
+    (:func:`column_reader`)."""
+    take = column_reader(pairs)
     while True:
-        pair_chunk = list(islice(iterator_pairs, size))
-        if not pair_chunk:
+        keys, counts = take(size)
+        if not len(keys):
             return
-        key_column, count_column = zip(*pair_chunk)
-        yield key_column, count_column
+        yield keys, counts
 
 
 class DaVinciSketch(Sketch):
@@ -352,7 +394,7 @@ class DaVinciSketch(Sketch):
         :meth:`insert_batch` for the exact contract); pass
         ``chunk_size=1`` to match the per-item loop.
         """
-        self.insert_batch(UnitPairs(keys), chunk_size=chunk_size)
+        self.insert_batch(PairColumns(keys), chunk_size=chunk_size)
 
     def insert_batch(
         self,

@@ -657,20 +657,21 @@ class InfrequentPart(CountingFermat):
     def fast_query(self, key: int) -> int:
         """Median over rows of ``ζᵢ(key) · icnt`` (unbiased, Lemma 1); the
         floored mean of the middle two for an even row count."""
-        return self.fast_query_many(np.array([key], dtype=np.int64))[0]
+        return int(self.fast_query_many(np.array([key], dtype=np.int64))[0])
 
-    def fast_query_many(self, keys: Any) -> List[int]:
-        """:meth:`fast_query` of each of the int64 ``keys``."""
+    def fast_query_many(self, keys: Any) -> Any:
+        """:meth:`fast_query` of each of the int64 ``keys``, as an int64
+        array."""
         columns = np.stack(self._hashes.index_arrays(keys))
         estimates = np.stack(self._sign_arrays(keys))
         estimates *= self.counts[np.arange(self.rows)[:, None], columns]
         estimates.sort(axis=0)
         mid = self.rows // 2
         if self.rows % 2:
-            return estimates[mid].tolist()
+            return estimates[mid]
         low, high = estimates[mid - 1], estimates[mid]
         # the floored mean, without the sum leaving int64
-        return ((low >> 1) + (high >> 1) + ((low & 1) + (high & 1) >> 1)).tolist()
+        return (low >> 1) + (high >> 1) + ((low & 1) + (high & 1) >> 1)
 
     # ------------------------------------------------------------------ #
     # full decode (Algorithm 5)

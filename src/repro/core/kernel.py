@@ -39,9 +39,9 @@ outside ``[0, 2^52)``, and a bucket pile-up into more than
 and fallback chunks ``"object"``.
 
 The frequent part's table and the element filter's counters live in
-int64 buffers that the rounds view in place; serialization, set
-operations, checkpointing, sharding and the service layer never see an
-array.
+int64 buffers that the rounds view in place.  A chunk may arrive as an
+integer array (the sharded runtime and the journal keep canonical keys
+as arrays); :func:`canonical_keys` takes it without a Python list.
 """
 
 from __future__ import annotations
@@ -232,6 +232,19 @@ def _fingerprint_blobs(keys: Sequence[Any], texts: bool) -> Any:
     return out[at]
 
 
+def _fingerprint_outside(values: Any) -> Any:
+    """Canonicalize a new int64 or uint64 key array in place, as uint64.
+
+    Viewed as uint64, ``value - 1`` wraps for 0 and negatives, so one
+    comparison finds every key outside ``[1, 2^32)``.
+    """
+    out = values.view(np.uint64)
+    outside = out - np.uint64(1) >= np.uint64(CANONICAL_DOMAIN - 1)
+    if outside.any():
+        out[outside] = _fingerprint(out[outside])
+    return out
+
+
 def canonical_keys(keys: Iterable[object]) -> Any:
     """``[canonical_key(k) for k in keys]`` as one uint64 array.
 
@@ -242,8 +255,15 @@ def canonical_keys(keys: Iterable[object]) -> Any:
     (:func:`_fingerprint_blobs`); lists may mix them.  A ``bool``, any
     other type, or a ``str`` UTF-8 cannot encode raises the scalar path's
     :class:`~repro.common.errors.ConfigurationError`, for the first such
-    key in order.
+    key in order.  A one-dimensional integer array is taken as it is,
+    with one vectorized domain check; the result is always a new array.
     """
+    if isinstance(keys, np.ndarray):
+        if keys.ndim == 1 and keys.dtype.kind in "iu":
+            # int64 for signed keys: two's complement == key & MASK64
+            wide = np.int64 if keys.dtype.kind == "i" else np.uint64
+            return _fingerprint_outside(keys.astype(wide))
+        keys = keys.tolist()
     items: Sequence[Any] = (
         keys if isinstance(keys, (list, tuple)) else list(keys)
     )
@@ -257,11 +277,7 @@ def canonical_keys(keys: Iterable[object]) -> Any:
         except OverflowError:
             pass  # beyond int64: the general loop masks these exactly
         else:
-            out = values.view(np.uint64)  # two's complement == key & MASK64
-            outside = (values < 1) | (values >= CANONICAL_DOMAIN)
-            if outside.any():
-                out[outside] = _fingerprint(out[outside])
-            return out
+            return _fingerprint_outside(values)
     out = np.empty(n, dtype=np.uint64)
     direct_at: List[int] = []
     direct: List[int] = []
@@ -351,13 +367,26 @@ def ingest_chunk(
     leave int64.
     """
     if _inv.ENABLED and counts is not None:
-        for count in counts:
-            _inv.check_counter_int(count, "DaVinciSketch.insert_batch count")
+        _check_counts(counts)
     canonical = canonical_keys(keys)
     admitted = _admit(sketch, counts, len(canonical))
     if admitted is not None and _apply(sketch, canonical, *admitted):
         return
+    if isinstance(counts, np.ndarray):
+        counts = counts.tolist()
     sketch._insert_totals(canonical.tolist(), counts)
+
+
+def _check_counts(counts: Sequence[Any]) -> None:
+    """Sanitizer: counts are Python ints, or an integer array."""
+    if isinstance(counts, np.ndarray):
+        _inv.check(
+            counts.dtype.kind in "iu",
+            "DaVinciSketch.insert_batch counts must be an integer array",
+        )
+        return
+    for count in counts:
+        _inv.check_counter_int(count, "DaVinciSketch.insert_batch count")
 
 
 def _admit(

@@ -5,23 +5,31 @@ Durability protocol
 The ingestor owns a directory with two files:
 
 ``journal.log``
-    A write-ahead log of ingestion chunks, one JSON record per line::
+    A write-ahead log of ingestion chunks, one length-framed binary
+    record per chunk, little-endian::
 
-        {"crc": "…", "counts": 1, "keys": [42, "s:flow-9"], "seq": 7}
+        magic b"DVJ\\x01" | seq u64 | n u32 | flags u32
+        | n canonical keys u32 | n counts i64 (when flags & 1)
+        | CRC32 u32 over everything before it
 
-    ``keys`` stores integer keys natively and tags the rest ("s:" for
-    strings, "b:" for base64 bytes); ``counts`` is the scalar ``1`` for
-    the ubiquitous all-singletons chunk, or a parallel list of positive
-    integers otherwise — both choices keep the hot encode path to one
-    type scan and a single JSON dump (orjson when available).  Every
-    record is CRC32-checksummed over the exact payload bytes written
-    after the ``crc`` field — encoder-agnostic by construction — and
-    **fsynced before the chunk touches the sketch**, so a chunk either
-    reached stable storage in full, or (a torn final line) was never
+    The keys are the chunk's canonical keys
+    (:func:`~repro.core.kernel.canonical_keys`): ints in ``[1, 2^32)``,
+    which ``canonical_key`` passes through unchanged, so a replayed
+    record builds the same state whatever the original key types were.
+    The counts column is left out when every count is 1.  Every record
+    is **fsynced before the chunk touches the sketch**, so a chunk either
+    reached stable storage in full, or (a torn final record) was never
     applied anywhere and the caller re-sends it.  A chunk is first
-    checked against what the sketch would refuse (a count outside
-    ``[1, 2^63)``, a ``total_count`` leaving int64), so the journal
-    never holds a record that replay cannot apply.
+    checked against what the sketch would refuse (a key it cannot
+    canonicalize, a count outside ``[1, 2^63)``, a ``total_count``
+    leaving int64), so the journal never holds a record that replay
+    cannot apply.
+
+    Journals written before the binary records hold one CRC-prefixed
+    JSON line per chunk (``{"crc": "…", "counts": 1, "keys": [42,
+    "s:flow-9"], "seq": 7}``).  Recovery still replays them, then
+    checkpoints at once, which truncates the journal: a journal file
+    never holds both formats.
 
 ``checkpoint.json``
     The newest durable sketch snapshot::
@@ -40,14 +48,19 @@ The ingestor owns a directory with two files:
 Recovery (performed by the constructor whenever the directory already
 holds state) loads the checkpoint, verifies both its own CRC and the
 embedded sketch's digest, replays every journal record with
-``seq > applied_seq``, and discards a torn trailing line.  Because chunk
+``seq > applied_seq``, and discards a torn final record.  Because chunk
 boundaries are recorded exactly and replay applies each record through
-``insert_batch(pairs, chunk_size=len(pairs))`` — the same call the live
-path makes — the recovered sketch's
+``insert_batch(PairColumns(keys, counts), chunk_size=len(keys))`` — the
+same call the live path makes — the recovered sketch's
 :meth:`~repro.core.davinci.DaVinciSketch.to_state` is **byte-identical**
-to an uninterrupted run over the same stream.  A corrupt record *before*
-the tail is not a crash artifact (fsynced bytes don't un-write
-themselves) and raises :class:`~repro.common.errors.CheckpointError`.
+to an uninterrupted run over the same stream.  A final record that is
+short (its declared length runs past the end of the file) or fails its
+CRC is a torn tail.  A corrupt record *before* the tail is not a crash
+artifact (fsynced bytes don't un-write themselves) and raises
+:class:`~repro.common.errors.CheckpointError`; so do a header no write
+could make, a sequence gap, and torn-looking bytes with a whole record
+after them.  A header's ``n`` is checked against the bytes read before
+anything is sized by it.
 
 Checkpoint cadence is configurable by items and/or seconds; pass
 ``clock`` to make time-based cadence deterministic in tests, and
@@ -61,9 +74,9 @@ from __future__ import annotations
 import base64
 import json
 import os
+import struct
 import time
 import zlib
-from itertools import islice, repeat
 from types import TracebackType
 from typing import (
     Any,
@@ -73,23 +86,24 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Sequence,
     Tuple,
     Type,
     Union,
 )
 
 from repro.common.errors import CheckpointError, ConfigurationError
-from repro.common.hashing import check_texts
 from repro.common.validation import INT64_MAX, require_int64
 from repro.core import serialization
 from repro.core.config import DaVinciConfig
-from repro.core.davinci import DaVinciSketch
+from repro.core.davinci import DaVinciSketch, PairColumns, column_reader
+from repro.core.kernel import canonical_keys, np
 from repro.observability import instruments as _obs_instruments
 from repro.observability import metrics as _obs
 from repro.observability.instruments import IngestorMetrics
 from repro.observability.metrics import MetricsRegistry
 
-try:  # optional accelerator: ~2x faster journal/checkpoint encoding
+try:  # optional accelerator: ~2x faster checkpoint encoding
     import orjson as _fastjson
 except ImportError:  # pragma: no cover - exercised where orjson is absent
     _fastjson = None  # type: ignore[assignment]
@@ -114,16 +128,30 @@ _CHECKPOINT_DIGEST = "crc32"
 IngestKey = Union[int, str, bytes]
 CrashHook = Callable[[str], None]
 
+#: a chunk as the journal holds it: canonical keys, and int64 counts or
+#: ``None`` when every count is 1
+Chunk = Tuple[Any, Optional[Any]]
 
-#: every durable record begins with ``{"crc":"xxxxxxxx",`` (18 bytes)
+#: every durable JSON record begins with ``{"crc":"xxxxxxxx",`` (18 bytes)
 _CRC_PREFIX_LEN = 18
+
+#: a binary journal record: magic and version, ``seq``, ``n``, flags,
+#: then the keys column, the optional counts column and a CRC32 over all
+#: of it (see the module docstring)
+_RECORD_MAGIC = b"DVJ\x01"
+_RECORD_HEADER = struct.Struct("<4sQII")
+_RECORD_CRC = struct.Struct("<I")
+#: flags bit: the record carries a counts column
+_HAS_COUNTS = 1
+_KEY_DTYPE = np.dtype("<u4")
+_COUNT_DTYPE = np.dtype("<i8")
 
 
 def _dumps_payload(payload: Dict[str, Any]) -> bytes:
     """Compact JSON encode of a payload mapping (orjson when available).
 
     The CRC scheme covers the *written bytes*, so the two encoders never
-    need to agree byte-for-byte — a journal written with one loads fine
+    need to agree byte-for-byte — a file written with one loads fine
     under the other.  orjson rejects ints beyond 64 bits; those rare
     records fall back to the stdlib encoder.
     """
@@ -157,7 +185,8 @@ def _crc_line(payload: Dict[str, Any]) -> bytes:
     bytes and grafted on by string surgery — ``{"crc":"…",`` in front of
     ``blob[1:]``.  Readers re-derive the payload bytes by the inverse
     splice and verify the checksum against them, so no canonical
-    re-encode is ever needed.
+    re-encode is ever needed.  Checkpoints are written this way, and so
+    were the journal records of the JSON format.
     """
     blob = _dumps_payload(payload)
     crc = zlib.crc32(blob) & 0xFFFFFFFF
@@ -182,44 +211,55 @@ def _split_crc_blob(blob: bytes) -> Optional[bytes]:
     return payload
 
 
-def _encode_key(key: object) -> str:
-    """Slow-path key encoding (the hot path inlines the ``int`` case)."""
-    if isinstance(key, str):
-        return "s:" + key
-    if isinstance(key, bytes):
-        return "b:" + base64.b64encode(key).decode("ascii")
-    raise ConfigurationError(
-        "journaled ingestion accepts int, str or bytes keys "
-        f"(got {type(key).__name__}); hash other key types yourself"
-    )
-
-
 def _bad_count(count: object) -> int:
-    """Raise for a count the journal cannot hold (see :func:`split_pairs`)."""
+    """Raise for a count the journal cannot hold (see :func:`count_column`)."""
     raise ConfigurationError(
         f"ingest count must be an int in [1, 2^63), got {count!r}"
     )
 
 
-def split_pairs(
-    pairs: List[Tuple[object, int]], check: Callable[[object], int]
-) -> Tuple[List[object], Optional[List[int]]]:
-    """The ``(keys, counts)`` columns of ``pairs``; ``counts`` is ``None``
+def count_column(
+    counts: Sequence[Any], check: Callable[[object], int]
+) -> Tuple[Optional[Any], int]:
+    """``(counts as int64, their exact total)``; the array is ``None``
     when every count is 1.
 
-    A count that is not an ``int`` in ``[1, 2^63)`` goes to ``check``,
-    which returns it as one or raises, before either column exists.
+    An integer array inside ``[1, 2^63)`` passes with one vectorized
+    check.  Otherwise a count that is not an ``int`` in ``[1, 2^63)``
+    goes to ``check``, which returns it as one or raises, before the
+    array exists.
     """
-    keys = [key for key, _count in pairs]
-    counts = [
-        count if type(count) is int and 0 < count <= INT64_MAX else check(count)
-        for _key, count in pairs
-    ]
-    return keys, None if counts.count(1) == len(counts) else counts
+    n = len(counts)
+    if (
+        isinstance(counts, np.ndarray)
+        and counts.dtype.kind in "iu"
+        and n
+        and int(counts.min()) >= 1
+        and int(counts.max()) <= INT64_MAX
+    ):
+        column = counts.astype(np.int64)
+    else:
+        if isinstance(counts, np.ndarray):
+            counts = counts.tolist()
+        column = np.array(
+            [
+                count
+                if type(count) is int and 0 < count <= INT64_MAX
+                else check(count)
+                for count in counts
+            ],
+            dtype=np.int64,
+        )
+    if n and int(column.max()) <= INT64_MAX // n:
+        total = int(column.sum())  # cannot wrap
+    else:
+        total = sum(column.tolist())
+    return (None if total == n else column), total
 
 
 def _decode_key(raw: object) -> IngestKey:
-    """Invert the ``keys`` encoding; raise ``CheckpointError`` on bad shape."""
+    """Invert the JSON format's ``keys`` encoding; raise
+    ``CheckpointError`` on bad shape."""
     if type(raw) is int:
         return raw
     if isinstance(raw, str):
@@ -233,6 +273,142 @@ def _decode_key(raw: object) -> IngestKey:
                     f"journal record holds undecodable bytes key {raw!r}"
                 ) from exc
     raise CheckpointError(f"journal record holds malformed key {raw!r}")
+
+
+def _parse_record(
+    blob: bytes, offset: int
+) -> Tuple[int, Optional[Tuple[int, Chunk]]]:
+    """The binary record at ``offset``: ``(its end, (seq, chunk))``.
+
+    The parse is ``None`` when the bytes from ``offset`` could be a torn
+    final record: fewer than a header, a declared length past the end of
+    ``blob``, or a CRC that fails on a record ending exactly there.  A
+    header that no write could have made (bad magic, ``n`` or ``seq``
+    below 1, unknown flags), a CRC that fails on a record with bytes
+    after it, or impossible fields under a valid CRC raise
+    ``CheckpointError``.  ``n`` is checked against the bytes left before
+    anything is sized by it; the columns are views into ``blob``.
+    """
+    left = len(blob) - offset
+    if left < _RECORD_HEADER.size:
+        if _RECORD_MAGIC.startswith(blob[offset : offset + 4]):
+            return len(blob), None
+        raise CheckpointError(
+            f"journal byte {offset} does not start a binary record"
+        )
+    magic, seq, n, flags = _RECORD_HEADER.unpack_from(blob, offset)
+    if magic != _RECORD_MAGIC or seq < 1 or n < 1 or flags & ~_HAS_COUNTS:
+        raise CheckpointError(
+            f"journal byte {offset} holds an impossible record header "
+            f"(magic={magic!r}, seq={seq}, n={n}, flags={flags})"
+        )
+    width = _KEY_DTYPE.itemsize + (
+        _COUNT_DTYPE.itemsize if flags & _HAS_COUNTS else 0
+    )
+    body_end = offset + _RECORD_HEADER.size + n * width
+    end = body_end + _RECORD_CRC.size
+    if end > len(blob):
+        return len(blob), None
+    (crc,) = _RECORD_CRC.unpack_from(blob, body_end)
+    if crc != zlib.crc32(memoryview(blob)[offset:body_end]):
+        if end == len(blob):
+            return end, None
+        raise CheckpointError(
+            f"journal record at byte {offset} is corrupt but not the final "
+            "record — fsynced records cannot tear; storage corruption"
+        )
+    at = offset + _RECORD_HEADER.size
+    keys = np.frombuffer(blob, dtype=_KEY_DTYPE, count=n, offset=at)
+    counts = None
+    if flags & _HAS_COUNTS:
+        counts = np.frombuffer(
+            blob, dtype=_COUNT_DTYPE, count=n, offset=at + keys.nbytes
+        )
+        if int(counts.min()) < 1:
+            raise CheckpointError(f"journal record {seq} holds a count below 1")
+    if not keys.all():
+        raise CheckpointError(f"journal record {seq} holds the key 0")
+    return end, (seq, (keys, counts))
+
+
+def _record_follows(blob: bytes, start: int) -> bool:
+    """Whether a whole, CRC-valid binary record begins past ``start``.
+
+    A torn record is the last bytes ever written, so a record after
+    bytes that read as torn shows them to be corruption instead.
+    """
+    at = blob.find(_RECORD_MAGIC, start)
+    while at >= 0:
+        try:
+            _end, parsed = _parse_record(blob, at)
+        except CheckpointError:
+            parsed = None
+        if parsed is not None:
+            return True
+        at = blob.find(_RECORD_MAGIC, at + 1)
+    return False
+
+
+def _binary_records(blob: bytes) -> Tuple[List[Tuple[int, Chunk]], int]:
+    """The records of a binary journal and the length they span; bytes
+    past that length are a torn final record."""
+    records: List[Tuple[int, Chunk]] = []
+    offset = 0
+    while offset < len(blob):
+        end, parsed = _parse_record(blob, offset)
+        if parsed is None:
+            if _record_follows(blob, offset + 1):
+                raise CheckpointError(
+                    f"journal record at byte {offset} reads as torn, but a "
+                    "whole record follows it; storage corruption"
+                )
+            break
+        records.append(parsed)
+        offset = end
+    return records, offset
+
+
+class ColumnBuffer:
+    """Canonical key arrays and their int64 counts, held in stream order.
+
+    ``counts`` stays ``None`` while every held count is 1; the first
+    weighted piece fills in the ones before it.
+    """
+
+    __slots__ = ("keys", "counts", "items")
+
+    def __init__(self) -> None:
+        self.keys: List[Any] = []
+        self.counts: Optional[List[Any]] = None
+        self.items = 0
+
+    def hold(self, keys: Any, counts: Optional[Any]) -> None:
+        if counts is not None and self.counts is None:
+            self.counts = [np.ones(self.items, dtype=np.int64)]
+        if self.counts is not None:
+            self.counts.append(
+                np.ones(len(keys), dtype=np.int64) if counts is None else counts
+            )
+        self.keys.append(keys)
+        self.items += len(keys)
+
+    def take(self) -> Chunk:
+        """Empty the buffer; its columns as one array each."""
+        keys = _joined(self.keys)
+        counts = None if self.counts is None else _joined(self.counts)
+        self.keys, self.counts, self.items = [], None, 0
+        return keys, counts
+
+
+def _joined(pieces: List[Any]) -> Any:
+    """One array of ``pieces`` (the piece itself when there is one)."""
+    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+
+
+def _apply(sketch: DaVinciSketch, keys: Any, counts: Optional[Any]) -> None:
+    """Apply one journal record's chunk: the one call the live path and
+    replay both make, so their states are byte-identical."""
+    sketch.insert_batch(PairColumns(keys, counts), chunk_size=len(keys))
 
 
 def _fsync_dir(path: str) -> None:
@@ -342,19 +518,22 @@ class CheckpointingIngestor:
         #: True when the constructor rebuilt state from disk
         self.recovered: bool = False
 
+        #: the journal on disk is in the JSON format (written before the
+        #: binary records); set by recovery
+        self._json_journal = False
         self.sketch: DaVinciSketch = self._recover()
-        #: buffered keys not yet journaled; ``_pending_counts is None``
-        #: means every buffered key has an implicit count of 1 (the
-        #: ubiquitous case — ``ingest_keys`` never materializes a counts
-        #: list until a counted pair actually shows up).
-        self._pending_keys: List[object] = []
-        self._pending_counts: Optional[List[int]] = None
+        #: canonical keys and counts not yet journaled
+        self._pending = ColumnBuffer()
         #: the buffered keys' total count
         self._pending_units = 0
         self._items_at_checkpoint = self.items_ingested
         self._time_at_checkpoint = self._clock()
         self._journal_file = open(self._journal_path, "ab")
         self._closed = False
+        if self._json_journal:
+            # One format per journal file: the snapshot supersedes the
+            # JSON records and truncates them before any binary record.
+            self.checkpoint()
 
     # ------------------------------------------------------------------ #
     # observability (free while disabled)
@@ -397,7 +576,7 @@ class CheckpointingIngestor:
             sketch.ifp._obs_registry = self._obs_registry
         replayed_records = 0
         replayed_items = 0
-        for seq, pairs in self._replayable_records():
+        for seq, (keys, counts) in self._replayable_records():
             had_state = True
             if seq <= self.applied_seq:
                 continue
@@ -406,11 +585,11 @@ class CheckpointingIngestor:
                     f"journal gap: expected record {self.applied_seq + 1}, "
                     f"found {seq} — the log was externally modified"
                 )
-            sketch.insert_batch(pairs, chunk_size=len(pairs))
+            _apply(sketch, keys, counts)
             self.applied_seq = seq
-            self.items_ingested += len(pairs)
+            self.items_ingested += len(keys)
             replayed_records += 1
-            replayed_items += len(pairs)
+            replayed_items += len(keys)
         self.recovered = had_state
         if _obs.ENABLED and had_state:
             bundle = self._observe()
@@ -464,32 +643,51 @@ class CheckpointingIngestor:
             raise CheckpointError("checkpoint fields are malformed")
         return record
 
-    def _replayable_records(
-        self,
-    ) -> Iterator[Tuple[int, List[Tuple[IngestKey, int]]]]:
-        """Yield valid ``(seq, pairs)`` records; trim a torn trailing line.
+    def _replayable_records(self) -> Iterator[Tuple[int, Chunk]]:
+        """Yield valid ``(seq, (keys, counts))`` records; trim a torn tail.
 
         The valid prefix length is tracked so a torn tail (crash mid-append)
         can be truncated away before new records are appended — otherwise
-        the next append would graft fresh bytes onto the partial line.
+        the next append would graft fresh bytes onto the partial record.
+        A journal whose first byte is ``{`` is read as the JSON format.
         """
         try:
             with open(self._journal_path, "rb") as handle:
                 blob = handle.read()
         except FileNotFoundError:
             return
+        if blob[:1] == b"{":
+            self._json_journal = True
+            records, valid_length = self._json_records(blob)
+        else:
+            records, valid_length = _binary_records(blob)
+        if valid_length < len(blob):
+            with open(self._journal_path, "r+b") as handle:
+                handle.truncate(valid_length)
+                handle.flush()
+                os.fsync(handle.fileno())
+        yield from records
+
+    def _json_records(
+        self, blob: bytes
+    ) -> Tuple[List[Tuple[int, Chunk]], int]:
+        """The records of a JSON-format journal and the length they span;
+        a torn final line lies past that length."""
         lines = blob.split(b"\n")
         # A complete journal ends with a newline, so a well-formed read
         # yields a trailing empty chunk; anything else is a torn tail.
         chunks = lines[:-1]
-        torn: Optional[bytes] = lines[-1] if lines[-1] else None
         valid_length = 0
-        records: List[Tuple[int, List[Tuple[IngestKey, int]]]] = []
+        records: List[Tuple[int, Chunk]] = []
         for index, line in enumerate(chunks):
+            if line.startswith(_RECORD_MAGIC):
+                raise CheckpointError(
+                    f"journal line {index} is a binary record in a JSON "
+                    "journal; a journal holds one format"
+                )
             parsed = self._parse_journal_line(line)
             if parsed is None:
-                if index == len(chunks) - 1 and torn is None:
-                    torn = line
+                if index == len(chunks) - 1 and not lines[-1]:
                     break
                 raise CheckpointError(
                     f"journal record {index} is corrupt but not the final "
@@ -497,17 +695,11 @@ class CheckpointingIngestor:
                 )
             records.append(parsed)
             valid_length += len(line) + 1
-        if torn is not None:
-            with open(self._journal_path, "r+b") as handle:
-                handle.truncate(valid_length)
-                handle.flush()
-                os.fsync(handle.fileno())
-        yield from records
+        return records, valid_length
 
-    def _parse_journal_line(
-        self, line: bytes
-    ) -> Optional[Tuple[int, List[Tuple[IngestKey, int]]]]:
-        """One journal line → ``(seq, pairs)``, or None when torn."""
+    def _parse_journal_line(self, line: bytes) -> Optional[Tuple[int, Chunk]]:
+        """One JSON journal line → ``(seq, (keys, counts))``, or None when
+        torn."""
         payload_blob = _split_crc_blob(line)
         if payload_blob is None:
             return None
@@ -530,7 +722,7 @@ class CheckpointingIngestor:
             )
         decoded = [_decode_key(raw) for raw in raw_keys]
         if type(raw_counts) is int and raw_counts == 1:
-            return seq, list(zip(decoded, repeat(1)))
+            return seq, (decoded, None)
         if (
             not isinstance(raw_counts, list)
             or len(raw_counts) != len(raw_keys)
@@ -541,7 +733,7 @@ class CheckpointingIngestor:
             raise CheckpointError(
                 f"journal record {seq} carries malformed counts"
             )
-        return seq, list(zip(decoded, raw_counts))
+        return seq, (decoded, raw_counts)
 
     # ------------------------------------------------------------------ #
     # ingestion
@@ -560,24 +752,29 @@ class CheckpointingIngestor:
         ``stream[items_ingested:]``.  Each count must be an ``int`` in
         ``[1, 2^63)``; a slice holding any other, or a key or total the
         journal would refuse, raises with none of it buffered and the
-        keys buffered before it kept.
+        keys buffered before it kept.  A
+        :class:`~repro.core.davinci.PairColumns` is read as columns: an
+        integer key array and an int64 counts array stay arrays.
         """
-        return self._ingest(pairs, weighted=True)
+        return self._ingest(pairs)
 
     def ingest_keys(self, keys: Iterable[object]) -> int:
         """Accept single occurrences (``count=1`` per key).
 
-        :meth:`ingest` without the counts column: no pair tuples and no
-        counts list unless weighted pairs already share the buffer.
+        :meth:`ingest` without the counts column; a list, tuple or
+        integer array of keys is sliced, not iterated.
         """
-        return self._ingest(keys, weighted=False)
+        return self._ingest(PairColumns(keys))
 
-    def _ingest(self, items: Iterable[Any], weighted: bool) -> int:
+    def _ingest(self, pairs: Iterable[Tuple[object, int]]) -> int:
         """The buffering loop behind :meth:`ingest` and :meth:`ingest_keys`.
 
-        Each pass takes what the buffer lacks of a full chunk; a full
-        chunk arriving on an empty buffer is committed without a copy.  A
-        pass the journal would refuse (:meth:`_check_slice`) raises with
+        Each pass takes what the buffer lacks of a full chunk and
+        canonicalizes it at once (:func:`~repro.core.kernel.canonical_keys`,
+        which raises the sketch's ``ConfigurationError`` for a key it
+        cannot map); a full chunk arriving on an empty buffer is
+        committed without a copy.  A pass the journal would refuse — a bad
+        key or count, or a ``total_count`` leaving int64 — raises with
         none of it buffered: the buffer stays as the pass found it, so
         keys accepted earlier are still committed by the next full chunk
         or :meth:`flush`.
@@ -585,59 +782,30 @@ class CheckpointingIngestor:
         self._require_open()
         accepted = 0
         chunk_items = self.journal_chunk_items
-        iterator = iter(items)
+        take = column_reader(pairs)
         while True:
-            pending = self._pending_keys
-            taken = list(islice(iterator, chunk_items - len(pending)))
-            if not taken:
+            keys, counts = take(chunk_items - self._pending.items)
+            if not len(keys):
                 return accepted
-            counts: Optional[List[int]] = None
-            if weighted:
-                taken, counts = split_pairs(taken, _bad_count)
-            units = len(taken) if counts is None else sum(counts)
-            self._check_slice(taken, units)
-            accepted += len(taken)
-            if pending or len(taken) < chunk_items:
-                held = self._pending_counts
-                if counts is not None and held is None:
-                    held = self._pending_counts = [1] * len(pending)
-                pending.extend(taken)
+            units = len(keys)
+            if counts is not None:
+                counts, units = count_column(counts, _bad_count)
+            canonical = canonical_keys(keys)
+            require_int64(
+                "total_count",
+                self.sketch.total_count + self._pending_units + units,
+            )
+            accepted += len(canonical)
+            if not self._pending.items and len(canonical) == chunk_items:
+                self._commit(canonical, counts)
+            else:
+                self._pending.hold(canonical, counts)
                 self._pending_units += units
-                if held is not None:
-                    held.extend(
-                        counts if counts is not None else repeat(1, len(taken))
-                    )
-                if len(pending) < chunk_items:
+                if self._pending.items < chunk_items:
                     continue
-                taken, counts = pending, held
-                self._clear_pending()
-            self._commit(taken, counts)
+                self.flush()
             if self._checkpoint_due():
                 self.checkpoint()
-
-    def _check_slice(self, keys: List[object], units: int) -> None:
-        """Raise ``ConfigurationError`` for keys the journal would refuse:
-        a total count past int64 with what is buffered, a key that is not
-        an ``int``, ``str`` or ``bytes``, or a ``str`` that UTF-8 cannot
-        encode (a lone surrogate; the sketch's own error), in that order."""
-        total = self.sketch.total_count + self._pending_units + units
-        require_int64("total_count", total)
-        if set(map(type, keys)) == {int}:
-            return
-        for key in keys:
-            if type(key) is not int and not isinstance(key, (str, bytes)):
-                _encode_key(key)
-        texts = [key for key in keys if isinstance(key, str)]
-        try:
-            "".join(texts).encode("utf-8")
-        except UnicodeEncodeError:
-            check_texts(texts)
-            raise
-
-    def _clear_pending(self) -> None:
-        self._pending_keys = []
-        self._pending_counts = None
-        self._pending_units = 0
 
     def flush(self) -> None:
         """Commit the buffered partial chunk (journal, fsync, apply).
@@ -648,66 +816,50 @@ class CheckpointingIngestor:
         correct — replay always mirrors whatever was journaled).
         """
         self._require_open()
-        if self._pending_keys:
-            keys = self._pending_keys
-            counts = self._pending_counts
-            self._clear_pending()
-            self._commit(keys, counts)
+        if self._pending.items:
+            self._pending_units = 0
+            self._commit(*self._pending.take())
 
     @property
     def pending_items(self) -> int:
         """Accepted pairs not yet journaled (lost on crash)."""
-        return len(self._pending_keys)
+        return self._pending.items
 
-    def _commit(
-        self, keys: List[object], counts: Optional[List[int]]
-    ) -> None:
+    def _commit(self, keys: Any, counts: Optional[Any]) -> None:
         """Journal one chunk durably, then apply it to the sketch.
 
-        ``counts is None`` means all-singletons (journaled as the scalar
-        ``1`` and applied via :meth:`DaVinciSketch.insert_all`, whose
-        state is byte-identical to singleton pairs through
-        ``insert_batch`` by the batching contract).  An all-``int`` chunk
-        (detected with one C-speed ``set(map(type, …))`` scan — ``bool``
-        has its own type, so it cannot slip through) is journaled with no
-        key transform at all; mixed chunks fall back to a comprehension
-        that tags non-int keys via :func:`_encode_key`.  The chunk's
-        keys and total passed :meth:`_check_slice` when they were taken.
+        ``keys`` are canonical (uint64) and ``counts`` int64, ``None``
+        when every count is 1; both passed their checks in
+        :meth:`_ingest`.  The chunk is applied by the call replay makes.
         """
-        if set(map(type, keys)) == {int}:
-            encoded: List[Union[int, str]] = keys  # type: ignore[assignment]
-        else:
-            encoded = [
-                key if type(key) is int else _encode_key(key) for key in keys
-            ]
-        compact: Union[int, List[int]]
-        if counts is None or counts.count(1) == len(counts):
-            compact = 1
-        else:
-            compact = counts
-        self._append_record(encoded, compact)
-        if counts is None:
-            self.sketch.insert_all(keys, chunk_size=len(keys))
-        else:
-            self.sketch.insert_batch(
-                zip(keys, counts), chunk_size=len(keys)
-            )
+        self._append_record(keys, counts)
+        _apply(self.sketch, keys, counts)
         self.applied_seq += 1
         self.items_ingested += len(keys)
         if _obs.ENABLED:
             self._observe().ingested_items.inc(len(keys))
         self._hook("apply")
 
-    def _append_record(
-        self, keys: List[Union[int, str]], compact: Union[int, List[int]]
-    ) -> None:
-        """Write one CRC-prefixed record line (see :func:`_crc_line`)."""
+    def _append_record(self, keys: Any, counts: Optional[Any]) -> None:
+        """Write and fsync one binary record (see the module docstring)."""
         observing = _obs.ENABLED
         started = time.perf_counter() if observing else 0.0
-        line = _crc_line(
-            {"counts": compact, "keys": keys, "seq": self.applied_seq + 1}
+        columns = [np.ascontiguousarray(keys, dtype=_KEY_DTYPE)]
+        if counts is not None:
+            columns.append(np.ascontiguousarray(counts, dtype=_COUNT_DTYPE))
+        header = _RECORD_HEADER.pack(
+            _RECORD_MAGIC,
+            self.applied_seq + 1,
+            len(keys),
+            0 if counts is None else _HAS_COUNTS,
         )
-        self._journal_file.write(line + b"\n")
+        write = self._journal_file.write
+        write(header)
+        crc = zlib.crc32(header)
+        for column in columns:
+            write(column)
+            crc = zlib.crc32(column, crc)
+        write(_RECORD_CRC.pack(crc))
         self._journal_file.flush()
         os.fsync(self._journal_file.fileno())
         if observing:

@@ -32,8 +32,8 @@ Byte-identity contract
 A message is one whole chunk of the *shard's* stream, counted from its
 start (the same absolute alignment
 :class:`~repro.runtime.ingestor.CheckpointingIngestor` uses), and a
-worker applies it with one ``insert_all``/``insert_batch`` call, or one
-journal record when durable.  So the finalized shard states — and
+worker applies it with one ``insert_batch`` call, or one journal record
+when durable.  So the finalized shard states — and
 therefore the merged result — are byte-identical to a sequential
 ``insert_batch(partition, chunk_size=chunk_items)`` over each partition
 followed by the same union fold.  Since the shards are key-disjoint by
@@ -65,7 +65,6 @@ import multiprocessing
 import os
 import queue as _queue_mod
 import time
-from itertools import islice, repeat
 from types import TracebackType
 from typing import (
     Any,
@@ -86,13 +85,23 @@ from repro.common.hashing import canonical_key
 from repro.common.validation import require_int64
 from repro.core import serialization, setops
 from repro.core.config import DaVinciConfig
-from repro.core.davinci import DEFAULT_BATCH_CHUNK, DaVinciSketch, checked_count
+from repro.core.davinci import (
+    DEFAULT_BATCH_CHUNK,
+    DaVinciSketch,
+    PairColumns,
+    checked_count,
+    column_reader,
+)
 from repro.core.kernel import canonical_keys, np
 from repro.observability import instruments as _obs_instruments
 from repro.observability import metrics as _obs
 from repro.observability.instruments import ShardedMetrics
 from repro.observability.metrics import MetricsRegistry
-from repro.runtime.ingestor import CheckpointingIngestor, split_pairs
+from repro.runtime.ingestor import (
+    CheckpointingIngestor,
+    ColumnBuffer,
+    count_column,
+)
 
 __all__ = ["ShardRouter", "ShardedIngestor", "merge_tree"]
 
@@ -200,10 +209,11 @@ def _shard_worker(
     """One shard's process body: apply batches, report the final state.
 
     Runs until a ``finalize`` or ``stop`` message arrives.  Each batch is
-    one chunk of the shard substream, applied as one journal record
-    through :class:`CheckpointingIngestor` when durable and as one
-    ``insert_all``/``insert_batch`` call otherwise, so both paths produce
-    byte-identical states for the same substream.
+    one chunk of the shard substream — canonical keys as a uint64 array,
+    counts as an int64 array or ``None`` — handed on as those arrays:
+    applied as one journal record through :class:`CheckpointingIngestor`
+    when durable and as one ``insert_batch`` call otherwise, so both
+    paths produce byte-identical states for the same substream.
     """
     ingestor: Optional[CheckpointingIngestor] = None
     if durable_dir is not None:
@@ -224,20 +234,15 @@ def _shard_worker(
         message = task_queue.get()
         kind = message[0]
         if kind == "batch":
-            keys, counts = message[1].tolist(), message[2]
+            chunk = PairColumns(message[1], message[2])
             if ingestor is not None:
-                if counts is None:
-                    ingestor.ingest_keys(keys)
-                else:
-                    ingestor.ingest(zip(keys, counts))
+                ingestor.ingest(chunk)
                 # only the tail is short; journal it as its own record
                 ingestor.flush()
                 result_queue.put(("ack", shard_id, ingestor.items_ingested))
-            elif counts is None:
-                sketch.insert_all(keys, chunk_size=chunk_items)
             else:
-                sketch.insert_batch(zip(keys, counts), chunk_size=chunk_items)
-            applied += len(keys)
+                sketch.insert_batch(chunk, chunk_size=chunk_items)
+            applied += len(message[1])
         elif kind == "finalize":
             if ingestor is not None:
                 ingestor.checkpoint()
@@ -277,8 +282,8 @@ class _ShardHandle:
         #: durable watermark acknowledged by the worker
         self.acked_items = 0
         #: un-acknowledged messages as (start_position, keys, counts);
-        #: the keys stay the packed uint64 array that was sent (8 B/key)
-        self.replay: List[Tuple[int, Any, Optional[List[int]]]] = []
+        #: the arrays that were sent (8 B per key, and per count)
+        self.replay: List[Tuple[int, Any, Optional[Any]]] = []
         self.restarts = 0
         self.finalized_sent = False
         self.state_blob: Optional[bytes] = None
@@ -416,15 +421,8 @@ class ShardedIngestor:
         self._result_queue = self._ctx.Queue()
         self._shards = [_ShardHandle(i) for i in range(self.num_shards)]
         #: parent-side routing buffers, each under one chunk: per-shard
-        #: canonical keys as a list of uint64 arrays in stream order,
-        #: plus an optional parallel counts list (None while every count
-        #: is 1)
-        self._buffer_keys: List[List[Any]] = [
-            [] for _ in range(self.num_shards)
-        ]
-        self._buffer_counts: List[Optional[List[int]]] = [
-            None for _ in range(self.num_shards)
-        ]
+        #: canonical keys (uint64) and counts, in stream order
+        self._buffers = [ColumnBuffer() for _ in range(self.num_shards)]
         for handle in self._shards:
             self._spawn(handle)
         #: units (summed counts) routed so far, recovered ones included:
@@ -580,7 +578,7 @@ class ShardedIngestor:
         self,
         handle: _ShardHandle,
         keys: Any,
-        counts: Optional[List[int]],
+        counts: Optional[Any],
     ) -> None:
         if self.durable_root is not None and self.max_restarts > 0:
             handle.replay.append((handle.items_sent, keys, counts))
@@ -662,8 +660,11 @@ class ShardedIngestor:
             )
 
     def ingest_keys(self, keys: Iterable[object]) -> int:
-        """Route single occurrences; returns the number of keys consumed."""
-        return self._ingest(keys, weighted=False)
+        """Route single occurrences; returns the number of keys consumed.
+
+        A list, tuple or integer array of keys is sliced, not iterated.
+        """
+        return self._ingest(PairColumns(keys))
 
     def ingest(self, pairs: Iterable[Tuple[object, int]]) -> int:
         """Route weighted ``(key, count)`` pairs; returns pairs consumed.
@@ -673,32 +674,32 @@ class ShardedIngestor:
         stay within int64 (the bound on every shard's and the merged
         sketch's ``total_count``); a slice breaking either raises the
         sketch's ``ConfigurationError`` before any of its keys is routed.
+        A :class:`~repro.core.davinci.PairColumns` is read as columns.
         """
-        return self._ingest(pairs, weighted=True)
+        return self._ingest(pairs)
 
-    def _ingest(self, items: Iterable[Any], weighted: bool) -> int:
-        """Canonicalize and route ``items`` one ``chunk_items`` slice at a
+    def _ingest(self, pairs: Iterable[Tuple[object, int]]) -> int:
+        """Canonicalize and route ``pairs`` one ``chunk_items`` slice at a
         time (the loop behind :meth:`ingest` and :meth:`ingest_keys`)."""
         self._require_open()
-        iterator = iter(items)
+        take = column_reader(pairs)
         consumed = 0
         while True:
-            batch = list(islice(iterator, self.chunk_items))
-            if not batch:
+            keys, counts = take(self.chunk_items)
+            if not len(keys):
                 return consumed
-            counts: Optional[List[int]] = None
-            if weighted:
-                batch, counts = split_pairs(batch, checked_count)
-            canonical = canonical_keys(batch)
-            units = len(batch) if counts is None else sum(counts)
+            units = len(keys)
+            if counts is not None:
+                counts, units = count_column(counts, checked_count)
+            canonical = canonical_keys(keys)
             self.units_routed = require_int64(
                 "total_count", self.units_routed + units
             )
             self._route(canonical, counts)
-            consumed += len(batch)
-            self.items_routed += len(batch)
+            consumed += len(canonical)
+            self.items_routed += len(canonical)
 
-    def _route(self, canonical: Any, counts: Optional[List[int]]) -> None:
+    def _route(self, canonical: Any, counts: Optional[Any]) -> None:
         """Append one canonicalized batch to the shard buffers.
 
         Boolean masks keep stream order within each shard, so every
@@ -711,44 +712,32 @@ class ShardedIngestor:
             part = canonical[mask]
             if not len(part):
                 continue
-            part_counts = None
-            if counts is not None:
-                part_counts = [counts[i] for i in np.flatnonzero(mask).tolist()]
-            self._buffer(shard, part, part_counts)
-
-    def _buffer(
-        self, shard: int, keys: Any, counts: Optional[List[int]]
-    ) -> None:
-        """Queue ``keys`` for ``shard``, keeping keys and counts aligned."""
-        pieces = self._buffer_keys[shard]
-        held = sum(len(piece) for piece in pieces)
-        buffered_counts = self._buffer_counts[shard]
-        if counts is not None and buffered_counts is None:
-            buffered_counts = self._buffer_counts[shard] = [1] * held
-        if buffered_counts is not None:
-            buffered_counts.extend(
-                counts if counts is not None else repeat(1, len(keys))
+            self._buffer(
+                shard, part, None if counts is None else counts[mask]
             )
-        pieces.append(keys)
-        if held + len(keys) >= self.chunk_items:
+
+    def _buffer(self, shard: int, keys: Any, counts: Optional[Any]) -> None:
+        """Queue ``keys`` for ``shard``, keeping keys and counts aligned."""
+        buffer = self._buffers[shard]
+        buffer.hold(keys, counts)
+        if buffer.items >= self.chunk_items:
             self._dispatch(shard, tail=False)
 
     def _dispatch(self, shard: int, tail: bool = True) -> None:
         """Send ``shard``'s buffered keys as whole chunks, the short
         remainder too when ``tail`` (end of stream)."""
-        pieces = self._buffer_keys[shard]
-        if not pieces:
+        buffer = self._buffers[shard]
+        if not buffer.items:
             return
-        keys = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
-        counts = self._buffer_counts[shard]
+        keys, counts = buffer.take()
         chunk = self.chunk_items
         end = len(keys) if tail else len(keys) - len(keys) % chunk
-        # Copied: a view would keep the sent chunks alive with it.
-        rest = keys[end:].copy()
-        self._buffer_keys[shard] = [rest] if len(rest) else []
-        self._buffer_counts[shard] = (
-            counts[end:] if counts is not None and len(rest) else None
-        )
+        if end < len(keys):
+            # Copied: a view would keep the sent chunks alive with it.
+            buffer.hold(
+                keys[end:].copy(),
+                None if counts is None else counts[end:].copy(),
+            )
         self._drain_results()
         handle = self._shards[shard]
         for start in range(0, end, chunk):

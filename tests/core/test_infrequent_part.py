@@ -89,6 +89,30 @@ class TestFastQuery:
         for key in range(500, 520):
             assert abs(ifp.fast_query(key) - 2) <= 2
 
+    @pytest.mark.parametrize("rows", [2, 3, 4, 5])
+    def test_many_equals_the_scalar_median(self, rows):
+        # narrow rows collide, so the row estimates differ; odd counts
+        # keep them odd, and an even row count takes the floored mean of
+        # the middle two (-3 and 4 give 0, -4 and 1 give -2)
+        ifp = InfrequentPart(rows=rows, width=8, seed=13)
+        for key in range(1, 40):
+            ifp.insert(key, 2 * (key % 5) - 3)
+        keys = np.arange(1, 60, dtype=np.int64)
+        many = ifp.fast_query_many(keys)
+        assert isinstance(many, np.ndarray) and many.dtype == np.int64
+        medians, odd_middles = [], 0
+        for key in keys.tolist():
+            reads = sorted(
+                ifp._sign(row, key) * int(ifp.counts[row, column])
+                for row, column in enumerate(ifp._hashes.indexes(key))
+            )
+            middle = reads[(rows - 1) // 2 : rows // 2 + 1]
+            medians.append(sum(middle) // len(middle))
+            odd_middles += len(middle) == 2 and sum(middle) % 2
+        assert many.tolist() == medians
+        assert [ifp.fast_query(key) for key in keys.tolist()] == medians
+        assert odd_middles or rows % 2  # the floor was exercised
+
 
 class TestSigns:
     def test_negative_counts_decode(self, ifp):

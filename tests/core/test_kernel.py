@@ -11,6 +11,7 @@ import random
 import re
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro.common import invariants
@@ -18,6 +19,7 @@ from repro.common.errors import ConfigurationError, InvariantViolation
 from repro.common.hashing import canonical_key, key_to_int
 from repro.core import DaVinciConfig, DaVinciSketch
 from repro.core import kernel, serialization
+from repro.core.davinci import PairColumns
 from repro.core.kernel import KERNEL_ARRAY, KERNEL_OBJECT, canonical_keys
 from repro.observability import metrics as obs_metrics
 
@@ -87,6 +89,37 @@ class TestCrossKernelReconstruction:
         bulk.insert_batch(stream(2_000), chunk_size=128)
         oracle = per_item(DaVinciSketch(make_config()), stream(2_000), 128)
         assert serialization.to_wire(bulk) == serialization.to_wire(oracle)
+
+
+class TestPairColumns:
+    """Columns are read as the pairs they hold, arrays as arrays."""
+
+    def test_columns_build_the_state_pairs_build(self):
+        pairs = stream(2_000) + [(1 << 40, 2), (0, 1), (-7, 3)] * 50
+        keys = [key for key, _count in pairs]
+        counts = [count for _key, count in pairs]
+        reference = DaVinciSketch(make_config())
+        reference.insert_batch(pairs, chunk_size=128)
+        for columns in (
+            PairColumns(np.array(keys), np.array(counts)),
+            PairColumns(keys, counts),
+            PairColumns(iter(keys), iter(counts)),
+        ):
+            sketch = DaVinciSketch(make_config())
+            sketch.insert_batch(columns, chunk_size=128)
+            assert sketch.to_state() == reference.to_state()
+        units = DaVinciSketch(make_config())
+        units.insert_all(keys, chunk_size=128)
+        for column in (np.array(keys), iter(keys)):
+            sketch = DaVinciSketch(make_config())
+            sketch.insert_all(column, chunk_size=128)
+            assert sketch.to_state() == units.to_state()
+
+    def test_columns_of_unequal_length_raise(self):
+        sketch = DaVinciSketch(make_config())
+        with pytest.raises(ConfigurationError, match="3 keys but 2 counts"):
+            sketch.insert_batch(PairColumns([1, 2, 3], np.array([1, 1])))
+        assert sketch.total_count == 0
 
 
 class TestCounts:
@@ -276,6 +309,27 @@ class TestCanonicalKeys:
             canonical_key("a"),
             5,
         ]
+
+    @pytest.mark.parametrize("dtype", ["int64", "uint64", "int32", "uint32", "int8"])
+    def test_integer_arrays_equal_the_list_path(self, dtype):
+        info = np.iinfo(dtype)
+        edges = [0, 1, -1, 5, 2**31 - 1, 2**32 - 1, 2**32, -(2**40), 2**63 - 1]
+        edges += [-(2**63), 2**63, 2**64 - 1]
+        values = [v for v in edges if info.min <= v <= info.max] * 3
+        array = np.array(values, dtype=dtype)
+        out = canonical_keys(array)
+        assert out.dtype == "uint64"
+        assert out.tolist() == [canonical_key(v) for v in values]
+        assert array.tolist() == values  # a new array; the input is kept
+
+    def test_other_arrays_take_the_list_path(self):
+        assert canonical_keys(np.array(["a", "é"])).tolist() == [
+            canonical_key("a"),
+            canonical_key("é"),
+        ]
+        for bad in (np.array([True]), np.array([1.0]), np.array([[1, 2]])):
+            with pytest.raises(ConfigurationError):
+                canonical_keys(bad)
 
     @pytest.mark.parametrize("bad", [True, False, 1.5, None, ("a",), "\ud800"])
     def test_rejects_what_the_scalar_path_rejects(self, bad):

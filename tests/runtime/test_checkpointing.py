@@ -16,7 +16,7 @@ import re
 import pytest
 
 from repro.common.errors import CheckpointError, ConfigurationError
-from repro.common.hashing import key_to_int
+from repro.common.hashing import canonical_key, key_to_int
 from repro.common.validation import INT64_MAX
 from repro.core import serialization
 from repro.core.config import DaVinciConfig
@@ -29,6 +29,7 @@ from repro.runtime import (
 from repro.runtime.ingestor import _crc_line
 from repro.testing import CrashInjector, InjectedCrash
 from tests.conftest import make_zipf_stream
+from tests.runtime import journal_format
 
 #: cadence small enough that a short run crosses several checkpoints
 FAST = dict(checkpoint_every_items=700, journal_chunk_items=128)
@@ -185,60 +186,85 @@ class TestCrashRecoveryByteIdentity:
             assert twin.query(key) > 0
 
 
+def _journal_of_four(config, directory):
+    """A binary journal of four 64-pair records (the last weighted), no
+    checkpoint; returns the journal path and the pairs."""
+    pairs = _pairs(192) + [(key, 3) for key, _count in _pairs(64, seed=9)]
+    ingestor = CheckpointingIngestor(
+        config, directory, checkpoint_every_items=None, journal_chunk_items=64
+    )
+    ingestor.ingest(pairs)
+    ingestor.close()
+    return directory / JOURNAL_FILENAME, pairs
+
+
+def _state_after(config, pairs, chunk=64):
+    sketch = DaVinciSketch(config)
+    sketch.insert_batch(pairs, chunk_size=chunk)
+    return sketch.to_state()
+
+
 class TestJournal:
-    def test_torn_tail_is_discarded_and_truncated(
-        self, small_config, tmp_path
-    ):
+    """Torn tails are trimmed, anything else raises: binary records."""
+
+    def test_torn_tail_is_discarded_and_truncated(self, small_config, tmp_path):
+        # a crash mid-append leaves a prefix of a record
         directory = tmp_path / "d"
-        kwargs = dict(checkpoint_every_items=None, journal_chunk_items=64)
-        ingestor = CheckpointingIngestor(small_config, directory, **kwargs)
-        ingestor.ingest(_pairs(256))
-        applied = ingestor.items_ingested
-        ingestor.close()
+        journal_path, pairs = _journal_of_four(small_config, directory)
+        blob = journal_path.read_bytes()
+        last = journal_format.records(blob)[-1]
+        assert last.counts == [3] * 64
+        journal_path.write_bytes(blob + last.bytes[:30])
+        self.recovers_after_tear(small_config, directory, pairs, blob, 256)
 
+    def test_crc_failing_final_record_is_discarded(self, small_config, tmp_path):
+        directory = tmp_path / "d"
+        journal_path, pairs = _journal_of_four(small_config, directory)
+        blob = journal_path.read_bytes()
+        last = journal_format.records(blob)[-1]
+        torn = bytearray(blob)
+        torn[last.offset + 40] ^= 0x01
+        journal_path.write_bytes(bytes(torn))
+        self.recovers_after_tear(
+            small_config, directory, pairs, blob[: last.offset], 192
+        )
+
+    @staticmethod
+    def recovers_after_tear(config, directory, pairs, intact, applied):
         journal_path = directory / JOURNAL_FILENAME
-        intact = journal_path.read_bytes()
-        journal_path.write_bytes(intact + b'{"seq": 99, "pa')  # torn append
-
-        reopened = CheckpointingIngestor(small_config, directory, **kwargs)
+        kwargs = dict(checkpoint_every_items=None, journal_chunk_items=64)
+        reopened = CheckpointingIngestor(config, directory, **kwargs)
         assert reopened.items_ingested == applied
+        assert reopened.sketch.to_state() == _state_after(config, pairs[:applied])
         # the torn bytes were physically truncated away so appends are safe
         assert journal_path.read_bytes() == intact
         reopened.ingest(_pairs(64, seed=5))
         reopened.close()
-        # every surviving line is valid JSON again
-        for line in journal_path.read_bytes().splitlines():
-            json.loads(line)
+        # every surviving record parses whole, in sequence, CRC valid
+        blob = journal_path.read_bytes()
+        seqs = [record.seq for record in journal_format.records(blob)]
+        assert seqs == list(range(1, applied // 64 + 2))
 
     def test_non_tail_corruption_raises(self, small_config, tmp_path):
         directory = tmp_path / "d"
-        kwargs = dict(checkpoint_every_items=None, journal_chunk_items=64)
-        ingestor = CheckpointingIngestor(small_config, directory, **kwargs)
-        ingestor.ingest(_pairs(256))  # four records
-        ingestor.close()
-
-        journal_path = directory / JOURNAL_FILENAME
-        lines = journal_path.read_bytes().splitlines(keepends=True)
-        assert len(lines) >= 3
-        lines[0] = lines[0][:20] + b"X" + lines[0][21:]
-        journal_path.write_bytes(b"".join(lines))
+        journal_path, _pairs_ = _journal_of_four(small_config, directory)
+        blob = bytearray(journal_path.read_bytes())
+        blob[journal_format.HEADER.size + 5] ^= 0x10  # a key of record 1
+        journal_path.write_bytes(bytes(blob))
 
         with pytest.raises(CheckpointError, match="not the final"):
-            CheckpointingIngestor(small_config, directory, **kwargs)
+            CheckpointingIngestor(small_config, directory, journal_chunk_items=64)
 
     def test_journal_gap_raises(self, small_config, tmp_path):
         directory = tmp_path / "d"
-        kwargs = dict(checkpoint_every_items=None, journal_chunk_items=64)
-        ingestor = CheckpointingIngestor(small_config, directory, **kwargs)
-        ingestor.ingest(_pairs(256))
-        ingestor.close()
-
-        journal_path = directory / JOURNAL_FILENAME
-        lines = journal_path.read_bytes().splitlines(keepends=True)
-        journal_path.write_bytes(lines[0] + b"".join(lines[2:]))  # drop seq 2
+        journal_path, _pairs_ = _journal_of_four(small_config, directory)
+        records = journal_format.records(journal_path.read_bytes())
+        journal_path.write_bytes(
+            records[0].bytes + b"".join(r.bytes for r in records[2:])
+        )  # drop seq 2
 
         with pytest.raises(CheckpointError, match="gap"):
-            CheckpointingIngestor(small_config, directory, **kwargs)
+            CheckpointingIngestor(small_config, directory, journal_chunk_items=64)
 
     def test_journal_is_truncated_after_checkpoint(
         self, small_config, tmp_path
@@ -255,6 +281,133 @@ class TestJournal:
         ingestor.checkpoint()
         assert (directory / JOURNAL_FILENAME).stat().st_size == 0
         ingestor.close()
+
+    def test_records_hold_canonical_keys(self, small_config, tmp_path):
+        # one uint32 per key whatever its type, and no counts column
+        # when every count is 1
+        pairs = [("flow-a", 1), (b"\x00\xff", 1), (7, 1), (1 << 40, 1), (-3, 1)]
+        directory = tmp_path / "d"
+        ingestor = CheckpointingIngestor(small_config, directory)
+        ingestor.ingest(pairs)
+        ingestor.flush()
+        ingestor.close()
+        (record,) = journal_format.records((directory / JOURNAL_FILENAME).read_bytes())
+        assert (record.seq, record.n, record.counts) == (1, 5, None)
+        assert record.keys == [canonical_key(key) for key, _count in pairs]
+        assert record.end == journal_format.HEADER.size + 4 * 5 + 4
+
+
+class TestJsonJournal:
+    """Journals written in the JSON format before the binary records:
+    the same torn-tail, corruption and gap rules, and a recovery that
+    leaves the journal binary."""
+
+    PAIRS = [("flow-%d" % (i % 37), 1) for i in range(128)] + [
+        (b"\x00\xffraw", 2),
+        (7, 3),
+        (1 << 40, 1),
+        ("é", 5),
+    ] * 32
+
+    def write(self, directory, blob):
+        directory.mkdir()
+        (directory / JOURNAL_FILENAME).write_bytes(blob)
+
+    def test_json_journal_replays_then_checkpoints(
+        self, small_config, tmp_path
+    ):
+        directory = tmp_path / "d"
+        self.write(directory, journal_format.json_journal(self.PAIRS, 64))
+        ingestor = CheckpointingIngestor(
+            small_config, directory, journal_chunk_items=64
+        )
+        assert (ingestor.applied_seq, ingestor.items_ingested) == (4, 256)
+        assert ingestor.sketch.to_state() == _state_after(small_config, self.PAIRS)
+        # the recovery checkpoint emptied the JSON journal
+        assert (directory / JOURNAL_FILENAME).read_bytes() == b""
+        ingestor.close()
+
+    def test_torn_tail_is_discarded(self, small_config, tmp_path):
+        directory = tmp_path / "d"
+        lines = journal_format.json_journal(self.PAIRS, 64)
+        self.write(directory, lines + b'{"seq": 99, "pa')  # torn append
+        ingestor = CheckpointingIngestor(
+            small_config, directory, journal_chunk_items=64
+        )
+        assert ingestor.items_ingested == 256
+        assert ingestor.sketch.to_state() == _state_after(small_config, self.PAIRS)
+        ingestor.close()
+
+    def test_corrupt_final_line_is_discarded(self, small_config, tmp_path):
+        directory = tmp_path / "d"
+        lines = journal_format.json_journal(self.PAIRS, 64).splitlines(keepends=True)
+        lines[-1] = lines[-1][:20] + b"X" + lines[-1][21:]
+        self.write(directory, b"".join(lines))
+        ingestor = CheckpointingIngestor(
+            small_config, directory, journal_chunk_items=64
+        )
+        assert ingestor.items_ingested == 192
+        assert ingestor.sketch.to_state() == _state_after(
+            small_config, self.PAIRS[:192]
+        )
+        ingestor.close()
+
+    def test_non_tail_corruption_raises(self, small_config, tmp_path):
+        directory = tmp_path / "d"
+        lines = journal_format.json_journal(self.PAIRS, 64).splitlines(keepends=True)
+        lines[0] = lines[0][:20] + b"X" + lines[0][21:]
+        self.write(directory, b"".join(lines))
+        with pytest.raises(CheckpointError, match="not the final"):
+            CheckpointingIngestor(small_config, directory, journal_chunk_items=64)
+
+    def test_journal_gap_raises(self, small_config, tmp_path):
+        directory = tmp_path / "d"
+        lines = journal_format.json_journal(self.PAIRS, 64).splitlines(keepends=True)
+        self.write(directory, lines[0] + b"".join(lines[2:]))  # drop seq 2
+        with pytest.raises(CheckpointError, match="gap"):
+            CheckpointingIngestor(small_config, directory, journal_chunk_items=64)
+
+    def test_a_binary_record_in_a_json_journal_raises(
+        self, small_config, tmp_path
+    ):
+        directory = tmp_path / "d"
+        lines = journal_format.json_journal(self.PAIRS, 64)
+        self.write(directory, lines + journal_format.forge(5, [1, 2]) + b"\n")
+        with pytest.raises(CheckpointError, match="one format"):
+            CheckpointingIngestor(small_config, directory, journal_chunk_items=64)
+
+    def test_records_past_the_checkpoint_recover_byte_identically(
+        self, small_config, tmp_path
+    ):
+        pairs = self.PAIRS + _pairs(300, seed=3)
+        kwargs = dict(checkpoint_every_items=None, journal_chunk_items=64)
+        baseline = _run_to_completion(
+            small_config, tmp_path / "base", pairs, **kwargs
+        )
+        # a checkpoint at record 2, then a JSON journal holding records
+        # 1-4: 1 and 2 are covered by the checkpoint, 3 and 4 are not
+        directory = tmp_path / "d"
+        early = CheckpointingIngestor(small_config, directory, **kwargs)
+        early.ingest(pairs[:128])
+        early.checkpoint()
+        early.close()
+        (directory / JOURNAL_FILENAME).write_bytes(
+            journal_format.json_journal(pairs[:256], 64)
+        )
+
+        recovered = CheckpointingIngestor(small_config, directory, **kwargs)
+        assert recovered.recovered
+        assert (recovered.applied_seq, recovered.items_ingested) == (4, 256)
+        assert recovered.sketch.to_state() == _state_after(small_config, pairs[:256])
+        journal_path = directory / JOURNAL_FILENAME
+        assert journal_path.read_bytes() == b""  # the recovery checkpoint
+        recovered.ingest(pairs[256:320])  # one whole chunk: one record
+        (record,) = journal_format.records(journal_path.read_bytes())
+        assert record.seq == 5
+        assert record.keys == [canonical_key(key) for key, _c in pairs[256:320]]
+        recovered.close()
+        resumed = _recover_and_finish(small_config, directory, pairs, **kwargs)
+        assert resumed == baseline
 
 
 class TestCheckpointFile:
@@ -515,8 +668,8 @@ class TestLifecycleAndValidation:
         assert ingestor.sketch.total_count == INT64_MAX
         state = ingestor.sketch.to_state()
         ingestor.close()
-        journal = (directory / JOURNAL_FILENAME).read_bytes().splitlines()
-        assert b'"s:x","s:y"' in journal[-1]
+        last = journal_format.records((directory / JOURNAL_FILENAME).read_bytes())[-1]
+        assert last.keys == [canonical_key("x"), canonical_key("y")]
         reopened = CheckpointingIngestor(
             small_config, directory, journal_chunk_items=4
         )

@@ -22,7 +22,7 @@ from repro.common.errors import ConfigurationError, ShardFailureError
 from repro.common.hashing import key_to_int
 from repro.core import setops
 from repro.core.config import DaVinciConfig
-from repro.core.davinci import DaVinciSketch
+from repro.core.davinci import DaVinciSketch, PairColumns, checked_count
 from repro.observability import metrics as obs_metrics
 from repro.observability.metrics import MetricsRegistry
 from repro.runtime import ShardedIngestor, ShardRouter, merge_tree
@@ -227,12 +227,12 @@ class TestShardedIngestor:
                         got = []
                         for batch_keys, batch_counts in sent[shard]:
                             assert batch_keys.dtype == "uint64"
-                            got.extend(
-                                zip(
-                                    batch_keys.tolist(),
-                                    batch_counts or [1] * len(batch_keys),
-                                )
-                            )
+                            if batch_counts is None:
+                                batch_counts = [1] * len(batch_keys)
+                            else:
+                                assert batch_counts.dtype == "int64"
+                                batch_counts = batch_counts.tolist()
+                            got.extend(zip(batch_keys.tolist(), batch_counts))
                         assert got == expected[shard]
                         sent[shard].clear()
 
@@ -282,7 +282,10 @@ class TestShardedIngestor:
             for batch_keys, batch_counts in messages:
                 assert (batch_counts is None) is not weighted
                 got.extend(
-                    zip(batch_keys.tolist(), batch_counts or repeat(1))
+                    zip(
+                        batch_keys.tolist(),
+                        repeat(1) if batch_counts is None else batch_counts.tolist(),
+                    )
                 )
             assert got == substream
 
@@ -290,10 +293,12 @@ class TestShardedIngestor:
     @pytest.mark.parametrize("bad", [0, -2, 2.5, "x", 2**63])
     def test_refuses_a_count_no_shard_can_apply(self, tmp_path, durable, bad):
         # The parent applies the sketch's count rule before routing, so
-        # no worker dies on it; accepted counts travel as Python ints,
-        # which durable workers can journal (numpy ints they could not).
+        # no worker dies on it; accepted counts, numpy ints included,
+        # travel as int64 arrays, which durable workers journal as they
+        # arrive.  The expected error is the rule's own (``insert``
+        # applies it too, after a type check under the sanitizer).
         with pytest.raises(ConfigurationError) as scalar:
-            DaVinciSketch(small_config()).insert(1, bad)
+            checked_count(bad)
         config = small_config()
         pairs = [(k, np.int64(2)) for k in zipfish_keys(3000)]
         with ShardedIngestor(
@@ -309,8 +314,35 @@ class TestShardedIngestor:
             ingestor.ingest(pairs)
             merged = ingestor.finalize()
             assert [handle.restarts for handle in ingestor._shards] == [0, 0]
-        reference, _ = reference_fold(config, ShardRouter(2), pairs, CHUNK)
+        # the oracle takes Python ints, which the sanitizer requires
+        reference, _ = reference_fold(
+            config, ShardRouter(2), [(k, 2) for k, _count in pairs], CHUNK
+        )
         assert merged.to_state() == reference.to_state()
+
+    def test_numpy_counts_durable_equal_the_in_memory_run(self, tmp_path):
+        # np.int64 counts, as pairs and as columns, journal and recover
+        # to the state the in-memory workers build
+        config = small_config()
+        keys = flow_keys(2500) + zipfish_keys(2500, seed=5)
+        counts = np.array([1 + i % 5 for i in range(len(keys))], np.int64)
+        states = []
+        for root in (None, tmp_path / "a", tmp_path / "b"):
+            with ShardedIngestor(
+                config, 2, chunk_items=CHUNK, durable_root=root
+            ) as ingestor:
+                ingestor.ingest(zip(keys[:3000], counts[:3000]))
+                ingestor.ingest(PairColumns(keys[3000:], counts[3000:]))
+                states.append(ingestor.finalize().to_state())
+        reference, _ = reference_fold(
+            config, ShardRouter(2), list(zip(keys, counts.tolist())), CHUNK
+        )
+        assert states == [reference.to_state()] * 3
+        # a durable root recovers the counts it journaled
+        with ShardedIngestor(
+            config, 2, chunk_items=CHUNK, durable_root=tmp_path / "a"
+        ) as ingestor:
+            assert ingestor.units_routed == int(counts.sum())
 
     def test_refuses_a_lone_surrogate_before_routing(self, tmp_path):
         # UTF-8 cannot encode "\ud800": the slice raises the scalar
